@@ -2,20 +2,24 @@
 
 Exit codes: 0 success, 2 usage/input error, 3 numerical abort. Progress
 lines go to standard error; data goes to files and standard output.
-Flags may be seeded from a key=value config file; explicit flags win.
+Pretrain settings are the fields of TrainConfig and EncoderConfig; each
+is taken from explicit flags, else a key=value config file, else the
+resumed checkpoint's config, else the field's default.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from . import crossattn, training, transport
 from .corpus import (CorpusError, Vocab, build_vocab, load_corpus,
                      load_content, load_entity_pairs, split_words, tokenize)
 from .encoder import EncoderConfig
 from .phrases import PhraseFileError, load_pool
-from .training import (NanGradientError, TrainConfig, eval_reconstruction,
+from .training import (CeaVariant, NanGradientError, TrainConfig, eval_reconstruction,
                        init_train_state, load_checkpoint, run_stage1,
                        run_stage2, save_checkpoint)
 
@@ -23,36 +27,56 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-PRETRAIN_DEFAULTS = {
-    "stage1_epochs": 10,
-    "stage2_epochs": 10,
-    "batch_size": 32,
-    "learning_rate": 1e-5,
-    "cea_weight": 1.0,
-    "seed": 0,
-    "ipot_beta": 0.5,
-    "ipot_outer_iters": 50,
-    "ipot_inner_k": 1,
-    "warm_iters": 1000,
-    "warm_alpha": 0.6,
-    "ema_decay": 0.9,
-    "bootstrap_every": 5,
-    "cea_variant": "ot",
-    "force_alpha": None,
-    "shuffle": True,
-    "reset_scheduler_for_stage2": False,
-    "eval_docs": 0,
-    "layers": 2,
-    "dim": 32,
-    "heads": 2,
-    "ffn_dim": 64,
-    "max_seq_len": 128,
-    "log_every": 50,
-}
+# Pretrain settings come from the config dataclasses: every TrainConfig field,
+# then the encoder shape (max_seq_len feeds both configs). The vocab and
+# phrase-pool sizes come from the data; log_every only paces progress lines.
+DATA_KEYS = ("vocab_size", "phrase_vocab_size")
+LOG_EVERY = 50
+BOOLEANS = {"true": True, "1": True, "yes": True,
+            "false": False, "0": False, "no": False}
 
 
-def _read_config_file(path, known: dict) -> dict:
-    """key=value lines; keys must name known options; values typed by default."""
+def _settings() -> dict[str, tuple[object, object]]:
+    """Setting name -> (type annotation, default), TrainConfig fields first."""
+    out = {}
+    for cls in (TrainConfig, EncoderConfig):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name not in DATA_KEYS:
+                out.setdefault(f.name, (hints[f.name], f.default))
+    out["log_every"] = (int, LOG_EVERY)
+    return out
+
+
+SETTINGS = _settings()
+# A resumed run keeps the checkpoint's phrase head, encoder shape and scheduler.
+FIXED_ON_RESUME = tuple(f.name for f in fields(EncoderConfig)
+                        if f.name != "vocab_size") + training.SCHEDULER_KEYS
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in BOOLEANS:
+        raise ValueError(f"expected one of {'/'.join(BOOLEANS)}, got {raw!r}")
+    return BOOLEANS[raw.lower()]
+
+
+def _parser_for(hint):
+    """String -> value for one annotation: bool, Optional[X] ('none'), X."""
+    if hint is bool:
+        return _parse_bool
+    if get_origin(hint) is Literal:
+        return str  # TrainConfig.validate names the allowed values
+    inner = [a for a in get_args(hint) if a is not type(None)]
+    if get_origin(hint) is Union and len(inner) == 1:
+        def optional(raw: str):
+            return None if raw.lower() == "none" else inner[0](raw)
+        optional.__name__ = f"{inner[0].__name__} or none"
+        return optional
+    return hint
+
+
+def _read_config_file(path) -> dict:
+    """key=value lines; keys name pretrain settings; values typed by annotation."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -63,19 +87,12 @@ def _read_config_file(path, known: dict) -> dict:
                 raise CorpusError(f"{path}:{lineno}: expected key=value")
             key_raw, raw = (part.strip() for part in line.split("=", 1))
             key = key_raw.replace("-", "_")
-            if key not in known:
+            if key not in SETTINGS:
                 raise CorpusError(f"{path}:{lineno}: unknown config key {key_raw!r}")
-            default = known[key]
-            if isinstance(default, bool):
-                values[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(default, int) and default is not None:
-                values[key] = int(raw)
-            elif isinstance(default, float):
-                values[key] = float(raw)
-            elif default is None and key == "force_alpha":
-                values[key] = float(raw)
-            else:
-                values[key] = raw
+            try:
+                values[key] = _parser_for(SETTINGS[key][0])(raw)
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 
@@ -100,22 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="key=value file; explicit flags win")
     p.add_argument("--resume", help="checkpoint to continue from")
-    for key, default in PRETRAIN_DEFAULTS.items():
+    for key, (hint, default) in SETTINGS.items():
         flag = "--" + key.replace("_", "-")
-        if isinstance(default, bool):
-            if default:
-                p.add_argument("--no-" + key.replace("_", "-"), dest=key,
-                               action="store_false", default=argparse.SUPPRESS)
-            else:
-                p.add_argument(flag, dest=key, action="store_true",
-                               default=argparse.SUPPRESS)
-        elif key == "force_alpha":
-            p.add_argument(flag, type=float, default=argparse.SUPPRESS)
-        elif key == "cea_variant":
-            p.add_argument(flag, choices=("ot", "attention"),
+        if hint is bool:  # a flag that flips the default
+            p.add_argument("--no-" + flag[2:] if default else flag, dest=key,
+                           action="store_false" if default else "store_true",
                            default=argparse.SUPPRESS)
+        elif get_origin(hint) is Literal:
+            p.add_argument(flag, choices=get_args(hint), default=argparse.SUPPRESS)
         else:
-            p.add_argument(flag, type=type(default), default=argparse.SUPPRESS)
+            p.add_argument(flag, type=_parser_for(hint), default=argparse.SUPPRESS)
 
     p = sub.add_parser("align", help="export alignment matrices for entity pairs")
     p.add_argument("--checkpoint", required=True)
@@ -125,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text-a", help="literal text instead of --pair")
     p.add_argument("--text-b")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--variant", choices=("ot", "attention"), default="ot")
+    p.add_argument("--variant", choices=get_args(CeaVariant), default="ot")
     p.add_argument("--outer-iters", type=int, default=2000)
     p.add_argument("--beta", type=float, default=0.5)
 
@@ -157,46 +168,50 @@ def cmd_build_vocab(args) -> int:
     return EXIT_OK
 
 
-def cmd_pretrain(args) -> int:
-    merged = dict(PRETRAIN_DEFAULTS)
-    if args.config:
-        merged.update(_read_config_file(args.config, PRETRAIN_DEFAULTS))
-    for key in PRETRAIN_DEFAULTS:
-        if hasattr(args, key):
-            merged[key] = getattr(args, key)
+def _only(cls, values: dict) -> dict:
+    return {k: v for k, v in values.items() if k in cls.__dataclass_fields__}
 
-    if merged["stage2_epochs"] > 0 and not (args.pairs and args.content):
-        raise CorpusError("--pairs and --content are required when stage2-epochs > 0")
+
+def _check_resume(state, vocab: Vocab, given: dict) -> None:
+    """Reject inputs that disagree with what the checkpoint was trained on."""
+    if vocab.id_to_token != state.vocab.id_to_token:
+        raise CorpusError("--resume: the --vocab token list differs from the checkpoint's")
+    fixed = {**asdict(state.config), **asdict(state.enc_config)}
+    for key in FIXED_ON_RESUME:
+        if key in given and given[key] != fixed[key]:
+            raise CorpusError(f"--resume: {key}={given[key]!r} differs from the "
+                              f"checkpoint's {fixed[key]!r}, which a resumed run keeps")
+
+
+def cmd_pretrain(args) -> int:
+    # Layers, later wins: the checkpoint's config (or the dataclass defaults),
+    # the --config file, explicit flags.
+    given = _read_config_file(args.config) if args.config else {}
+    given.update((k, v) for k, v in vars(args).items() if k in SETTINGS)
 
     vocab = Vocab.load(args.vocab)
-    docs = load_corpus(args.corpus, vocab, max_seq_len=merged["max_seq_len"])
     pool = load_pool(args.phrase_pool, vocab)
-
-    config = TrainConfig(
-        stage1_epochs=merged["stage1_epochs"], stage2_epochs=merged["stage2_epochs"],
-        batch_size=merged["batch_size"], learning_rate=merged["learning_rate"],
-        cea_weight=merged["cea_weight"], seed=merged["seed"],
-        ipot_beta=merged["ipot_beta"], ipot_outer_iters=merged["ipot_outer_iters"],
-        ipot_inner_k=merged["ipot_inner_k"], warm_iters=merged["warm_iters"],
-        warm_alpha=merged["warm_alpha"], ema_decay=merged["ema_decay"],
-        bootstrap_every=merged["bootstrap_every"], cea_variant=merged["cea_variant"],
-        force_alpha=merged["force_alpha"], shuffle=merged["shuffle"],
-        reset_scheduler_for_stage2=merged["reset_scheduler_for_stage2"],
-        eval_docs=merged["eval_docs"], max_seq_len=merged["max_seq_len"],
-    )
-    config.validate()
-
+    state = None
+    base = {}
     if args.resume:
         state = load_checkpoint(args.resume)
+        _check_resume(state, vocab, {**given, "phrase_vocab_size": pool.phrase_vocab_size})
+        base = asdict(state.config)
+    config = TrainConfig(**{**base, **_only(TrainConfig, given)})
+    config.validate()
+    if config.stage2_epochs > 0 and not (args.pairs and args.content):
+        raise CorpusError("--pairs and --content are required when stage2-epochs > 0")
+
+    if state is not None:
         state.config = config
     else:
-        enc_config = EncoderConfig(
-            vocab_size=len(vocab), phrase_vocab_size=pool.phrase_vocab_size,
-            layers=merged["layers"], dim=merged["dim"], heads=merged["heads"],
-            ffn_dim=merged["ffn_dim"], max_seq_len=merged["max_seq_len"])
+        shape = _only(EncoderConfig, {**given, "max_seq_len": config.max_seq_len})
+        enc_config = EncoderConfig(vocab_size=len(vocab),
+                                   phrase_vocab_size=pool.phrase_vocab_size, **shape)
         state = init_train_state(vocab, pool, config, enc_config)
+    docs = load_corpus(args.corpus, vocab, max_seq_len=config.max_seq_len)
 
-    log_every = merged["log_every"]
+    log_every = given.get("log_every", LOG_EVERY)
 
     def progress(rec: dict) -> None:
         if log_every and rec["iter"] % log_every == 0:
@@ -211,7 +226,7 @@ def cmd_pretrain(args) -> int:
         run_stage1(docs, pool, state, progress=progress)
     if config.stage2_epochs > 0:
         pair_set = load_entity_pairs(args.pairs, args.content, vocab,
-                                     max_seq_len=merged["max_seq_len"])
+                                     max_seq_len=config.max_seq_len)
         run_stage2(pair_set, pool, state, progress=progress)
 
     ckpt = out_dir / "checkpoint.npz"

@@ -28,15 +28,9 @@ class AttentionAlignment:
     beta_t: Tensor  # m x n
 
 
-def cross_attention(a: Tensor, b: Tensor, scaled: bool = False) -> AttentionAlignment:
-    """Dot-product attention in both directions over raw scores.
-
-    Scores are unscaled by default; ``scaled`` divides by sqrt(dim) for
-    experiments only.
-    """
+def cross_attention(a: Tensor, b: Tensor) -> AttentionAlignment:
+    """Dot-product attention in both directions over raw, unscaled scores."""
     scores = a @ T.transpose(b, -2, -1)
-    if scaled:
-        scores = T.scale(scores, 1.0 / np.sqrt(a.shape[-1]))
     return AttentionAlignment(
         alpha=T.softmax(scores),
         beta_t=T.softmax(T.transpose(scores, -2, -1)),
@@ -48,22 +42,22 @@ def reconstruct(align: AttentionAlignment, a: Tensor, b: Tensor) -> tuple[Tensor
     return align.alpha @ b, align.beta_t @ a
 
 
-def reconstruction_distance(a: Tensor, b: Tensor, scaled: bool = False) -> Tensor:
+def reconstruction_distance(a: Tensor, b: Tensor) -> Tensor:
     """Summed squared reconstruction error of the pair, both directions."""
-    a_rec, b_rec = reconstruct(cross_attention(a, b, scaled=scaled), a, b)
+    a_rec, b_rec = reconstruct(cross_attention(a, b), a, b)
     da = a - a_rec
     db = b - b_rec
     return (da * da).sum() + (db * db).sum()
 
 
-def triplet_loss(a: Tensor, b: Tensor, b_neg: Tensor, scaled: bool = False) -> Tensor:
+def triplet_loss(a: Tensor, b: Tensor, b_neg: Tensor) -> Tensor:
     """Unit-margin hinge on reconstruction distances: positive pair closer.
 
     The hinge keeps the graph only while active, so the gradient is zero
     exactly when the margin is already satisfied.
     """
-    pos = reconstruction_distance(a, b, scaled=scaled)
-    neg = reconstruction_distance(a, b_neg, scaled=scaled)
+    pos = reconstruction_distance(a, b)
+    neg = reconstruction_distance(a, b_neg)
     z = Tensor(np.asarray(1.0)) + pos - neg
     if float(z.data) > 0.0:
         return z

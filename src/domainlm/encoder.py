@@ -44,17 +44,6 @@ class EncoderConfig:
     def head_dim(self) -> int:
         return self.dim // self.heads
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "phrase_vocab_size": self.phrase_vocab_size,
-            "layers": self.layers,
-            "dim": self.dim,
-            "heads": self.heads,
-            "ffn_dim": self.ffn_dim,
-            "max_seq_len": self.max_seq_len,
-        }
-
 
 def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """BERT-convention init: N(0, 0.02) matrices, zero biases, unit LN gains."""

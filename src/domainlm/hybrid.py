@@ -10,7 +10,7 @@ iterations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -133,33 +133,15 @@ class SchedulerState:
             raise ValueError(f"unknown mode {mode!r}")
 
     def to_dict(self) -> dict:
-        def enc(x):
-            return None if math.isnan(x) else x
-        return {
-            "warm_iters": self.warm_iters,
-            "warm_alpha": self.warm_alpha,
-            "ema_decay": self.ema_decay,
-            "bootstrap_every": self.bootstrap_every,
-            "alpha": self.alpha,
-            "iteration": self.iteration,
-            "word_first": enc(self.word_first),
-            "word_prev": enc(self.word_prev),
-            "word_curr": enc(self.word_curr),
-            "phrase_first": enc(self.phrase_first),
-            "phrase_prev": enc(self.phrase_prev),
-            "phrase_curr": enc(self.phrase_curr),
-        }
+        """JSON-ready fields; NaN (an unpopulated history) becomes None."""
+        return {k: None if isinstance(v, float) and math.isnan(v) else v
+                for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchedulerState":
-        state = cls(warm_iters=d["warm_iters"], warm_alpha=d["warm_alpha"],
-                    ema_decay=d["ema_decay"], bootstrap_every=d["bootstrap_every"])
-        state.alpha = d["alpha"]
-        state.iteration = d["iteration"]
-        for name in ("word_first", "word_prev", "word_curr",
-                     "phrase_first", "phrase_prev", "phrase_curr"):
-            val = d[name]
-            setattr(state, name, math.nan if val is None else val)
+        values = {k: math.nan if v is None else v for k, v in d.items()}
+        state = cls(**{f.name: values[f.name] for f in fields(cls) if f.init})
+        state.alpha = values["alpha"]  # not an init field; restore it after __post_init__
         return state
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, Literal, Optional, get_args
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class NanGradientError(RuntimeError):
         self.param_name = param_name
 
 
+CeaVariant = Literal["ot", "attention"]
+
+
 @dataclass
 class TrainConfig:
     """Knobs for both stages; defaults follow the documented reference setup."""
@@ -59,12 +62,11 @@ class TrainConfig:
     seed: int = 0
     ipot_beta: float = 0.5
     ipot_outer_iters: int = 50
-    ipot_inner_k: int = 1
     warm_iters: int = 1000
     warm_alpha: float = 0.6
     ema_decay: float = 0.9
     bootstrap_every: int = 5
-    cea_variant: str = "ot"
+    cea_variant: CeaVariant = "ot"
     force_alpha: Optional[float] = None
     shuffle: bool = True
     reset_scheduler_for_stage2: bool = False
@@ -78,7 +80,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.cea_weight < 0:
             raise ValueError("cea_weight must be >= 0")
-        if self.cea_variant not in ("ot", "attention"):
+        if self.cea_variant not in get_args(CeaVariant):
             raise ValueError(f"unknown cea_variant {self.cea_variant!r}")
         if self.force_alpha is not None and not 0.0 <= self.force_alpha <= 1.0:
             raise ValueError("force_alpha must lie in [0, 1]")
@@ -131,7 +133,11 @@ class AdamState:
 
 
 def adam_step(params: dict[str, Tensor], adam: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update in deterministic parameter order."""
+    """One bias-corrected Adam update in parameter order; a non-finite gradient
+    aborts it before anything changes."""
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise NanGradientError(name)
     adam.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** adam.t
     bc2 = 1.0 - ADAM_BETA2 ** adam.t
@@ -139,8 +145,6 @@ def adam_step(params: dict[str, Tensor], adam: AdamState, lr: float) -> None:
         g = p.grad
         if g is None:
             continue
-        if not np.isfinite(g).all():
-            raise NanGradientError(name)
         m = adam.m[name]
         v = adam.v[name]
         m *= ADAM_BETA1
@@ -166,6 +170,16 @@ class TrainState:
     stage2_iters_done: int = 0
 
 
+# TrainConfig fields that parameterise the scheduler, in SchedulerState order.
+SCHEDULER_KEYS = tuple(f.name for f in fields(SchedulerState)
+                       if f.name in TrainConfig.__dataclass_fields__)
+
+
+def _new_scheduler(config: TrainConfig) -> SchedulerState:
+    """A fresh scheduler with the config's hyperparameters."""
+    return SchedulerState(**{k: getattr(config, k) for k in SCHEDULER_KEYS})
+
+
 def init_train_state(vocab: Vocab, pool: PhrasePool, config: TrainConfig,
                      enc_config: Optional[EncoderConfig] = None) -> TrainState:
     config.validate()
@@ -174,16 +188,12 @@ def init_train_state(vocab: Vocab, pool: PhrasePool, config: TrainConfig,
                                    phrase_vocab_size=pool.phrase_vocab_size,
                                    max_seq_len=config.max_seq_len)
     params = init_params(enc_config, np.random.default_rng([config.seed, 0x1A17]))
-    scheduler = SchedulerState(warm_iters=config.warm_iters,
-                               warm_alpha=config.warm_alpha,
-                               ema_decay=config.ema_decay,
-                               bootstrap_every=config.bootstrap_every)
     return TrainState(
         config=config,
         enc_config=enc_config,
         params=params,
         adam=AdamState.fresh(params),
-        scheduler=scheduler,
+        scheduler=_new_scheduler(config),
         mask_rng=np.random.default_rng([config.seed, 0x3A5C]),
         vocab=vocab,
     )
@@ -319,10 +329,7 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
         raise ValueError("stage 2 requires a non-empty pair set")
     started = time.perf_counter()
     if cfg.reset_scheduler_for_stage2:
-        state.scheduler = SchedulerState(warm_iters=cfg.warm_iters,
-                                         warm_alpha=cfg.warm_alpha,
-                                         ema_decay=cfg.ema_decay,
-                                         bootstrap_every=cfg.bootstrap_every)
+        state.scheduler = _new_scheduler(cfg)
     batches_per_epoch = math.ceil(len(pair_set) / cfg.batch_size)
     total = cfg.stage2_epochs * batches_per_epoch
     attention = cfg.cea_variant == "attention"
@@ -457,7 +464,7 @@ def save_checkpoint(path, state: TrainState) -> None:
     """Single-file container: arrays bit-exact in npz, metadata as JSON."""
     meta = {
         "version": CHECKPOINT_VERSION,
-        "enc_config": state.enc_config.to_dict(),
+        "enc_config": asdict(state.enc_config),
         "train_config": asdict(state.config),
         "scheduler": state.scheduler.to_dict(),
         "mask_rng": state.mask_rng.bit_generator.state,
@@ -491,6 +498,7 @@ def load_checkpoint(path) -> TrainState:
                 params[name] = Tensor(data[key].copy(), requires_grad=True)
                 adam_m[name] = data[f"adam_m/{name}"].copy()
                 adam_v[name] = data[f"adam_v/{name}"].copy()
+    meta["train_config"].pop("ipot_inner_k", None)  # removed knob; older v1 files carry it
     config = TrainConfig(**meta["train_config"])
     enc_config = EncoderConfig(**meta["enc_config"])
     # preserve the deterministic parameter order used at init

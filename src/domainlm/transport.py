@@ -54,7 +54,6 @@ class TransportPlan:
     """
 
     values: np.ndarray
-    iterations_run: int
     beta: float
     cost: float
     cost_history: list[float] = field(default_factory=list)
@@ -115,8 +114,8 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
         t = delta[:, None] * q * sigma[None, :]
         if track_costs:
             history.append(float((t * cv).sum()))
-    return TransportPlan(values=t, iterations_run=outer_iters, beta=beta,
-                         cost=float((t * cv).sum()), cost_history=history)
+    return TransportPlan(values=t, beta=beta, cost=float((t * cv).sum()),
+                         cost_history=history)
 
 
 def exact_ot_oracle(c) -> tuple[np.ndarray, float]:

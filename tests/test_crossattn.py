@@ -35,12 +35,6 @@ class TestCrossAttention:
         assert np.abs(align.beta_t.data.sum(axis=1) - 1.0).max() <= 1e-12
         assert (align.alpha.data > 0).all() and (align.alpha.data < 1).all()
 
-    def test_scaled_variant_differs(self):
-        a, b = rand((3, 16), 4), rand((5, 16), 5)
-        raw = CA.cross_attention(a, b).alpha.data
-        scaled = CA.cross_attention(a, b, scaled=True).alpha.data
-        assert not np.allclose(raw, scaled)
-
 
 class TestReconstruct:
     def test_single_b_row_forces_copy(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from domainlm import corpus as C
+from domainlm import hybrid as H
 from domainlm import tensor as T
 from domainlm import training as TR
 
@@ -55,6 +56,25 @@ class TestAdam:
         adam = TR.AdamState.fresh(params)
         with pytest.raises(TR.NanGradientError, match="'w'"):
             TR.adam_step(params, adam, lr=0.1)
+
+    def test_nan_in_last_parameter_leaves_state_untouched(self):
+        params = {"a": T.Tensor(np.array([1.0, 2.0]), requires_grad=True),
+                  "b": T.Tensor(np.array([3.0]), requires_grad=True)}
+        adam = TR.AdamState.fresh(params)
+        params["a"].grad = np.array([0.5, -0.5])
+        params["b"].grad = np.array([0.5])
+        TR.adam_step(params, adam, lr=0.1)
+        before = ({k: p.data.copy() for k, p in params.items()},
+                  {k: m.copy() for k, m in adam.m.items()},
+                  {k: v.copy() for k, v in adam.v.items()}, adam.t)
+        params["b"].grad = np.array([np.nan])
+        with pytest.raises(TR.NanGradientError, match="'b'"):
+            TR.adam_step(params, adam, lr=0.1)
+        for name in params:
+            assert params[name].data.tobytes() == before[0][name].tobytes()
+            assert adam.m[name].tobytes() == before[1][name].tobytes()
+            assert adam.v[name].tobytes() == before[2][name].tobytes()
+        assert adam.t == before[3] == 1
 
     def test_missing_gradient_skipped(self):
         params = self.make_params([1.0])
@@ -217,6 +237,23 @@ class TestStage2:
         last = sum(cea[-per_epoch:]) / per_epoch
         assert last <= 0.9 * first
 
+    def test_reset_scheduler_takes_config_hyperparameters(self, pair_world, small_world):
+        _, vocab, pair_set = pair_world
+        _, _, pool, _, _ = small_world
+        cfg = TR.TrainConfig(stage1_epochs=0, stage2_epochs=1, batch_size=8,
+                             learning_rate=3e-3, warm_iters=3, warm_alpha=0.7,
+                             ema_decay=0.5, bootstrap_every=2, cea_weight=0.0,
+                             reset_scheduler_for_stage2=True, eval_docs=0,
+                             max_seq_len=32)
+        state = TR.init_train_state(vocab, pool, cfg)
+        state.scheduler = H.SchedulerState(warm_iters=99, warm_alpha=0.1,
+                                           ema_decay=0.0, bootstrap_every=7)
+        TR.run_stage2(pair_set, pool, state)
+        sched = state.scheduler
+        assert (sched.warm_iters, sched.warm_alpha, sched.ema_decay,
+                sched.bootstrap_every) == (3, 0.7, 0.5, 2)
+        assert sched.iteration == len(state.report.records)
+
     def test_empty_pair_set_rejected(self, pair_world, small_world):
         world, vocab, pair_set = pair_world
         _, _, pool, _, _ = small_world
@@ -327,6 +364,38 @@ class TestCheckpoint:
         resumed = TR.load_checkpoint(path)
         TR.run_stage1(docs, pool, resumed)
         assert params_bytes(resumed) == params_bytes(full)
+
+    def test_checkpoint_carrying_ipot_inner_k_loads_and_resumes(self, small_world, tmp_path):
+        # v1 checkpoints written before the knob was removed store it in
+        # train_config, right after ipot_outer_iters.
+        vocab, docs, pool, _, _ = small_world
+        full = TR.init_train_state(vocab, pool, desk_config(stage1_epochs=2, seed=6))
+        TR.run_stage1(docs, pool, full)
+        partial = TR.init_train_state(vocab, pool, desk_config(stage1_epochs=1, seed=6))
+        TR.run_stage1(docs, pool, partial)
+        partial.config = desk_config(stage1_epochs=2, seed=6)
+        path = tmp_path / "old.npz"
+        TR.save_checkpoint(path, partial)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        train_config = {}
+        for key, value in meta["train_config"].items():
+            train_config[key] = value
+            if key == "ipot_outer_iters":
+                train_config["ipot_inner_k"] = 1
+        meta["train_config"] = train_config
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+
+        resumed = TR.load_checkpoint(path)
+        assert not hasattr(resumed.config, "ipot_inner_k")
+        TR.run_stage1(docs, pool, resumed)
+        assert params_bytes(resumed) == params_bytes(full)
+        TR.save_checkpoint(path, resumed)
+        with np.load(path) as data:
+            saved = json.loads(bytes(data["meta"]).decode("utf-8"))
+        assert "ipot_inner_k" not in saved["train_config"]
 
 
 class TestReport:
