@@ -172,15 +172,18 @@ def _only(cls, values: dict) -> dict:
     return {k: v for k, v in values.items() if k in cls.__dataclass_fields__}
 
 
-def _check_resume(state, vocab: Vocab, given: dict) -> None:
+def _check_resume(state, vocab: Vocab, pool, given: dict) -> None:
     """Reject inputs that disagree with what the checkpoint was trained on."""
     if vocab.id_to_token != state.vocab.id_to_token:
         raise CorpusError("--resume: the --vocab token list differs from the checkpoint's")
+    given = {**given, "phrase_vocab_size": pool.phrase_vocab_size}
     fixed = {**asdict(state.config), **asdict(state.enc_config)}
     for key in FIXED_ON_RESUME:
         if key in given and given[key] != fixed[key]:
             raise CorpusError(f"--resume: {key}={given[key]!r} differs from the "
                               f"checkpoint's {fixed[key]!r}, which a resumed run keeps")
+    if state.phrases is not None and pool.by_id() != state.phrases:
+        raise CorpusError("--resume: the --phrase-pool phrases differ from the checkpoint's")
 
 
 def cmd_pretrain(args) -> int:
@@ -195,7 +198,7 @@ def cmd_pretrain(args) -> int:
     base = {}
     if args.resume:
         state = load_checkpoint(args.resume)
-        _check_resume(state, vocab, {**given, "phrase_vocab_size": pool.phrase_vocab_size})
+        _check_resume(state, vocab, pool, given)
         base = asdict(state.config)
     config = TrainConfig(**{**base, **_only(TrainConfig, given)})
     config.validate()
@@ -204,6 +207,7 @@ def cmd_pretrain(args) -> int:
 
     if state is not None:
         state.config = config
+        state.phrases = pool.by_id()  # checkpoints that predate the list gain it
     else:
         shape = _only(EncoderConfig, {**given, "max_seq_len": config.max_seq_len})
         enc_config = EncoderConfig(vocab_size=len(vocab),

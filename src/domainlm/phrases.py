@@ -52,6 +52,10 @@ class PhrasePool:
     def phrase_vocab_size(self) -> int:
         return len(self.entries)
 
+    def by_id(self) -> list[tuple[int, ...]]:
+        """The phrases' token-id tuples in phrase-id order."""
+        return sorted(self.phrase_ids, key=self.phrase_ids.__getitem__)
+
 
 def load_pool(path, vocab: Vocab, min_score: float = 0.5) -> PhrasePool:
     """Read a "phrase<TAB>score" file, keeping entries with score >= min_score.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Literal, Optional, get_args
@@ -74,12 +75,13 @@ class TrainConfig:
     max_seq_len: int = 128
 
     def validate(self) -> None:
-        if self.stage1_epochs < 0 or self.stage2_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.cea_weight < 0:
-            raise ValueError("cea_weight must be >= 0")
+        minimum = {"stage1_epochs": 0, "stage2_epochs": 0, "batch_size": 1,
+                   "cea_weight": 0, "bootstrap_every": 1, "ipot_outer_iters": 1}
+        for key, low in minimum.items():
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
+        if self.ipot_beta <= 0:
+            raise ValueError("ipot_beta must be > 0")
         if self.cea_variant not in get_args(CeaVariant):
             raise ValueError(f"unknown cea_variant {self.cea_variant!r}")
         if self.force_alpha is not None and not 0.0 <= self.force_alpha <= 1.0:
@@ -105,17 +107,13 @@ class TrainReport:
         return rec
 
     def add_epoch(self, stage: int, epoch: int, word_acc: Optional[float],
-                  phrase_acc: Optional[float]) -> dict:
-        rec = {"epoch": epoch, "stage": stage,
-               "word_acc": word_acc, "phrase_acc": phrase_acc}
-        self.epoch_records.append(rec)
-        return rec
+                  phrase_acc: Optional[float]) -> None:
+        self.epoch_records.append({"epoch": epoch, "stage": stage,
+                                   "word_acc": word_acc, "phrase_acc": phrase_acc})
 
     def write_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec) + "\n")
-            for rec in self.epoch_records:
+            for rec in self.records + self.epoch_records:
                 fh.write(json.dumps(rec) + "\n")
             fh.write(json.dumps({"wall_time": self.wall_time}) + "\n")
 
@@ -165,6 +163,8 @@ class TrainState:
     scheduler: SchedulerState
     mask_rng: np.random.Generator
     vocab: Vocab
+    # phrase-pool token ids in phrase-id order; None from checkpoints that predate it
+    phrases: Optional[list[tuple[int, ...]]]
     report: TrainReport = field(default_factory=TrainReport)
     stage1_iters_done: int = 0
     stage2_iters_done: int = 0
@@ -196,6 +196,7 @@ def init_train_state(vocab: Vocab, pool: PhrasePool, config: TrainConfig,
         scheduler=_new_scheduler(config),
         mask_rng=np.random.default_rng([config.seed, 0x3A5C]),
         vocab=vocab,
+        phrases=pool.by_id(),
     )
 
 
@@ -230,13 +231,12 @@ def _epoch_negatives(pair_set: EntityPairSet, seed: int, epoch: int) -> list[str
 
 
 def _hybrid_forward(state: TrainState, docs: list[Document], pool: PhrasePool
-                 ) -> tuple[Tensor, MaskedBatch, str, float, Optional[float], Optional[float]]:
+                    ) -> tuple[Tensor, str, float, Optional[float], Optional[float]]:
     """Select a mode, mask, forward and compute the selected mode's loss."""
     cfg = state.config
     sched = state.scheduler
     if cfg.force_alpha is not None:
-        sched.alpha = cfg.force_alpha
-        alpha = cfg.force_alpha
+        alpha = sched.alpha = cfg.force_alpha
         mode = select_mode(alpha)
     else:
         alpha = update_alpha(sched)
@@ -250,9 +250,9 @@ def _hybrid_forward(state: TrainState, docs: list[Document], pool: PhrasePool
     hidden = forward(batch.input_ids, batch.pad_mask, state.params, state.enc_config)
     if mode == "word":
         loss = word_loss(batch, hidden, state.params)
-        return loss, batch, mode, alpha, loss.item(), None
+        return loss, mode, alpha, loss.item(), None
     out: PhraseLoss = phrase_loss(batch, hidden, state.params)
-    return out.total, batch, mode, alpha, None, out.total.item()
+    return out.total, mode, alpha, None, out.total.item()
 
 
 def _doc_embeddings(state: TrainState, doc: Document) -> Tensor:
@@ -262,57 +262,80 @@ def _doc_embeddings(state: TrainState, doc: Document) -> Tensor:
     return T.reshape(hidden, (len(doc.tokens), state.enc_config.dim))
 
 
-def _cea_pair_loss(state: TrainState, doc_a: Document, doc_b: Document,
-                   neg_doc: Optional[Document]) -> Tensor:
+def _alignment_loss(state: TrainState, pair_set: EntityPairSet, pair_idx: np.ndarray,
+                    negatives: Optional[list[str]]) -> Tensor:
+    """Mean alignment loss over a batch of pairs, on unmasked passes."""
     cfg = state.config
-    emb_a = _doc_embeddings(state, doc_a)
-    emb_b = _doc_embeddings(state, doc_b)
-    if cfg.cea_variant == "ot":
-        return transport.cea_loss(emb_a, emb_b, beta=cfg.ipot_beta,
-                                  outer_iters=cfg.ipot_outer_iters)
-    emb_neg = _doc_embeddings(state, neg_doc)
-    return crossattn.triplet_loss(emb_a, emb_b, emb_neg)
-
-
-def _step(state: TrainState, loss: Tensor) -> None:
-    for p in state.params.values():
-        p.zero_grad()
-    T.backward(loss)
-    adam_step(state.params, state.adam, state.config.learning_rate)
+    parts = []
+    for j in pair_idx:
+        a, b = pair_set.pairs[j]
+        emb_a = _doc_embeddings(state, pair_set.content[a])
+        emb_b = _doc_embeddings(state, pair_set.content[b])
+        if cfg.cea_variant == "ot":
+            parts.append(transport.cea_loss(emb_a, emb_b, beta=cfg.ipot_beta,
+                                            outer_iters=cfg.ipot_outer_iters))
+        else:
+            emb_neg = _doc_embeddings(state, pair_set.content[negatives[j]])
+            parts.append(crossattn.triplet_loss(emb_a, emb_b, emb_neg))
+    return T.scale(sum(parts[1:], parts[0]), 1.0 / len(parts))
 
 
 # ----------------------------------------------------------------- stage loops
 
 
+def _run_stage(stage: int, groups: list[list[Document]], pool: PhrasePool,
+               state: TrainState, progress: Optional[Callable[[dict], None]],
+               aligned: Optional[EntityPairSet] = None) -> TrainState:
+    """The step loop of both stages; resumes from the stage's saved counter.
+
+    A step masks the documents of one batch of groups in the epoch's order
+    and, when ``aligned`` is given, adds the weighted alignment loss over
+    the same pair indices. Epoch evals read each group's first document.
+    """
+    cfg = state.config
+    started = time.perf_counter()
+    counter = f"stage{stage}_iters_done"
+    batches_per_epoch = math.ceil(len(groups) / cfg.batch_size)
+    total = getattr(cfg, f"stage{stage}_epochs") * batches_per_epoch
+    while getattr(state, counter) < total:
+        done = getattr(state, counter)
+        epoch = done // batches_per_epoch + 1
+        order = _epoch_order(cfg.seed, stage, epoch, len(groups), cfg.shuffle)
+        negatives = _epoch_negatives(aligned, cfg.seed, epoch) \
+            if aligned is not None and cfg.cea_variant == "attention" else None
+        for b in range(done % batches_per_epoch, batches_per_epoch):
+            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            state.scheduler.iteration += 1
+            hybrid_loss, mode, alpha, lw, lp = _hybrid_forward(
+                state, [doc for i in idx for doc in groups[i]], pool)
+            loss, l_cea = hybrid_loss, None
+            if aligned is not None:
+                cea = _alignment_loss(state, aligned, idx, negatives)
+                l_cea = cea.item()
+                loss = hybrid_loss + T.scale(cea, cfg.cea_weight)
+            for p in state.params.values():
+                p.zero_grad()
+            T.backward(loss)
+            adam_step(state.params, state.adam, cfg.learning_rate)
+            state.scheduler.record(mode, hybrid_loss.item())
+            step = state.stage1_iters_done + state.stage2_iters_done + 1
+            rec = state.report.add_iteration(step, stage, mode, lw, lp, l_cea, alpha)
+            if progress is not None:
+                progress(rec)
+            setattr(state, counter, getattr(state, counter) + 1)
+        if cfg.eval_docs > 0:
+            first_docs = [group[0] for group in groups]
+            state.report.add_epoch(stage, epoch, *_epoch_eval(state, first_docs, pool))
+    state.report.wall_time += time.perf_counter() - started
+    return state
+
+
 def run_stage1(docs: list[Document], pool: PhrasePool, state: TrainState,
                progress: Optional[Callable[[dict], None]] = None) -> TrainState:
     """Hybrid masked training over the corpus; resumes from saved counters."""
-    cfg = state.config
     if not docs:
         raise ValueError("stage 1 requires a non-empty corpus")
-    started = time.perf_counter()
-    batches_per_epoch = math.ceil(len(docs) / cfg.batch_size)
-    total = cfg.stage1_epochs * batches_per_epoch
-    while state.stage1_iters_done < total:
-        epoch = state.stage1_iters_done // batches_per_epoch + 1
-        offset = state.stage1_iters_done % batches_per_epoch
-        order = _epoch_order(cfg.seed, 1, epoch, len(docs), cfg.shuffle)
-        for b in range(offset, batches_per_epoch):
-            chunk = [docs[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
-            state.scheduler.iteration += 1
-            loss, _, mode, alpha, lw, lp = _hybrid_forward(state, chunk, pool)
-            _step(state, loss)
-            state.scheduler.record(mode, loss.item())
-            rec = state.report.add_iteration(state.scheduler.iteration, 1, mode,
-                                             lw, lp, None, alpha)
-            if progress is not None:
-                progress(rec)
-            state.stage1_iters_done += 1
-        if cfg.eval_docs > 0:
-            word_acc, phrase_acc = _epoch_eval(state, docs, pool)
-            state.report.add_epoch(1, epoch, word_acc, phrase_acc)
-    state.report.wall_time += time.perf_counter() - started
-    return state
+    return _run_stage(1, [[doc] for doc in docs], pool, state, progress)
 
 
 def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
@@ -323,59 +346,17 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
     unmasked second passes of the same parameters. One optimizer step per
     iteration on the summed loss. With cea_weight = 0 the alignment pass
     is skipped entirely, reproducing stage-1 dynamics on the pair corpus.
+    reset_scheduler_for_stage2 restarts the scheduler once, before the
+    first stage-2 step; a resumed run keeps the scheduler it saved.
     """
     cfg = state.config
     if len(pair_set) == 0:
         raise ValueError("stage 2 requires a non-empty pair set")
-    started = time.perf_counter()
-    if cfg.reset_scheduler_for_stage2:
+    if cfg.reset_scheduler_for_stage2 and state.stage2_iters_done == 0:
         state.scheduler = _new_scheduler(cfg)
-    batches_per_epoch = math.ceil(len(pair_set) / cfg.batch_size)
-    total = cfg.stage2_epochs * batches_per_epoch
-    attention = cfg.cea_variant == "attention"
-    while state.stage2_iters_done < total:
-        epoch = state.stage2_iters_done // batches_per_epoch + 1
-        offset = state.stage2_iters_done % batches_per_epoch
-        order = _epoch_order(cfg.seed, 2, epoch, len(pair_set), cfg.shuffle)
-        negatives = _epoch_negatives(pair_set, cfg.seed, epoch) \
-            if (attention and cfg.cea_weight > 0) else None
-        for b in range(offset, batches_per_epoch):
-            pair_idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            pairs = [pair_set.pairs[i] for i in pair_idx]
-            docs: list[Document] = []
-            for a, bb in pairs:
-                docs.append(pair_set.content[a])
-                docs.append(pair_set.content[bb])
-            state.scheduler.iteration += 1
-            hybrid_loss, _, mode, alpha, lw, lp = _hybrid_forward(state, docs, pool)
-            if cfg.cea_weight > 0:
-                parts = []
-                for j, (a, bb) in zip(pair_idx, pairs):
-                    neg_doc = pair_set.content[negatives[j]] if attention else None
-                    parts.append(_cea_pair_loss(state, pair_set.content[a],
-                                                pair_set.content[bb], neg_doc))
-                cea_total = parts[0]
-                for part in parts[1:]:
-                    cea_total = cea_total + part
-                cea_total = T.scale(cea_total, 1.0 / len(parts))
-                l_cea = cea_total.item()
-                loss = hybrid_loss + T.scale(cea_total, cfg.cea_weight)
-            else:
-                l_cea = None
-                loss = hybrid_loss
-            _step(state, loss)
-            state.scheduler.record(mode, hybrid_loss.item())
-            rec = state.report.add_iteration(state.scheduler.iteration, 2, mode,
-                                             lw, lp, l_cea, alpha)
-            if progress is not None:
-                progress(rec)
-            state.stage2_iters_done += 1
-        if cfg.eval_docs > 0:
-            docs_all = [pair_set.content[a] for a, _ in pair_set.pairs]
-            word_acc, phrase_acc = _epoch_eval(state, docs_all, pool)
-            state.report.add_epoch(2, epoch, word_acc, phrase_acc)
-    state.report.wall_time += time.perf_counter() - started
-    return state
+    groups = [[pair_set.content[a], pair_set.content[b]] for a, b in pair_set.pairs]
+    return _run_stage(2, groups, pool, state, progress,
+                      pair_set if cfg.cea_weight > 0 else None)
 
 
 # ------------------------------------------------------------------ evaluation
@@ -447,21 +428,24 @@ def eval_reconstruction(state: TrainState, docs: list[Document], pool: PhrasePoo
 
 def _epoch_eval(state: TrainState, docs: list[Document], pool: PhrasePool
                 ) -> tuple[Optional[float], Optional[float]]:
-    rows = eval_reconstruction(state, docs, pool, span_lengths=(1, 2, 3, 4),
-                               seed=state.config.seed,
+    """Word accuracy and the example-weighted accuracy over phrase lengths 2-4."""
+    rows = eval_reconstruction(state, docs, pool, seed=state.config.seed,
                                max_docs=state.config.eval_docs)
-    word_acc = rows[0]["accuracy"]
     multi = [r for r in rows[1:] if r["n_examples"] > 0]
     n = sum(r["n_examples"] for r in multi)
     phrase_acc = (sum(r["accuracy"] * r["n_examples"] for r in multi) / n) if n else None
-    return word_acc, phrase_acc
+    return rows[0]["accuracy"], phrase_acc
 
 
 # ---------------------------------------------------------------- checkpointing
 
 
 def save_checkpoint(path, state: TrainState) -> None:
-    """Single-file container: arrays bit-exact in npz, metadata as JSON."""
+    """Single-file container: arrays bit-exact in npz, metadata as JSON.
+
+    Written to a temporary file beside ``path``, then renamed over it, so
+    a failed save leaves the previous checkpoint in place.
+    """
     meta = {
         "version": CHECKPOINT_VERSION,
         "enc_config": asdict(state.enc_config),
@@ -472,6 +456,7 @@ def save_checkpoint(path, state: TrainState) -> None:
         "stage1_iters_done": state.stage1_iters_done,
         "stage2_iters_done": state.stage2_iters_done,
         "vocab": state.vocab.id_to_token,
+        "phrases": state.phrases,
         "param_order": list(state.params.keys()),
     }
     arrays: dict[str, np.ndarray] = {}
@@ -480,43 +465,45 @@ def save_checkpoint(path, state: TrainState) -> None:
         arrays[f"adam_m/{name}"] = state.adam.m[name]
         arrays[f"adam_v/{name}"] = state.adam.v[name]
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:  # keep the caller's exact filename
-        np.savez(fh, **arrays)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:  # a file object keeps the caller's exact filename
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> TrainState:
+    """Inverse of save_checkpoint; a missing meta or array raises ValueError."""
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        def array(key: str) -> np.ndarray:
+            if key not in data.files:
+                raise ValueError(f"{path}: not a domainlm checkpoint, no {key!r} array")
+            return data[key].copy()
+
+        meta = json.loads(bytes(array("meta")).decode("utf-8"))
         if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        params: dict[str, Tensor] = {}
-        adam_m: dict[str, np.ndarray] = {}
-        adam_v: dict[str, np.ndarray] = {}
-        for key in data.files:
-            if key.startswith("param/"):
-                name = key[len("param/"):]
-                params[name] = Tensor(data[key].copy(), requires_grad=True)
-                adam_m[name] = data[f"adam_m/{name}"].copy()
-                adam_v[name] = data[f"adam_v/{name}"].copy()
+            raise ValueError(f"{path}: unsupported checkpoint version {meta['version']}")
+        order = meta["param_order"]
+        params = {name: Tensor(array(f"param/{name}"), requires_grad=True) for name in order}
+        adam = AdamState(m={name: array(f"adam_m/{name}") for name in order},
+                         v={name: array(f"adam_v/{name}") for name in order},
+                         t=meta["adam_t"])
     meta["train_config"].pop("ipot_inner_k", None)  # removed knob; older v1 files carry it
-    config = TrainConfig(**meta["train_config"])
-    enc_config = EncoderConfig(**meta["enc_config"])
-    # preserve the deterministic parameter order used at init
-    ordered = {name: params[name] for name in meta["param_order"]}
     mask_rng = np.random.default_rng()
     mask_rng.bit_generator.state = meta["mask_rng"]
-    id_to_token = list(meta["vocab"])
-    state = TrainState(
-        config=config,
-        enc_config=enc_config,
-        params=ordered,
-        adam=AdamState(m={n: adam_m[n] for n in ordered},
-                       v={n: adam_v[n] for n in ordered},
-                       t=meta["adam_t"]),
+    return TrainState(
+        config=TrainConfig(**meta["train_config"]),
+        enc_config=EncoderConfig(**meta["enc_config"]),
+        params=params,
+        adam=adam,
         scheduler=SchedulerState.from_dict(meta["scheduler"]),
         mask_rng=mask_rng,
-        vocab=Vocab({tok: i for i, tok in enumerate(id_to_token)}, id_to_token),
+        vocab=Vocab({tok: i for i, tok in enumerate(meta["vocab"])}, meta["vocab"]),
+        phrases=[tuple(p) for p in meta["phrases"]] if "phrases" in meta else None,
         stage1_iters_done=meta["stage1_iters_done"],
         stage2_iters_done=meta["stage2_iters_done"],
     )
-    return state

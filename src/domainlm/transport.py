@@ -96,6 +96,8 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
         raise ValueError("cost matrix contains non-finite entries")
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if outer_iters < 1:
+        raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
     m, n = cv.shape
     a = np.exp(-cv / beta)
     if (a < 1e-300).any() or (a > 1e300).any():

@@ -3,17 +3,24 @@
 Every setting is a field of TrainConfig or EncoderConfig; a resumed run
 starts from the checkpoint's config, then the --config file, then flags.
 """
+import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import domainlm
 from domainlm import cli
 from domainlm import training as TR
 from domainlm.corpus import Vocab
 from domainlm.encoder import EncoderConfig
 from domainlm.phrases import load_pool
 
-from synthetic import build_phrase_world, write_phrase_world
+from synthetic import build_pair_world, build_phrase_world, write_pair_world, write_phrase_world
 
 DESK_FLAGS = {"batch_size": 8, "learning_rate": 3e-3, "dim": 16, "ffn_dim": 32,
               "warm_iters": 5, "max_seq_len": 32, "log_every": 0}
@@ -201,3 +208,126 @@ def test_resume_rejects_other_phrase_pool_size(workspace, one_epoch, tmp_path, c
     assert rc == 2
     assert "phrase_vocab_size" in capsys.readouterr().err
 
+
+
+def _swap_one_bigram(workspace, tmp_path):
+    """The pool file with one kept bigram's words reversed: same size."""
+    vocab = Vocab.load(workspace["vocab"])
+    old = load_pool(workspace["pool"], vocab)
+    bigram = next(text for text in old.surface if len(text.split()) == 2)
+    first, second = bigram.split()
+    text = workspace["pool"].read_text().replace(f"{bigram}\t", f"{second} {first}\t")
+    pool = tmp_path / "pool.tsv"
+    pool.write_text(text)
+    new = load_pool(pool, vocab)
+    assert new.phrase_vocab_size == old.phrase_vocab_size and new.by_id() != old.by_id()
+    return pool
+
+
+def test_resume_rejects_same_size_pool_with_other_phrases(workspace, one_epoch,
+                                                          tmp_path, capsys):
+    pool = _swap_one_bigram(workspace, tmp_path)
+    rc = pretrain(workspace, tmp_path / "out", None, "--resume", str(one_epoch), pool=pool)
+    assert rc == 2
+    assert "--phrase-pool" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "checkpoint.npz").exists()
+
+
+def _drop_meta_key(src, dst, key):
+    with np.load(src) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    del meta[key]
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(dst, **arrays)
+
+
+def test_checkpoint_without_phrases_falls_back_to_size_check(workspace, one_epoch,
+                                                             tmp_path):
+    old = tmp_path / "old.npz"
+    _drop_meta_key(one_epoch, old, "phrases")
+    assert TR.load_checkpoint(old).phrases is None
+    lines = workspace["pool"].read_text().splitlines()
+    smaller = tmp_path / "smaller.tsv"
+    smaller.write_text("\n".join(lines[:3]) + "\n")
+    assert pretrain(workspace, tmp_path / "bad", None, "--resume", str(old),
+                    pool=smaller) == 2
+    assert pretrain(workspace, tmp_path / "ok", {"stage1_epochs": 2},
+                    "--resume", str(old)) == 0
+    vocab = Vocab.load(workspace["vocab"])
+    resumed = TR.load_checkpoint(tmp_path / "ok" / "checkpoint.npz")
+    assert resumed.phrases == load_pool(workspace["pool"], vocab).by_id()
+
+
+@pytest.fixture(scope="module")
+def pair_workspace(tmp_path_factory):
+    """Phrase and pair worlds under one vocab, so both stages can run."""
+    tmp = tmp_path_factory.mktemp("pair_cli")
+    corpus, pool = write_phrase_world(tmp, build_phrase_world(seed=3, n_sentences=40))
+    pair_corpus, content, pairs = write_pair_world(tmp, build_pair_world(seed=3, n_pairs=12))
+    merged = tmp / "all.txt"
+    merged.write_text(corpus.read_text() + pair_corpus.read_text())
+    vocab = tmp / "vocab.tsv"
+    assert cli.main(["build-vocab", "--corpus", str(merged), "--out", str(vocab)]) == 0
+    return {"corpus": merged, "pool": pool, "vocab": vocab,
+            "pair_args": ["--pairs", str(pairs), "--content", str(content)]}
+
+
+def test_reset_scheduler_for_stage2_numbers_steps_across_stages(pair_workspace, tmp_path):
+    out = tmp_path / "run"
+    rc = pretrain(pair_workspace, out, {**DESK_FLAGS, "stage1_epochs": 1,
+                                        "stage2_epochs": 1,
+                                        "reset_scheduler_for_stage2": True},
+                  *pair_workspace["pair_args"])
+    assert rc == 0
+    state = TR.load_checkpoint(out / "checkpoint.npz")
+    records = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+    steps = [r["iter"] for r in records if "iter" in r]
+    n = state.stage1_iters_done + state.stage2_iters_done
+    assert state.stage1_iters_done > 0 and state.stage2_iters_done > 0
+    assert steps == list(range(1, n + 1))
+    # the warm-up restarted at the first stage-2 step
+    assert state.scheduler.iteration == state.stage2_iters_done
+
+
+@pytest.mark.parametrize("command, no_meta, extra", [
+    ("pretrain", False, ["--bootstrap-every", "0"]),
+    ("pretrain", False, ["--ipot-beta", "0"]),
+    ("pretrain", False, ["--ipot-outer-iters", "0"]),
+    ("align", False, ["--outer-iters", "0"]),
+    ("align", False, ["--outer-iters", "-5"]),
+    ("align", True, []),
+    ("eval", True, []),
+], ids=["bootstrap-every-0", "ipot-beta-0", "ipot-outer-iters-0", "align-outer-iters-0",
+        "align-outer-iters-negative", "align-no-meta", "eval-no-meta"])
+def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
+                                                       one_epoch, tmp_path,
+                                                       command, no_meta, extra):
+    ckpt = one_epoch
+    if no_meta:
+        ckpt = tmp_path / "no_meta.npz"
+        np.savez(ckpt, weights=np.zeros(3))
+    out = tmp_path / "out"
+    pw = pair_workspace
+    text = workspace["corpus"].read_text().splitlines()[0]
+    argv = {
+        "pretrain": ["--corpus", str(pw["corpus"]), "--vocab", str(pw["vocab"]),
+                     "--phrase-pool", str(pw["pool"]), "--out-dir", str(out),
+                     *flags({**DESK_FLAGS, "stage1_epochs": 1, "stage2_epochs": 1}),
+                     *pw["pair_args"]],
+        "align": ["--checkpoint", str(ckpt), "--text-a", text, "--text-b", text,
+                  "--out-dir", str(out)],
+        "eval": ["--checkpoint", str(ckpt), "--eval-corpus", str(workspace["corpus"]),
+                 "--phrase-pool", str(workspace["pool"])],
+    }[command]
+    src = str(Path(domainlm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "domainlm.cli", command, *argv, *extra],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.glob("out/*"))  # no checkpoint, report or alignment
+    if command == "pretrain":
+        assert not out.exists()  # rejected before training started

@@ -254,6 +254,40 @@ class TestStage2:
                 sched.bootstrap_every) == (3, 0.7, 0.5, 2)
         assert sched.iteration == len(state.report.records)
 
+    @pytest.mark.parametrize("stage1_epochs", [0, 1])
+    def test_reset_scheduler_resume_mid_stage2_matches_uninterrupted(
+            self, pair_world, small_world, tmp_path, stage1_epochs):
+        _, vocab, pair_set = pair_world
+        _, _, pool, _, _ = small_world
+        docs = [pair_set.content[e] for pair in pair_set.pairs for e in pair]
+
+        def config(stage2_epochs):
+            return TR.TrainConfig(stage1_epochs=stage1_epochs, stage2_epochs=stage2_epochs,
+                                  batch_size=8, learning_rate=3e-3, seed=2, warm_iters=5,
+                                  cea_weight=1.0, ipot_outer_iters=10,
+                                  reset_scheduler_for_stage2=True, eval_docs=0,
+                                  max_seq_len=32)
+
+        def run(state):
+            if stage1_epochs:
+                TR.run_stage1(docs, pool, state)
+            TR.run_stage2(pair_set, pool, state)
+
+        full = TR.init_train_state(vocab, pool, config(6))
+        run(full)
+        partial = TR.init_train_state(vocab, pool, config(3))
+        run(partial)
+        path = tmp_path / "mid_stage2.npz"
+        TR.save_checkpoint(path, partial)
+        resumed = TR.load_checkpoint(path)
+        resumed.config = config(6)
+        run(resumed)
+        assert params_bytes(resumed) == params_bytes(full)
+        assert resumed.scheduler.to_dict() == full.scheduler.to_dict()
+        assert full.scheduler.iteration == full.stage2_iters_done
+        steps = [r["iter"] for r in full.report.records]
+        assert steps == list(range(1, full.stage1_iters_done + full.stage2_iters_done + 1))
+
     def test_empty_pair_set_rejected(self, pair_world, small_world):
         world, vocab, pair_set = pair_world
         _, _, pool, _, _ = small_world
@@ -396,6 +430,50 @@ class TestCheckpoint:
         with np.load(path) as data:
             saved = json.loads(bytes(data["meta"]).decode("utf-8"))
         assert "ipot_inner_k" not in saved["train_config"]
+
+
+    def test_failed_save_keeps_previous_checkpoint(self, small_world, tmp_path,
+                                                   monkeypatch):
+        vocab, docs, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config())
+        path = tmp_path / "model.npz"
+        TR.save_checkpoint(path, state)
+        before = path.read_bytes()
+        TR.run_stage1(docs, pool, state)
+
+        def broken_savez(fh, **arrays):
+            fh.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(TR.np, "savez", broken_savez)
+        with pytest.raises(OSError, match="disk full"):
+            TR.save_checkpoint(path, state)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert TR.load_checkpoint(path).stage1_iters_done == 0
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_stores_the_phrase_pool_in_phrase_id_order(self, small_world, tmp_path):
+        vocab, _, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config())
+        path = tmp_path / "model.npz"
+        TR.save_checkpoint(path, state)
+        phrases = TR.load_checkpoint(path).phrases
+        assert phrases and [pool.phrase_ids[p] for p in phrases] == list(range(len(pool)))
+
+    @pytest.mark.parametrize("drop", ["meta", "adam_v/tok_emb"])
+    def test_missing_array_raises_value_error_naming_path(self, small_world, tmp_path,
+                                                          drop):
+        vocab, _, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config())
+        path = tmp_path / "model.npz"
+        TR.save_checkpoint(path, state)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files if key != drop}
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=str(path)) as exc:
+            TR.load_checkpoint(path)
+        assert drop in str(exc.value)
 
 
 class TestReport:

@@ -109,6 +109,12 @@ class TestIpot:
         with pytest.raises(ValueError):
             OT.ipot(np.array([[0.1]]), beta=0.0)
 
+    @pytest.mark.parametrize("outer_iters", [0, -5])
+    def test_no_outer_iteration_rejected(self, outer_iters):
+        # zero iterations would return the all-ones start, which is no plan
+        with pytest.raises(ValueError, match="outer_iters"):
+            OT.ipot(np.array([[0.1, 0.2]]), outer_iters=outer_iters)
+
     def test_conditioning_warning_on_extreme_costs(self):
         c = np.array([[0.0, 800.0], [800.0, 0.0]])
         with pytest.warns(OT.ConditioningWarning):
