@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 PAD_ID = 0
 UNK_ID = 1
@@ -82,7 +82,6 @@ class Document:
     """One tokenized input sequence, truncated to the configured maximum."""
 
     tokens: list[int]
-    entity_id: Optional[str] = None
     raw_len: int = 0
 
     def __len__(self) -> int:
@@ -125,12 +124,11 @@ def build_vocab(corpus_path, min_freq: int = 1) -> Vocab:
     return Vocab({tok: i for i, tok in enumerate(id_to_token)}, id_to_token)
 
 
-def tokenize(text: str, vocab: Vocab, max_seq_len: int = 128,
-             entity_id: Optional[str] = None) -> Document:
+def tokenize(text: str, vocab: Vocab, max_seq_len: int = 128) -> Document:
     """Lowercase, split, map to ids (unknowns -> UNK), truncate."""
     words = split_words(text)
     ids = vocab.encode(words)
-    return Document(tokens=ids[:max_seq_len], entity_id=entity_id, raw_len=len(ids))
+    return Document(tokens=ids[:max_seq_len], raw_len=len(ids))
 
 
 def load_corpus(corpus_path, vocab: Vocab, max_seq_len: int = 128) -> list[Document]:
@@ -158,7 +156,7 @@ def load_content(content_path, vocab: Vocab, max_seq_len: int = 128) -> dict[str
             if len(parts) != 2:
                 raise CorpusError(f"{content_path}:{lineno}: expected 'id<TAB>text'")
             eid, text = parts
-            content[eid] = tokenize(text, vocab, max_seq_len, entity_id=eid)
+            content[eid] = tokenize(text, vocab, max_seq_len)
     return content
 
 

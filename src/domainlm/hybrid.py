@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
-
 import numpy as np
 
 from . import tensor as T
@@ -51,16 +49,7 @@ def word_loss(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]) -> 
     return masked_token_nll(batch, hidden, params)
 
 
-@dataclass
-class PhraseLoss:
-    """Phrase-mode loss with its two parts exposed for logging."""
-
-    total: Tensor
-    token_nll: Tensor
-    completeness_nll: Optional[Tensor]
-
-
-def phrase_loss(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]) -> PhraseLoss:
+def phrase_loss(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Token NLL over the masked positions plus mean phrase-unit NLL.
 
     Batches whose masking fell back entirely to word-style fill carry no
@@ -80,11 +69,9 @@ def phrase_loss(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]) -
             labels.append(label)
             rows.append(row)
     if not groups:
-        return PhraseLoss(total=token_term, token_nll=token_term, completeness_nll=None)
+        return token_term
     logits = phrase_logits(hidden, groups, params, batch_index=rows)
-    completeness = T.cross_entropy(logits, labels)
-    return PhraseLoss(total=token_term + completeness, token_nll=token_term,
-                      completeness_nll=completeness)
+    return token_term + T.cross_entropy(logits, labels)
 
 
 # -------------------------------------------------------------------- scheduler

@@ -61,7 +61,9 @@ def load_pool(path, vocab: Vocab, min_score: float = 0.5) -> PhrasePool:
     """Read a "phrase<TAB>score" file, keeping entries with score >= min_score.
 
     Phrases that tokenize to fewer than two ids or that contain UNK are
-    dropped and counted. Duplicate phrases keep their maximum score.
+    dropped and counted. Duplicate phrases keep their maximum score. A
+    score that is not finite or exceeds 1 raises, since sampling weights
+    are exp(score).
     """
     raw: dict[tuple[int, ...], float] = {}
     texts: dict[tuple[int, ...], str] = {}
@@ -82,6 +84,9 @@ def load_pool(path, vocab: Vocab, min_score: float = 0.5) -> PhrasePool:
                 raise PhraseFileError(
                     f"{path}:{lineno}: non-numeric score {score_str!r}"
                 ) from exc
+            if not (math.isfinite(score) and score <= 1.0):
+                raise PhraseFileError(f"{path}:{lineno}: score {score_str!r} is not "
+                                      "a finite number <= 1")
             if score < min_score:
                 continue
             ids = tuple(vocab.encode(split_words(text)))
@@ -138,8 +143,8 @@ def detect(doc: Document, pool: PhrasePool) -> list[PhraseMatch]:
 def sample_phrase_tokens(
     doc: Document,
     matches: list[PhraseMatch],
-    budget_ratio: float = 0.15,
-    rng: np.random.Generator | None = None,
+    budget_ratio: float,
+    rng: np.random.Generator,
 ) -> tuple[set[int], list[PhraseMatch]]:
     """Sample detected phrases until their tokens meet the masking budget.
 
@@ -148,8 +153,6 @@ def sample_phrase_tokens(
     ceil(budget_ratio * len(doc)) or the matches run out. Returns the
     covered token indices and the sampled matches in draw order.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if not 0.0 < budget_ratio < 1.0:
         raise ValueError(f"budget_ratio must lie in (0, 1), got {budget_ratio}")
     covered: set[int] = set()

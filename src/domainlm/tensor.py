@@ -12,6 +12,7 @@ debugging float32 gradient-check noise.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Callable, Optional, Sequence
 
@@ -69,10 +70,6 @@ class Tensor:
         if self.data.size != 1:
             raise GraphError(f"item() on non-scalar tensor of shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        """A view of the same data cut out of any graph (no gradient flows)."""
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -137,7 +134,9 @@ def _reduce_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
-    Visits the recorded graph in reverse construction order exactly once.
+    Pops the newest node holding a gradient until none is left. A parent
+    is always older than its children, so each node is visited once, after
+    every contribution to its gradient, in reverse construction order.
     Repeated calls accumulate into leaf grads until ``zero_grad``.
     """
     if loss.data.size != 1:
@@ -145,24 +144,11 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
 
-    # Reachable requires_grad subgraph, deduplicated.
-    seen: dict[int, Tensor] = {}
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen[id(node)] = node
-        for p in node._parents:
-            if p.requires_grad:
-                stack.append(p)
-
-    order = sorted(seen.values(), key=lambda t: t._node_id, reverse=True)
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in order:
-        g = flowing.pop(id(node), None)
-        if g is None:
-            continue
+    heap = [(-loss._node_id, loss)]
+    while heap:
+        node = heapq.heappop(heap)[1]
+        g = flowing.pop(id(node))
         if node._grad_fn is None:
             # requires_grad leaf: accumulate into the public slot.
             node.grad = g.copy() if node.grad is None else node.grad + g
@@ -175,6 +161,7 @@ def backward(loss: Tensor) -> None:
                 flowing[key] = flowing[key] + pg
             else:
                 flowing[key] = pg
+                heapq.heappush(heap, (-parent._node_id, parent))
 
 
 # ------------------------------------------------------------------ primitives

@@ -27,8 +27,8 @@ from . import crossattn, transport
 from . import tensor as T
 from .corpus import Document, EntityPairSet, MASK_ID, Vocab
 from .encoder import EncoderConfig, forward, init_params, token_logits
-from .hybrid import (PhraseLoss, SchedulerState, phrase_loss, scheduled_mode,
-                     select_mode, update_alpha, word_loss)
+from .hybrid import (SchedulerState, phrase_loss, scheduled_mode, select_mode,
+                     update_alpha, word_loss)
 from .masking import MaskedBatch, MaskedExample, collate, mask_phrases, mask_words
 from .phrases import PhrasePool, detect
 from .tensor import Tensor
@@ -75,8 +75,13 @@ class TrainConfig:
     max_seq_len: int = 128
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         minimum = {"stage1_epochs": 0, "stage2_epochs": 0, "batch_size": 1,
-                   "cea_weight": 0, "bootstrap_every": 1, "ipot_outer_iters": 1}
+                   "learning_rate": 0, "cea_weight": 0, "bootstrap_every": 1,
+                   "ipot_outer_iters": 1}
         for key, low in minimum.items():
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}")
@@ -84,8 +89,10 @@ class TrainConfig:
             raise ValueError("ipot_beta must be > 0")
         if self.cea_variant not in get_args(CeaVariant):
             raise ValueError(f"unknown cea_variant {self.cea_variant!r}")
-        if self.force_alpha is not None and not 0.0 <= self.force_alpha <= 1.0:
-            raise ValueError("force_alpha must lie in [0, 1]")
+        for key in ("warm_alpha", "ema_decay", "force_alpha"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{key} must lie in [0, 1]")
 
 
 @dataclass
@@ -231,7 +238,7 @@ def _epoch_negatives(pair_set: EntityPairSet, seed: int, epoch: int) -> list[str
 
 
 def _hybrid_forward(state: TrainState, docs: list[Document], pool: PhrasePool
-                    ) -> tuple[Tensor, str, float, Optional[float], Optional[float]]:
+                    ) -> tuple[Tensor, str, float]:
     """Select a mode, mask, forward and compute the selected mode's loss."""
     cfg = state.config
     sched = state.scheduler
@@ -248,11 +255,8 @@ def _hybrid_forward(state: TrainState, docs: list[Document], pool: PhrasePool
         examples = [mask_phrases(d, pool, vocab_size, state.mask_rng) for d in docs]
     batch = collate(examples)
     hidden = forward(batch.input_ids, batch.pad_mask, state.params, state.enc_config)
-    if mode == "word":
-        loss = word_loss(batch, hidden, state.params)
-        return loss, mode, alpha, loss.item(), None
-    out: PhraseLoss = phrase_loss(batch, hidden, state.params)
-    return out.total, mode, alpha, None, out.total.item()
+    loss = (word_loss if mode == "word" else phrase_loss)(batch, hidden, state.params)
+    return loss, mode, alpha
 
 
 def _doc_embeddings(state: TrainState, doc: Document) -> Tensor:
@@ -306,8 +310,9 @@ def _run_stage(stage: int, groups: list[list[Document]], pool: PhrasePool,
         for b in range(done % batches_per_epoch, batches_per_epoch):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             state.scheduler.iteration += 1
-            hybrid_loss, mode, alpha, lw, lp = _hybrid_forward(
+            hybrid_loss, mode, alpha = _hybrid_forward(
                 state, [doc for i in idx for doc in groups[i]], pool)
+            l_hybrid = hybrid_loss.item()
             loss, l_cea = hybrid_loss, None
             if aligned is not None:
                 cea = _alignment_loss(state, aligned, idx, negatives)
@@ -317,8 +322,9 @@ def _run_stage(stage: int, groups: list[list[Document]], pool: PhrasePool,
                 p.zero_grad()
             T.backward(loss)
             adam_step(state.params, state.adam, cfg.learning_rate)
-            state.scheduler.record(mode, hybrid_loss.item())
+            state.scheduler.record(mode, l_hybrid)
             step = state.stage1_iters_done + state.stage2_iters_done + 1
+            lw, lp = (l_hybrid, None) if mode == "word" else (None, l_hybrid)
             rec = state.report.add_iteration(step, stage, mode, lw, lp, l_cea, alpha)
             if progress is not None:
                 progress(rec)
@@ -384,6 +390,8 @@ def eval_reconstruction(state: TrainState, docs: list[Document], pool: PhrasePoo
     """
     rng = np.random.default_rng([seed, 0xE7A1])
     if max_docs is not None:
+        if max_docs < 0:
+            raise ValueError(f"max_docs must be >= 0, got {max_docs}")
         docs = docs[:max_docs]
     counts = {length: 0 for length in span_lengths}
     hits = {length: 0 for length in span_lengths}
@@ -395,11 +403,10 @@ def eval_reconstruction(state: TrainState, docs: list[Document], pool: PhrasePoo
         if 1 in counts:
             pos = int(rng.integers(len(doc)))
             pending.append((1, [pos], doc))
-        if pool.entries:
-            for match in detect(doc, pool):
-                length = match.end - match.start
-                if length in counts and length >= 2:
-                    pending.append((length, list(range(match.start, match.end)), doc))
+        for match in detect(doc, pool):
+            length = match.end - match.start
+            if length in counts and length >= 2:
+                pending.append((length, list(range(match.start, match.end)), doc))
 
     for start in range(0, len(pending), eval_batch):
         chunk = pending[start:start + eval_batch]

@@ -40,10 +40,6 @@ class CostMatrix:
     values: Tensor
     degenerate: bool = False
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
 
 @dataclass
 class TransportPlan:
@@ -54,7 +50,6 @@ class TransportPlan:
     """
 
     values: np.ndarray
-    beta: float
     cost: float
     cost_history: list[float] = field(default_factory=list)
 
@@ -73,14 +68,6 @@ def cost_matrix(x: Tensor, y: Tensor) -> CostMatrix:
     return CostMatrix(values=ones - sim, degenerate=degenerate)
 
 
-def _cost_values(c) -> np.ndarray:
-    if isinstance(c, CostMatrix):
-        return c.values.data
-    if isinstance(c, Tensor):
-        return c.data
-    return np.asarray(c, dtype=np.float64)
-
-
 def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
          track_costs: bool = False) -> TransportPlan:
     """Proximal-point transport solver with uniform marginals.
@@ -89,7 +76,7 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
     delta = 1 / (m Q sigma), sigma = 1 / (n Q^T delta), and finally
     T = diag(delta) Q diag(sigma). K = 1 suffices in practice.
     """
-    cv = _cost_values(c)
+    cv = np.asarray(c, dtype=np.float64)
     if cv.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {cv.shape}")
     if not np.isfinite(cv).all():
@@ -116,8 +103,7 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
         t = delta[:, None] * q * sigma[None, :]
         if track_costs:
             history.append(float((t * cv).sum()))
-    return TransportPlan(values=t, beta=beta, cost=float((t * cv).sum()),
-                         cost_history=history)
+    return TransportPlan(values=t, cost=float((t * cv).sum()), cost_history=history)
 
 
 def exact_ot_oracle(c) -> tuple[np.ndarray, float]:
@@ -126,7 +112,7 @@ def exact_ot_oracle(c) -> tuple[np.ndarray, float]:
     Small instances only (m, n <= 8); the returned plan is a basic
     solution, i.e. a vertex of the transportation polytope.
     """
-    cv = _cost_values(c)
+    cv = np.asarray(c, dtype=np.float64)
     m, n = cv.shape
     if m > ORACLE_MAX_SIDE or n > ORACLE_MAX_SIDE:
         raise ValueError(f"oracle capped at {ORACLE_MAX_SIDE}x{ORACLE_MAX_SIDE}, got {m}x{n}")

@@ -294,12 +294,24 @@ def test_reset_scheduler_for_stage2_numbers_steps_across_stages(pair_workspace, 
     ("pretrain", False, ["--bootstrap-every", "0"]),
     ("pretrain", False, ["--ipot-beta", "0"]),
     ("pretrain", False, ["--ipot-outer-iters", "0"]),
+    ("pretrain", False, ["--ipot-beta", "nan"]),
+    ("pretrain", False, ["--cea-weight", "nan"]),
+    ("pretrain", False, ["--learning-rate", "inf"]),
+    ("pretrain", False, ["--learning-rate", "-1"]),
+    ("pretrain", False, ["--warm-alpha", "nan"]),
+    ("pretrain", False, ["--warm-alpha", "2"]),
+    ("pretrain", False, ["--ema-decay", "-0.5"]),
+    ("pretrain", False, ["--ema-decay", "1.5"]),
     ("align", False, ["--outer-iters", "0"]),
     ("align", False, ["--outer-iters", "-5"]),
     ("align", True, []),
+    ("eval", False, ["--max-docs", "-1"]),
     ("eval", True, []),
-], ids=["bootstrap-every-0", "ipot-beta-0", "ipot-outer-iters-0", "align-outer-iters-0",
-        "align-outer-iters-negative", "align-no-meta", "eval-no-meta"])
+], ids=["bootstrap-every-0", "ipot-beta-0", "ipot-outer-iters-0", "ipot-beta-nan",
+        "cea-weight-nan", "learning-rate-inf", "learning-rate-negative", "warm-alpha-nan",
+        "warm-alpha-2", "ema-decay-negative", "ema-decay-1.5", "align-outer-iters-0",
+        "align-outer-iters-negative", "align-no-meta", "eval-max-docs-negative",
+        "eval-no-meta"])
 def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
                                                        one_epoch, tmp_path,
                                                        command, no_meta, extra):

@@ -89,6 +89,14 @@ class TestWordLoss:
             H.word_loss(empty, T.Tensor(np.zeros((1, 6, cfg.dim))), params)
 
 
+def completeness_term(batch, hidden, params):
+    """The phrase-unit NLL computed directly from the phrase head."""
+    groups = [g for row in batch.phrase_groups for g in row]
+    rows = [r for r, row in enumerate(batch.phrase_groups) for _ in row]
+    labels = [label for row in batch.phrase_labels for label in row]
+    return T.cross_entropy(E.phrase_logits(hidden, groups, params, batch_index=rows), labels)
+
+
 class TestPhraseLoss:
     def test_uniform_closed_form(self):
         # Uniform token logits (V=8) and phrase logits (Vp=4), one 2-token
@@ -96,28 +104,32 @@ class TestPhraseLoss:
         cfg, params = zero_model()
         batch = phrase_batch([(2, 3)], [1])
         hidden = T.Tensor(np.zeros((1, 8, cfg.dim)))
-        out = H.phrase_loss(batch, hidden, params)
-        assert np.isclose(out.token_nll.item(), math.log(8.0), atol=1e-12)
-        assert np.isclose(out.completeness_nll.item(), math.log(4.0), atol=1e-12)
-        assert np.isclose(out.total.item(), math.log(8.0) + math.log(4.0), atol=1e-12)
+        loss = H.phrase_loss(batch, hidden, params)
+        assert np.isclose(H.masked_token_nll(batch, hidden, params).item(), math.log(8.0),
+                          atol=1e-12)
+        assert np.isclose(completeness_term(batch, hidden, params).item(), math.log(4.0),
+                          atol=1e-12)
+        assert np.isclose(loss.item(), math.log(8.0) + math.log(4.0), atol=1e-12)
 
     def test_zero_groups_reduces_to_token_term(self):
         cfg, params = zero_model()
         batch = phrase_batch([], [], extra_positions=(1, 4))
         hidden = T.Tensor(np.zeros((1, 8, cfg.dim)))
-        out = H.phrase_loss(batch, hidden, params)
-        assert out.completeness_nll is None
-        assert np.isclose(out.total.item(), math.log(8.0), atol=1e-12)
+        loss = H.phrase_loss(batch, hidden, params).item()
+        assert loss == H.masked_token_nll(batch, hidden, params).item()
+        assert np.isclose(loss, math.log(8.0), atol=1e-12)
 
     def test_raising_correct_phrase_logit_lowers_regularizer(self):
         cfg, params = zero_model()
         batch = phrase_batch([(2, 3)], [1])
         hidden = T.Tensor(np.ones((1, 8, cfg.dim)))
-        base = H.phrase_loss(batch, hidden, params).completeness_nll.item()
+        base = H.phrase_loss(batch, hidden, params).item()
+        assert np.isclose(base - H.masked_token_nll(batch, hidden, params).item(),
+                          completeness_term(batch, hidden, params).item(), atol=1e-12)
         c = np.zeros((cfg.dim, 4))
         c[:, 1] = 1.0  # push the gold phrase's logit up
         params["phrase_head"] = T.Tensor(c, requires_grad=True)
-        better = H.phrase_loss(batch, hidden, params).completeness_nll.item()
+        better = H.phrase_loss(batch, hidden, params).item()
         assert better < base
 
     def test_group_label_mismatch_rejected(self):

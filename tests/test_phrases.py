@@ -63,6 +63,13 @@ class TestLoadPool:
         with pytest.raises(P.PhraseFileError, match=":2"):
             P.load_pool(f, vocab)
 
+    @pytest.mark.parametrize("score", ["inf", "-inf", "nan", "1.01", "800"])
+    def test_score_not_finite_or_above_one_reports_line(self, vocab, tmp_path, score):
+        f = tmp_path / "pool.tsv"
+        f.write_text(f"battery life\t1.0\nscreen quality\t{score}\n")
+        with pytest.raises(P.PhraseFileError, match=":2"):
+            P.load_pool(f, vocab)
+
     def test_all_scores_at_least_half(self, vocab, tmp_path):
         f = tmp_path / "pool.tsv"
         f.write_text("battery life\t0.50\nscreen quality\t0.499\n")

@@ -143,10 +143,18 @@ class TestBackward:
 
     def test_detached_tensor_gets_no_grad(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
-        y = (x * x).detach()
+        y = T.Tensor((x * x).data)
         loss = (y * y).sum()
         T.backward(loss)
         assert x.grad is None
+
+    def test_gradients_add_up_in_reverse_construction_order(self):
+        # Float addition is not associative: x's three contributions sum to
+        # 1.0 only as (-1e16 + 1e16) + 1.0, newest first.
+        x = T.Tensor(2.0, requires_grad=True)
+        loss = (T.scale(x, 1.0) + T.scale(x, 1e16)) + T.scale(x, -1e16)
+        T.backward(loss)
+        assert x.grad == 1.0
 
     def test_shared_subexpression(self):
         # loss = (x + x) . x = 2 * sum(x^2) -> grad 4x

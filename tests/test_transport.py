@@ -234,23 +234,21 @@ class TestCeaLoss:
 
 class TestAlignmentMatrix:
     def test_diagonal_plan_gives_identity(self):
-        plan = OT.TransportPlan(values=np.diag([0.25] * 4), beta=0.5, cost=0.0)
+        plan = OT.TransportPlan(values=np.diag([0.25] * 4), cost=0.0)
         assert np.allclose(OT.alignment_matrix(plan), np.eye(4))
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(14)
-        plan = OT.TransportPlan(values=rng.uniform(0.01, 1, size=(5, 7)),
-                                beta=0.5, cost=0.0)
+        plan = OT.TransportPlan(values=rng.uniform(0.01, 1, size=(5, 7)), cost=0.0)
         rows = OT.alignment_matrix(plan).sum(axis=1)
         assert np.abs(rows - 1.0).max() <= 1e-12
 
     def test_uniform_plan(self):
-        plan = OT.TransportPlan(values=np.full((3, 5), 1.0 / 15), beta=0.5, cost=0.0)
+        plan = OT.TransportPlan(values=np.full((3, 5), 1.0 / 15), cost=0.0)
         assert np.allclose(OT.alignment_matrix(plan), 1.0 / 5.0)
 
     def test_zero_row_rejected(self):
-        plan = OT.TransportPlan(values=np.array([[0.0, 0.0], [1.0, 0.0]]),
-                                beta=0.5, cost=0.0)
+        plan = OT.TransportPlan(values=np.array([[0.0, 0.0], [1.0, 0.0]]), cost=0.0)
         with pytest.raises(ValueError):
             OT.alignment_matrix(plan)
 
