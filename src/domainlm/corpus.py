@@ -165,9 +165,12 @@ def load_entity_pairs(pairs_path, content_path, vocab: Vocab,
     """Load associated entity pairs with both sides tokenized.
 
     Pairs are undirected and deduplicated (smaller id stored first);
-    self-pairs and pairs whose content is missing are dropped and counted.
+    self-pairs and pairs whose content is missing or has no tokens are
+    dropped and counted. Entities without tokens leave ``content`` too, so
+    they are never drawn as negatives.
     """
-    content = load_content(content_path, vocab, max_seq_len)
+    content = {eid: doc for eid, doc in load_content(content_path, vocab, max_seq_len).items()
+               if doc.tokens}
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     dropped = 0

@@ -3,8 +3,8 @@
 Stage 1 iterates the corpus with the adaptive word/phrase objective.
 Stage 2 iterates associated entity pairs: the same hybrid objective on
 the pair documents plus a weighted alignment loss (transport-based by
-default, cross-attention triplet as the baseline variant) computed on
-unmasked second passes that share parameters with the masked pass.
+default, cross-attention triplet as the baseline variant) computed on one
+padded unmasked pass per step that shares parameters with the masked pass.
 
 Determinism: parameter init, masking, data order and negative sampling
 draw from separate streams derived from the config seed. Data order and
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import crossattn, transport
 from . import tensor as T
-from .corpus import Document, EntityPairSet, MASK_ID, Vocab
+from .corpus import Document, EntityPairSet, MASK_ID, PAD_ID, Vocab
 from .encoder import EncoderConfig, forward, init_params, token_logits
 from .hybrid import (SchedulerState, phrase_loss, scheduled_mode, select_mode,
                      update_alpha, word_loss)
@@ -81,7 +81,7 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         minimum = {"stage1_epochs": 0, "stage2_epochs": 0, "batch_size": 1,
                    "learning_rate": 0, "cea_weight": 0, "bootstrap_every": 1,
-                   "ipot_outer_iters": 1}
+                   "ipot_outer_iters": 1, "warm_iters": 0, "eval_docs": 0}
         for key, low in minimum.items():
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}")
@@ -259,28 +259,43 @@ def _hybrid_forward(state: TrainState, docs: list[Document], pool: PhrasePool
     return loss, mode, alpha
 
 
+def _embed_docs(state: TrainState, docs: list[Document]) -> list[Tensor]:
+    """Unmasked contextual embeddings of non-empty documents from one padded
+    forward: a (len_i, dim) tensor per document, in input order."""
+    lengths = [len(doc) for doc in docs]
+    pad_mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    ids = np.full(pad_mask.shape, PAD_ID, dtype=np.int64)
+    ids[pad_mask] = [tok for doc in docs for tok in doc.tokens]
+    hidden = forward(ids, pad_mask, state.params, state.enc_config)
+    flat = T.reshape(hidden, (pad_mask.size, state.enc_config.dim))
+    if len(docs) == 1:
+        return [flat]
+    width = pad_mask.shape[1]
+    return [T.embedding(flat, i * width + np.arange(n)) for i, n in enumerate(lengths)]
+
+
 def _doc_embeddings(state: TrainState, doc: Document) -> Tensor:
     """Unmasked contextual embeddings of one document as a (len, dim) tensor."""
-    ids = np.asarray(doc.tokens, dtype=np.int64)[None, :]
-    hidden = forward(ids, np.ones_like(ids, dtype=bool), state.params, state.enc_config)
-    return T.reshape(hidden, (len(doc.tokens), state.enc_config.dim))
+    return _embed_docs(state, [doc])[0]
 
 
 def _alignment_loss(state: TrainState, pair_set: EntityPairSet, pair_idx: np.ndarray,
                     negatives: Optional[list[str]]) -> Tensor:
-    """Mean alignment loss over a batch of pairs, on unmasked passes."""
+    """Mean alignment loss over a batch of pairs; every document of the batch
+    (a, b, and the negative for ``attention``) shares one unmasked pass."""
     cfg = state.config
+    entities = [e for j in pair_idx for e in pair_set.pairs[j]]
+    if cfg.cea_variant == "attention":
+        entities += [negatives[j] for j in pair_idx]
+    emb = _embed_docs(state, [pair_set.content[e] for e in entities])
     parts = []
-    for j in pair_idx:
-        a, b = pair_set.pairs[j]
-        emb_a = _doc_embeddings(state, pair_set.content[a])
-        emb_b = _doc_embeddings(state, pair_set.content[b])
+    for k in range(len(pair_idx)):
+        emb_a, emb_b = emb[2 * k], emb[2 * k + 1]
         if cfg.cea_variant == "ot":
             parts.append(transport.cea_loss(emb_a, emb_b, beta=cfg.ipot_beta,
                                             outer_iters=cfg.ipot_outer_iters))
         else:
-            emb_neg = _doc_embeddings(state, pair_set.content[negatives[j]])
-            parts.append(crossattn.triplet_loss(emb_a, emb_b, emb_neg))
+            parts.append(crossattn.triplet_loss(emb_a, emb_b, emb[2 * len(pair_idx) + k]))
     return T.scale(sum(parts[1:], parts[0]), 1.0 / len(parts))
 
 
@@ -349,7 +364,7 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
     """Joint objective over entity pairs: hybrid masking + weighted alignment.
 
     The masked pass covers both pair documents; the alignment term runs on
-    unmasked second passes of the same parameters. One optimizer step per
+    one padded unmasked pass of the same parameters. One optimizer step per
     iteration on the summed loss. With cea_weight = 0 the alignment pass
     is skipped entirely, reproducing stage-1 dynamics on the pair corpus.
     reset_scheduler_for_stage2 restarts the scheduler once, before the

@@ -302,6 +302,8 @@ def test_reset_scheduler_for_stage2_numbers_steps_across_stages(pair_workspace, 
     ("pretrain", False, ["--warm-alpha", "2"]),
     ("pretrain", False, ["--ema-decay", "-0.5"]),
     ("pretrain", False, ["--ema-decay", "1.5"]),
+    ("pretrain", False, ["--warm-iters", "-5"]),
+    ("pretrain", False, ["--eval-docs", "-1"]),
     ("align", False, ["--outer-iters", "0"]),
     ("align", False, ["--outer-iters", "-5"]),
     ("align", True, []),
@@ -309,7 +311,8 @@ def test_reset_scheduler_for_stage2_numbers_steps_across_stages(pair_workspace, 
     ("eval", True, []),
 ], ids=["bootstrap-every-0", "ipot-beta-0", "ipot-outer-iters-0", "ipot-beta-nan",
         "cea-weight-nan", "learning-rate-inf", "learning-rate-negative", "warm-alpha-nan",
-        "warm-alpha-2", "ema-decay-negative", "ema-decay-1.5", "align-outer-iters-0",
+        "warm-alpha-2", "ema-decay-negative", "ema-decay-1.5", "warm-iters-negative",
+        "eval-docs-negative", "align-outer-iters-0",
         "align-outer-iters-negative", "align-no-meta", "eval-max-docs-negative",
         "eval-no-meta"])
 def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,

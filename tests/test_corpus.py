@@ -143,6 +143,17 @@ class TestEntityPairs:
         ps = C.load_entity_pairs(p, content, vocab)
         assert ps.pairs == [("p1", "p2")]
 
+    def test_content_without_tokens_dropped_and_counted(self, pair_files, tmp_path):
+        _, _, vocab = pair_files
+        content = tmp_path / "content-empty.tsv"
+        content.write_text("p1\tgreat battery life\np2\tsharp screen\np3\t   \n")
+        p = tmp_path / "pairs-empty.tsv"
+        p.write_text("p1\tp2\np2\tp3\np3\tp1\n")
+        ps = C.load_entity_pairs(p, content, vocab)
+        assert ps.pairs == [("p1", "p2")]
+        assert ps.dropped == 2
+        assert "p3" not in ps.content  # never drawn as a negative either
+
     def test_self_pair_dropped(self, pair_files, tmp_path):
         pairs, content, vocab = pair_files
         p = tmp_path / "pairs4.tsv"

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from domainlm import corpus as C
+from domainlm import crossattn as CA
 from domainlm import hybrid as H
 from domainlm import tensor as T
 from domainlm import training as TR
+from domainlm import transport as OT
 
 from synthetic import (build_pair_world, build_phrase_world, load_phrase_world,
                        write_pair_world)
@@ -295,6 +297,91 @@ class TestStage2:
         empty = C.EntityPairSet(pairs=[], content={})
         with pytest.raises(ValueError):
             TR.run_stage2(empty, pool, state)
+
+
+@pytest.fixture(scope="module")
+def ragged_docs(pair_world, small_world):
+    """A state factory and six documents of different lengths, so a batch pads."""
+    _, vocab, _ = pair_world
+    _, _, pool, _, _ = small_world
+
+    def state(variant="ot"):
+        return TR.init_train_state(vocab, pool, desk_config(
+            stage2_epochs=1, cea_variant=variant, ipot_outer_iters=20, seed=4))
+
+    rng = np.random.default_rng(7)
+    docs = [C.Document(tokens=rng.integers(C.NUM_SPECIALS, len(vocab), n).tolist())
+            for n in (1, 3, 5, 6, 9, 12)]
+    return state, docs
+
+
+def _grads_of(state, loss):
+    for p in state.params.values():
+        p.zero_grad()
+    T.backward(loss)
+    return {k: p.grad.copy() for k, p in state.params.items() if p.grad is not None}
+
+
+def _functional(embs, weights):
+    terms = [T.tensor_sum(T.mul(e, T.Tensor(w))) for e, w in zip(embs, weights)]
+    return sum(terms[1:], terms[0])
+
+
+class TestAlignmentPass:
+    def test_padded_pass_matches_per_document_passes(self, ragged_docs):
+        make_state, docs = ragged_docs
+        state = make_state()
+        batched = TR._embed_docs(state, docs)
+        single = [TR._doc_embeddings(state, d) for d in docs]
+        for doc, got, want in zip(docs, batched, single):
+            assert got.shape == (len(doc), state.enc_config.dim)
+            np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+        weights = [np.random.default_rng(i).normal(size=e.shape) for i, e in enumerate(single)]
+        got = _grads_of(state, _functional(TR._embed_docs(state, docs), weights))
+        want = _grads_of(state, _functional(single, weights))
+        largest = max(np.abs(g).max() for g in want.values())
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=0,
+                                       atol=1e-12 * largest, err_msg=name)
+
+    @pytest.mark.parametrize("variant", ["ot", "attention"])
+    def test_alignment_loss_matches_per_pair_reference(self, ragged_docs, variant):
+        make_state, docs = ragged_docs
+        state = make_state(variant)
+        content = {f"e{i}": d for i, d in enumerate(docs)}
+        pair_set = C.EntityPairSet(pairs=[("e0", "e5"), ("e1", "e4"), ("e2", "e3")],
+                                   content=content)
+        negatives = ["e3", "e2", "e0"]
+        got = TR._alignment_loss(state, pair_set, np.array([2, 0, 1]), negatives)
+        cfg = state.config
+        parts = []
+        for j in (2, 0, 1):
+            a, b = (TR._doc_embeddings(state, content[e]) for e in pair_set.pairs[j])
+            if variant == "ot":
+                parts.append(OT.cea_loss(a, b, beta=cfg.ipot_beta,
+                                         outer_iters=cfg.ipot_outer_iters))
+            else:
+                neg = TR._doc_embeddings(state, content[negatives[j]])
+                parts.append(CA.triplet_loss(a, b, neg))
+        want = T.scale(sum(parts[1:], parts[0]), 1.0 / len(parts))
+        assert got.item() == pytest.approx(want.item(), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("variant", ["ot", "attention"])
+    @pytest.mark.parametrize("cea_weight, passes", [(1.0, 2), (0.0, 1)])
+    def test_stage2_step_runs_one_masked_and_one_alignment_pass(
+            self, pair_world, small_world, monkeypatch, variant, cea_weight, passes):
+        _, vocab, pair_set = pair_world
+        _, _, pool, _, _ = small_world
+        calls = []
+        forward = TR.forward
+        monkeypatch.setattr(TR, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+        state = TR.init_train_state(vocab, pool, desk_config(
+            stage1_epochs=0, stage2_epochs=1, cea_weight=cea_weight, cea_variant=variant,
+            ipot_outer_iters=5))
+        TR.run_stage2(pair_set, pool, state)
+        assert len(state.report.records) == state.stage2_iters_done > 1
+        assert len(calls) == passes * state.stage2_iters_done
 
 
 class TestEvalReconstruction:
