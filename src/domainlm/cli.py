@@ -241,25 +241,21 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _align_one(state, doc_a, doc_b, variant, outer_iters, beta, out_path) -> None:
+def _alignment(state, doc_a, doc_b, variant, outer_iters, beta):
+    """The (len_a, len_b) alignment matrix of two non-empty documents."""
     emb_a = training._doc_embeddings(state, doc_a)
     emb_b = training._doc_embeddings(state, doc_b)
     if variant == "ot":
         plan = transport.ipot(transport.cost_matrix(emb_a, emb_b).values.data,
                               beta=beta, outer_iters=outer_iters)
-        matrix = transport.alignment_matrix(plan)
-    else:
-        matrix = crossattn.cross_attention(emb_a, emb_b).alpha.data
-    row_tokens = state.vocab.decode(doc_a.tokens)
-    col_tokens = state.vocab.decode(doc_b.tokens)
-    transport.write_alignment_csv(out_path, row_tokens, col_tokens, matrix)
-    print(f"alignment\t{out_path}")
+        return transport.alignment_matrix(plan)
+    return crossattn.cross_attention(emb_a, emb_b).alpha.data
 
 
 def cmd_align(args) -> int:
+    # Every input is checked and every matrix computed before --out-dir is
+    # created, so a rejected run leaves nothing behind.
     state = load_checkpoint(args.checkpoint)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     max_len = state.enc_config.max_seq_len
     jobs = []
     if args.text_a is not None or args.text_b is not None:
@@ -269,7 +265,7 @@ def cmd_align(args) -> int:
         doc_b = tokenize(args.text_b, state.vocab, max_len)
         if not doc_a.tokens or not doc_b.tokens:
             raise CorpusError("both texts must contain at least one token")
-        jobs.append((doc_a, doc_b, out_dir / "align_text.csv"))
+        jobs.append((doc_a, doc_b, "align_text.csv"))
     if args.pair:
         if not args.content:
             raise CorpusError("--content is required with --pair")
@@ -278,17 +274,23 @@ def cmd_align(args) -> int:
             parts = spec.split(",")
             if len(parts) != 2:
                 raise CorpusError(f"--pair expects 'id_a,id_b', got {spec!r}")
+            for eid in parts:
+                if eid not in content:
+                    raise CorpusError(f"unknown entity id {eid!r}")
+                if not content[eid].tokens:
+                    raise CorpusError(f"entity {eid!r}: content must contain at least one token")
             ida, idb = parts
-            if ida not in content or idb not in content:
-                missing = ida if ida not in content else idb
-                raise CorpusError(f"unknown entity id {missing!r}")
-            jobs.append((content[ida], content[idb],
-                         out_dir / f"align_{ida}_{idb}.csv"))
+            jobs.append((content[ida], content[idb], f"align_{ida}_{idb}.csv"))
     if not jobs:
         raise CorpusError("nothing to align: give --pair or --text-a/--text-b")
-    for doc_a, doc_b, path in jobs:
-        _align_one(state, doc_a, doc_b, args.variant, args.outer_iters,
-                   args.beta, path)
+    matrices = [_alignment(state, doc_a, doc_b, args.variant, args.outer_iters, args.beta)
+                for doc_a, doc_b, _ in jobs]
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for (doc_a, doc_b, name), matrix in zip(jobs, matrices):
+        transport.write_alignment_csv(out_dir / name, state.vocab.decode(doc_a.tokens),
+                                      state.vocab.decode(doc_b.tokens), matrix)
+        print(f"alignment\t{out_dir / name}")
     return EXIT_OK
 
 

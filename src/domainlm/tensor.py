@@ -120,6 +120,8 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:
 
 def _reduce_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum out axes that broadcasting added, so grad matches the operand shape."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -291,16 +293,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} must match last dim ({d},)"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # Means as sum / d on one centred array: numpy's mean/var arithmetic,
+    # bit for bit, without their per-call overhead.
+    centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (centred * centred).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
     out = xhat * gain.data + bias.data
 
     def grad_fn(g: np.ndarray):
         gxhat = g * gain.data
-        m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = gxhat.sum(axis=-1, keepdims=True) / d
+        m2 = (gxhat * xhat).sum(axis=-1, keepdims=True) / d
         gx = (gxhat - m1 - xhat * m2) * inv
         axes = tuple(range(g.ndim - 1))
         ggain = (g * xhat).sum(axis=axes)

@@ -125,38 +125,75 @@ class TrainReport:
             fh.write(json.dumps({"wall_time": self.wall_time}) + "\n")
 
 
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One reshaped view of ``flat`` per array of ``like``, laid end to end."""
+    out, start = {}, 0
+    for name, a in like.items():
+        out[name] = flat[start:start + a.size].reshape(a.shape)
+        start += a.size
+    return out
+
+
 @dataclass
 class AdamState:
+    """Adam's moments and step count over a flat arena.
+
+    The parameters, ``m`` and ``v`` each live in one float64 buffer
+    (``arena``, ``arena_m``, ``arena_v``) in parameter order. Every
+    parameter's ``data`` and every ``m[name]``/``v[name]`` is a reshaped
+    view into its buffer, so parameters are updated in place and their
+    ``data`` must never be rebound.
+    """
+
+    arena: np.ndarray
+    arena_m: np.ndarray
+    arena_v: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
 
     @classmethod
     def fresh(cls, params: dict[str, Tensor]) -> "AdamState":
-        return cls(m={k: np.zeros_like(p.data) for k, p in params.items()},
-                   v={k: np.zeros_like(p.data) for k, p in params.items()})
+        """Zero moments; moves ``params`` into the arena, rebinding each
+        parameter's ``data`` to its view."""
+        data = {k: p.data for k, p in params.items()}
+        size = sum(a.size for a in data.values())
+        arena, arena_m, arena_v = np.empty(size), np.zeros(size), np.zeros(size)
+        for k, view in _views(arena, data).items():
+            view[...] = data[k]
+            params[k].data = view
+        return cls(arena, arena_m, arena_v, _views(arena_m, data), _views(arena_v, data))
 
 
 def adam_step(params: dict[str, Tensor], adam: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update in parameter order; a non-finite gradient
-    aborts it before anything changes."""
-    for name, p in params.items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise NanGradientError(name)
+    """One bias-corrected Adam update of the arena ``adam`` was built on from
+    ``params``. A parameter without a gradient keeps its data and moments;
+    a non-finite gradient aborts the step before anything changes."""
+    grad = np.empty_like(adam.arena)
+    runs: list[slice] = []  # contiguous spans of parameters that have a gradient
+    start = 0
+    for p in params.values():
+        end = start + p.data.size
+        if p.grad is not None:
+            grad[start:end] = p.grad.reshape(-1)
+            if runs and runs[-1].stop == start:
+                runs[-1] = slice(runs[-1].start, end)
+            else:
+                runs.append(slice(start, end))
+        start = end
+    if not all(np.isfinite(grad[run]).all() for run in runs):
+        raise NanGradientError(next(name for name, p in params.items()
+                                    if p.grad is not None and not np.isfinite(p.grad).all()))
     adam.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** adam.t
     bc2 = 1.0 - ADAM_BETA2 ** adam.t
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            continue
-        m = adam.m[name]
-        v = adam.v[name]
+    for run in runs:
+        g, m, v = grad[run], adam.arena_m[run], adam.arena_v[run]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        adam.arena[run] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -504,16 +541,18 @@ def load_checkpoint(path) -> TrainState:
         def array(key: str) -> np.ndarray:
             if key not in data.files:
                 raise ValueError(f"{path}: not a domainlm checkpoint, no {key!r} array")
-            return data[key].copy()
+            return data[key]
 
         meta = json.loads(bytes(array("meta")).decode("utf-8"))
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {meta['version']}")
         order = meta["param_order"]
         params = {name: Tensor(array(f"param/{name}"), requires_grad=True) for name in order}
-        adam = AdamState(m={name: array(f"adam_m/{name}") for name in order},
-                         v={name: array(f"adam_v/{name}") for name in order},
-                         t=meta["adam_t"])
+        adam = AdamState.fresh(params)
+        adam.t = meta["adam_t"]
+        for name in order:
+            adam.m[name][...] = array(f"adam_m/{name}")
+            adam.v[name][...] = array(f"adam_v/{name}")
     meta["train_config"].pop("ipot_inner_k", None)  # removed knob; older v1 files carry it
     mask_rng = np.random.default_rng()
     mask_rng.bit_generator.state = meta["mask_rng"]

@@ -81,8 +81,8 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
         raise ValueError(f"cost matrix must be 2-D, got shape {cv.shape}")
     if not np.isfinite(cv).all():
         raise ValueError("cost matrix contains non-finite entries")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not (np.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     if outer_iters < 1:
         raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
     m, n = cv.shape

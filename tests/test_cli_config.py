@@ -306,14 +306,19 @@ def test_reset_scheduler_for_stage2_numbers_steps_across_stages(pair_workspace, 
     ("pretrain", False, ["--eval-docs", "-1"]),
     ("align", False, ["--outer-iters", "0"]),
     ("align", False, ["--outer-iters", "-5"]),
+    ("align", False, ["--beta", "nan"]),
+    ("align", False, ["--beta", "inf"]),
     ("align", True, []),
+    ("align-pair", False, ["--pair", "ea000,nope"]),
+    ("align-pair", False, ["--pair", "ea000,blank"]),
     ("eval", False, ["--max-docs", "-1"]),
     ("eval", True, []),
 ], ids=["bootstrap-every-0", "ipot-beta-0", "ipot-outer-iters-0", "ipot-beta-nan",
         "cea-weight-nan", "learning-rate-inf", "learning-rate-negative", "warm-alpha-nan",
         "warm-alpha-2", "ema-decay-negative", "ema-decay-1.5", "warm-iters-negative",
         "eval-docs-negative", "align-outer-iters-0",
-        "align-outer-iters-negative", "align-no-meta", "eval-max-docs-negative",
+        "align-outer-iters-negative", "align-beta-nan", "align-beta-inf", "align-no-meta",
+        "align-unknown-entity", "align-entity-without-tokens", "eval-max-docs-negative",
         "eval-no-meta"])
 def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
                                                        one_epoch, tmp_path,
@@ -325,6 +330,8 @@ def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
     out = tmp_path / "out"
     pw = pair_workspace
     text = workspace["corpus"].read_text().splitlines()[0]
+    content = tmp_path / "content.tsv"
+    content.write_text(f"ea000\t{text}\nblank\t   \n")
     argv = {
         "pretrain": ["--corpus", str(pw["corpus"]), "--vocab", str(pw["vocab"]),
                      "--phrase-pool", str(pw["pool"]), "--out-dir", str(out),
@@ -332,17 +339,36 @@ def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
                      *pw["pair_args"]],
         "align": ["--checkpoint", str(ckpt), "--text-a", text, "--text-b", text,
                   "--out-dir", str(out)],
+        "align-pair": ["--checkpoint", str(ckpt), "--content", str(content),
+                       "--out-dir", str(out)],
         "eval": ["--checkpoint", str(ckpt), "--eval-corpus", str(workspace["corpus"]),
                  "--phrase-pool", str(workspace["pool"])],
     }[command]
     src = str(Path(domainlm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "domainlm.cli", command, *argv, *extra],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-m", "domainlm.cli", command.split("-")[0],
+                           *argv, *extra], capture_output=True, text=True, env=env)
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not list(tmp_path.glob("out/*"))  # no checkpoint, report or alignment
-    if command == "pretrain":
-        assert not out.exists()  # rejected before training started
+    # rejected before --out-dir was made: no checkpoint, report or alignment
+    assert not out.exists()
+
+
+def test_align_pair_without_tokens_is_rejected_like_empty_text(workspace, one_epoch,
+                                                               tmp_path, capsys):
+    text = workspace["corpus"].read_text().splitlines()[0]
+    content = tmp_path / "content.tsv"
+    content.write_text(f"ea000\t{text}\nblank\t   \n")
+    out = tmp_path / "out"
+    rc = cli.main(["align", "--checkpoint", str(one_epoch), "--content", str(content),
+                   "--pair", "ea000,ea000", "--pair", "ea000,blank", "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'blank'" in err and "at least one token" in err
+    assert not out.exists()  # the valid first pair was not written either
+    rc = cli.main(["align", "--checkpoint", str(one_epoch), "--text-a", text,
+                   "--text-b", "   ", "--out-dir", str(out)])
+    assert rc == 2
+    assert "at least one token" in capsys.readouterr().err

@@ -80,6 +80,28 @@ class TestLayerNorm:
         out = T.layer_norm(x, g, b).data
         assert np.array_equal(out, np.broadcast_to(np.arange(5.0), (2, 5)))
 
+    @pytest.mark.parametrize("shape", [(2, 3, 7), (4, 12, 32), (3, 5, 33)])
+    def test_bitwise_equal_to_mean_var_formulation(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        xv = rng.standard_normal(shape) * 3 + 1
+        gv, bv = rng.standard_normal(shape[-1:]), rng.standard_normal(shape[-1:])
+        up = rng.standard_normal(shape)  # upstream gradient
+        # reference: np.mean / np.var forward, .mean backward
+        mu = xv.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(xv.var(axis=-1, keepdims=True) + 1e-5)
+        xhat = (xv - mu) * inv
+        gxhat = up * gv
+        m1 = gxhat.mean(axis=-1, keepdims=True)
+        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+        expected = [xhat * gv + bv, (gxhat - m1 - xhat * m2) * inv,
+                    (up * xhat).sum(axis=(0, 1)), up.sum(axis=(0, 1))]
+
+        x, g, b = (T.Tensor(v, requires_grad=True) for v in (xv, gv, bv))
+        out = T.layer_norm(x, g, b)
+        T.backward((out * T.Tensor(up)).sum())  # delivers exactly `up` to layer_norm
+        for got, want in zip([out.data, x.grad, g.grad, b.grad], expected):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):

@@ -84,6 +84,77 @@ class TestAdam:
         TR.adam_step(params, adam, lr=0.1)
         assert params["w"].data[0] == 1.0
 
+    @staticmethod
+    def reference_step(params, m, v, t, lr):
+        """The per-parameter loop the flat arena replaced; returns the new t."""
+        t += 1
+        bc1 = 1.0 - TR.ADAM_BETA1 ** t
+        bc2 = 1.0 - TR.ADAM_BETA2 ** t
+        for name, p in params.items():
+            g = p.grad
+            if g is None:
+                continue
+            m[name] *= TR.ADAM_BETA1
+            m[name] += (1.0 - TR.ADAM_BETA1) * g
+            v[name] *= TR.ADAM_BETA2
+            v[name] += (1.0 - TR.ADAM_BETA2) * g * g
+            p.data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + TR.ADAM_EPS)
+        return t
+
+    def test_arena_matches_per_parameter_loop_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        shapes = {"a": (3, 4), "b": (5,), "c": (2, 3), "d": (4,), "e": (6, 2)}
+        init = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        params = {k: T.Tensor(init[k], requires_grad=True) for k in shapes}
+        ref = {k: T.Tensor(init[k].copy(), requires_grad=True) for k in shapes}
+        adam = TR.AdamState.fresh(params)
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        t = 0
+        # no gradient: none; in the middle; at the end; both; neighbours
+        for missing in [(), ("c",), ("e",), ("b", "e"), ("c", "d")]:
+            for k, s in shapes.items():
+                g = None if k in missing else rng.standard_normal(s) * 10.0 ** rng.integers(-4, 3)
+                params[k].grad, ref[k].grad = g, g
+            TR.adam_step(params, adam, lr=3e-3)
+            t = self.reference_step(ref, m, v, t, lr=3e-3)
+            assert adam.t == t
+            for k in shapes:
+                assert params[k].data.tobytes() == ref[k].data.tobytes(), k
+                assert adam.m[k].tobytes() == m[k].tobytes(), k
+                assert adam.v[k].tobytes() == v[k].tobytes(), k
+        assert all(np.shares_memory(p.data, adam.arena) for p in params.values())
+
+
+def assert_params_in_arena(state):
+    """Every parameter and moment is a view into its arena, in parameter order."""
+    adam = state.adam
+    for name, p in state.params.items():
+        assert np.shares_memory(p.data, adam.arena), name
+        assert np.shares_memory(adam.m[name], adam.arena_m), name
+        assert np.shares_memory(adam.v[name], adam.arena_v), name
+    flat = np.concatenate([p.data.ravel() for p in state.params.values()])
+    assert flat.tobytes() == adam.arena.tobytes()
+
+
+class TestArena:
+    def test_params_stay_views_after_init_load_and_training(self, small_world, tmp_path):
+        vocab, docs, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config())
+        assert_params_in_arena(state)
+        TR.run_stage1(docs, pool, state)
+        assert state.adam.t > 0
+        assert_params_in_arena(state)
+        TR.save_checkpoint(tmp_path / "model.npz", state)
+        loaded = TR.load_checkpoint(tmp_path / "model.npz")
+        assert_params_in_arena(loaded)
+        assert loaded.adam.arena_m.tobytes() == state.adam.arena_m.tobytes()
+        assert loaded.adam.arena_v.tobytes() == state.adam.arena_v.tobytes()
+        loaded.config.stage1_epochs = 2
+        TR.run_stage1(docs, pool, loaded)
+        assert loaded.adam.t == 2 * state.adam.t
+        assert_params_in_arena(loaded)
+
 
 class TestConfig:
     def test_validation(self):

@@ -109,6 +109,13 @@ class TestIpot:
         with pytest.raises(ValueError):
             OT.ipot(np.array([[0.1]]), beta=0.0)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_beta_not_finite_and_positive_rejected(self, beta):
+        # nan slipped past a `beta <= 0` guard into an all-NaN plan, and inf
+        # gives the all-ones kernel, i.e. the uniform plan whatever the cost
+        with pytest.raises(ValueError, match="beta"):
+            OT.ipot(np.array([[0.1, 0.9], [0.9, 0.1]]), beta=beta)
+
     @pytest.mark.parametrize("outer_iters", [0, -5])
     def test_no_outer_iteration_rejected(self, outer_iters):
         # zero iterations would return the all-ones start, which is no plan
