@@ -7,8 +7,8 @@ from-scratch transformer with its own float64 autodiff substrate.
 
 from .corpus import (Document, EntityPairSet, Vocab, build_vocab, load_corpus,
                      load_entity_pairs, tokenize)
-from .crossattn import (AttentionAlignment, cross_attention, reconstruct,
-                        reconstruction_distance, triplet_loss)
+from .crossattn import (AttentionAlignment, cross_attention, reconstruction_distance,
+                        triplet_loss)
 from .encoder import EncoderConfig, forward, init_params, phrase_logits, token_logits
 from .hybrid import (SchedulerState, fitting_progress, phrase_loss, select_mode,
                      update_alpha, word_loss)
@@ -26,8 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Document", "EntityPairSet", "Vocab", "build_vocab", "load_corpus",
     "load_entity_pairs", "tokenize",
-    "AttentionAlignment", "cross_attention", "reconstruct",
-    "reconstruction_distance", "triplet_loss",
+    "AttentionAlignment", "cross_attention", "reconstruction_distance", "triplet_loss",
     "EncoderConfig", "forward", "init_params", "phrase_logits", "token_logits",
     "SchedulerState", "fitting_progress", "phrase_loss", "select_mode",
     "update_alpha", "word_loss",

@@ -58,6 +58,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
+        token_to_id: dict[str, int] = {}
         id_to_token: list[str] = []
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -71,10 +72,12 @@ class Vocab:
                     raise CorpusError(f"{path}:{lineno}: malformed vocab line") from exc
                 if idx != len(id_to_token):
                     raise CorpusError(f"{path}:{lineno}: non-contiguous vocab id {idx}")
+                if token_to_id.setdefault(tok, idx) != idx:
+                    raise CorpusError(f"{path}:{lineno}: repeated vocab token {tok!r}")
                 id_to_token.append(tok)
         if id_to_token[:NUM_SPECIALS] != list(SPECIAL_TOKENS):
             raise CorpusError(f"{path}: vocab file does not start with the special tokens")
-        return cls({tok: i for i, tok in enumerate(id_to_token)}, id_to_token)
+        return cls(token_to_id, id_to_token)
 
 
 @dataclass
@@ -82,7 +85,6 @@ class Document:
     """One tokenized input sequence, truncated to the configured maximum."""
 
     tokens: list[int]
-    raw_len: int = 0
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -128,7 +130,7 @@ def tokenize(text: str, vocab: Vocab, max_seq_len: int = 128) -> Document:
     """Lowercase, split, map to ids (unknowns -> UNK), truncate."""
     words = split_words(text)
     ids = vocab.encode(words)
-    return Document(tokens=ids[:max_seq_len], raw_len=len(ids))
+    return Document(tokens=ids[:max_seq_len])
 
 
 def load_corpus(corpus_path, vocab: Vocab, max_seq_len: int = 128) -> list[Document]:

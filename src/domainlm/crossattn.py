@@ -37,16 +37,12 @@ def cross_attention(a: Tensor, b: Tensor) -> AttentionAlignment:
     )
 
 
-def reconstruct(align: AttentionAlignment, a: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """Attention-weighted averages: a'_i from b rows, b'_j from a rows."""
-    return align.alpha @ b, align.beta_t @ a
-
-
 def reconstruction_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Summed squared reconstruction error of the pair, both directions."""
-    a_rec, b_rec = reconstruct(cross_attention(a, b), a, b)
-    da = a - a_rec
-    db = b - b_rec
+    """Summed squared reconstruction error of the pair, both directions:
+    a'_i is the attention-weighted average of b rows, b'_j of a rows."""
+    align = cross_attention(a, b)
+    da = a - align.alpha @ b
+    db = b - align.beta_t @ a
     return (da * da).sum() + (db * db).sum()
 
 

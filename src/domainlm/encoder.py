@@ -89,12 +89,11 @@ def _split_heads(x: Tensor, batch: int, length: int, heads: int, head_dim: int) 
 
 
 def forward(input_ids: np.ndarray, pad_mask: np.ndarray, params: dict[str, Tensor],
-            config: EncoderConfig, attn_sink: list | None = None) -> Tensor:
+            config: EncoderConfig) -> Tensor:
     """Contextual embeddings for a batch: (B, L) ids -> (B, L, dim).
 
     PAD columns are excluded from attention via an additive mask on the
-    pre-softmax scores. When ``attn_sink`` is a list, each layer's
-    attention probabilities (B, H, L, L arrays) are appended to it.
+    pre-softmax scores, so ids at PAD positions never reach a real row.
     """
     input_ids = np.asarray(input_ids, dtype=np.int64)
     b, length = input_ids.shape
@@ -118,8 +117,6 @@ def forward(input_ids: np.ndarray, pad_mask: np.ndarray, params: dict[str, Tenso
         v = _split_heads(x @ params[p + "attn.wv"] + params[p + "attn.bv"], b, length, h, dh)
         scores = T.scale(q @ T.transpose(k), 1.0 / np.sqrt(dh)) + key_mask
         attn = T.softmax(scores)
-        if attn_sink is not None:
-            attn_sink.append(attn.data.copy())
         ctx = T.reshape(T.transpose(attn @ v, 1, 2), (b, length, config.dim))
         attn_out = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
         x = T.layer_norm(x + attn_out, params[p + "ln1.gain"], params[p + "ln1.bias"])

@@ -45,10 +45,6 @@ class MaskedBatch:
     mode: str
 
     @property
-    def batch_size(self) -> int:
-        return self.input_ids.shape[0]
-
-    @property
     def seq_len(self) -> int:
         return self.input_ids.shape[1]
 
@@ -119,6 +115,16 @@ def mask_phrases(doc: Document, pool: PhrasePool, vocab_size: int,
     )
 
 
+def pad(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(B, L) int64 ids, PAD past each sequence's end, and the (B, L) pad mask,
+    True on real tokens, for a non-empty list of B sequences of length <= L."""
+    lengths = np.array([len(s) for s in seqs])
+    pad_mask = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.full(pad_mask.shape, PAD_ID, dtype=np.int64)
+    ids[pad_mask] = [tok for s in seqs for tok in s]
+    return ids, pad_mask
+
+
 def collate(examples: list[MaskedExample]) -> MaskedBatch:
     """Pad examples to the longest length with PAD and stack them."""
     if not examples:
@@ -126,19 +132,12 @@ def collate(examples: list[MaskedExample]) -> MaskedBatch:
     mode = examples[0].mode
     if any(ex.mode != mode for ex in examples):
         raise ValueError("mixed masking modes in one batch")
-    length = max(len(ex.gold_ids) for ex in examples)
-    b = len(examples)
-    input_ids = np.full((b, length), PAD_ID, dtype=np.int64)
-    gold_ids = np.full((b, length), PAD_ID, dtype=np.int64)
-    pad_mask = np.zeros((b, length), dtype=bool)
-    for i, ex in enumerate(examples):
-        n = len(ex.gold_ids)
-        input_ids[i, :n] = ex.input_ids
-        gold_ids[i, :n] = ex.gold_ids
-        pad_mask[i, :n] = True
+    if any(len(ex.input_ids) != len(ex.gold_ids) for ex in examples):
+        raise ValueError("input and gold ids differ in length")
+    input_ids, pad_mask = pad([ex.input_ids for ex in examples])
     return MaskedBatch(
         input_ids=input_ids,
-        gold_ids=gold_ids,
+        gold_ids=pad([ex.gold_ids for ex in examples])[0],
         pad_mask=pad_mask,
         masked_positions=[list(ex.masked_positions) for ex in examples],
         phrase_groups=[list(ex.phrase_groups) for ex in examples],

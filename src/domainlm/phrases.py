@@ -15,6 +15,8 @@ import numpy as np
 
 from .corpus import Document, UNK_ID, Vocab, split_words
 
+MIN_SCORE = 0.5
+
 
 class PhraseFileError(ValueError):
     """Malformed phrase pool file."""
@@ -57,8 +59,8 @@ class PhrasePool:
         return sorted(self.phrase_ids, key=self.phrase_ids.__getitem__)
 
 
-def load_pool(path, vocab: Vocab, min_score: float = 0.5) -> PhrasePool:
-    """Read a "phrase<TAB>score" file, keeping entries with score >= min_score.
+def load_pool(path, vocab: Vocab) -> PhrasePool:
+    """Read a "phrase<TAB>score" file, keeping entries with score >= MIN_SCORE.
 
     Phrases that tokenize to fewer than two ids or that contain UNK are
     dropped and counted. Duplicate phrases keep their maximum score. A
@@ -87,7 +89,7 @@ def load_pool(path, vocab: Vocab, min_score: float = 0.5) -> PhrasePool:
             if not (math.isfinite(score) and score <= 1.0):
                 raise PhraseFileError(f"{path}:{lineno}: score {score_str!r} is not "
                                       "a finite number <= 1")
-            if score < min_score:
+            if score < MIN_SCORE:
                 continue
             ids = tuple(vocab.encode(split_words(text)))
             if UNK_ID in ids:

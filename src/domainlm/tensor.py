@@ -2,7 +2,7 @@
 
 The op set is deliberately small: matmul, add, mul, scale, transpose,
 reshape, last-axis concat, embedding gather, softmax, layer_norm, gelu,
-cross_entropy, mean, sum and cosine_similarity. Everything the encoder
+cross_entropy, sum and cosine_similarity. Everything the encoder
 and the losses need is composed from these. Graphs are dynamic: each
 forward pass records fresh backward closures on its output tensors, and
 ``backward`` replays them in reverse construction order.
@@ -89,23 +89,11 @@ class Tensor:
     def __mul__(self, other: "Tensor") -> "Tensor":
         return mul(self, other)
 
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
 
     def sum(self, axis: Optional[int] = None) -> "Tensor":
         return tensor_sum(self, axis)
-
-    def mean(self, axis: Optional[int] = None) -> "Tensor":
-        return tensor_mean(self, axis)
-
-    def reshape(self, *shape: int) -> "Tensor":
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axis0: int = -2, axis1: int = -1) -> "Tensor":
-        return transpose(self, axis0, axis1)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:
@@ -273,14 +261,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(data, (table,), grad_fn)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``; rows sum to 1."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Stable softmax along the last axis; rows sum to 1."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def grad_fn(g: np.ndarray):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return ((g - inner) * out,)
 
     return _make(out, (a,), grad_fn)
@@ -359,11 +347,6 @@ def tensor_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
 
     return _make(np.asarray(data), (a,), grad_fn)
-
-
-def tensor_mean(a: Tensor, axis: Optional[int] = None) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
-    return scale(tensor_sum(a, axis), 1.0 / count)
 
 
 def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:

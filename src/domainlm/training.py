@@ -25,11 +25,11 @@ import numpy as np
 
 from . import crossattn, transport
 from . import tensor as T
-from .corpus import Document, EntityPairSet, MASK_ID, PAD_ID, Vocab
+from .corpus import Document, EntityPairSet, MASK_ID, Vocab
 from .encoder import EncoderConfig, forward, init_params, token_logits
 from .hybrid import (SchedulerState, phrase_loss, scheduled_mode, select_mode,
                      update_alpha, word_loss)
-from .masking import MaskedBatch, MaskedExample, collate, mask_phrases, mask_words
+from .masking import MaskedBatch, MaskedExample, collate, mask_phrases, mask_words, pad
 from .phrases import PhrasePool, detect
 from .tensor import Tensor
 
@@ -299,16 +299,11 @@ def _hybrid_forward(state: TrainState, docs: list[Document], pool: PhrasePool
 def _embed_docs(state: TrainState, docs: list[Document]) -> list[Tensor]:
     """Unmasked contextual embeddings of non-empty documents from one padded
     forward: a (len_i, dim) tensor per document, in input order."""
-    lengths = [len(doc) for doc in docs]
-    pad_mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
-    ids = np.full(pad_mask.shape, PAD_ID, dtype=np.int64)
-    ids[pad_mask] = [tok for doc in docs for tok in doc.tokens]
+    ids, pad_mask = pad([doc.tokens for doc in docs])
     hidden = forward(ids, pad_mask, state.params, state.enc_config)
-    flat = T.reshape(hidden, (pad_mask.size, state.enc_config.dim))
-    if len(docs) == 1:
-        return [flat]
-    width = pad_mask.shape[1]
-    return [T.embedding(flat, i * width + np.arange(n)) for i, n in enumerate(lengths)]
+    flat = T.reshape(hidden, (ids.size, state.enc_config.dim))
+    return [T.embedding(flat, i * ids.shape[1] + np.arange(len(doc)))
+            for i, doc in enumerate(docs)]
 
 
 def _doc_embeddings(state: TrainState, doc: Document) -> Tensor:
@@ -536,35 +531,40 @@ def save_checkpoint(path, state: TrainState) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
-    """Inverse of save_checkpoint; a missing meta or array raises ValueError."""
-    with np.load(path) as data:
-        def array(key: str) -> np.ndarray:
-            if key not in data.files:
-                raise ValueError(f"{path}: not a domainlm checkpoint, no {key!r} array")
-            return data[key]
+    """Inverse of save_checkpoint; a file that cannot be read as one (missing,
+    truncated, corrupt, incomplete metadata) raises ValueError naming ``path``."""
+    try:
+        with open(path, "rb") as fh, np.load(fh) as data:  # np.load(path) leaks on a bad zip
+            def array(key: str) -> np.ndarray:
+                if key not in data.files:
+                    raise ValueError(f"no {key!r} array")
+                return data[key]
 
-        meta = json.loads(bytes(array("meta")).decode("utf-8"))
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {meta['version']}")
-        order = meta["param_order"]
-        params = {name: Tensor(array(f"param/{name}"), requires_grad=True) for name in order}
-        adam = AdamState.fresh(params)
-        adam.t = meta["adam_t"]
-        for name in order:
-            adam.m[name][...] = array(f"adam_m/{name}")
-            adam.v[name][...] = array(f"adam_v/{name}")
-    meta["train_config"].pop("ipot_inner_k", None)  # removed knob; older v1 files carry it
-    mask_rng = np.random.default_rng()
-    mask_rng.bit_generator.state = meta["mask_rng"]
-    return TrainState(
-        config=TrainConfig(**meta["train_config"]),
-        enc_config=EncoderConfig(**meta["enc_config"]),
-        params=params,
-        adam=adam,
-        scheduler=SchedulerState.from_dict(meta["scheduler"]),
-        mask_rng=mask_rng,
-        vocab=Vocab({tok: i for i, tok in enumerate(meta["vocab"])}, meta["vocab"]),
-        phrases=[tuple(p) for p in meta["phrases"]] if "phrases" in meta else None,
-        stage1_iters_done=meta["stage1_iters_done"],
-        stage2_iters_done=meta["stage2_iters_done"],
-    )
+            meta = json.loads(bytes(array("meta")).decode("utf-8"))
+            if meta["version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {meta['version']}")
+            order = meta["param_order"]
+            params = {name: Tensor(array(f"param/{name}"), requires_grad=True) for name in order}
+            adam = AdamState.fresh(params)
+            adam.t = meta["adam_t"]
+            for name in order:
+                adam.m[name][...] = array(f"adam_m/{name}")
+                adam.v[name][...] = array(f"adam_v/{name}")
+        meta["train_config"].pop("ipot_inner_k", None)  # removed knob; older v1 files carry it
+        mask_rng = np.random.default_rng()
+        mask_rng.bit_generator.state = meta["mask_rng"]
+        return TrainState(
+            config=TrainConfig(**meta["train_config"]),
+            enc_config=EncoderConfig(**meta["enc_config"]),
+            params=params,
+            adam=adam,
+            scheduler=SchedulerState.from_dict(meta["scheduler"]),
+            mask_rng=mask_rng,
+            vocab=Vocab({tok: i for i, tok in enumerate(meta["vocab"])}, meta["vocab"]),
+            phrases=[tuple(p) for p in meta["phrases"]] if "phrases" in meta else None,
+            stage1_iters_done=meta["stage1_iters_done"],
+            stage2_iters_done=meta["stage2_iters_done"],
+        )
+    except Exception as exc:  # zip, npy-header, JSON and metadata faults alike
+        detail = f"no {exc} in meta" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: not a readable domainlm checkpoint: {detail}") from exc

@@ -38,7 +38,6 @@ class CostMatrix:
     """Pairwise cosine distances in [0, 2]; differentiable w.r.t. both inputs."""
 
     values: Tensor
-    degenerate: bool = False
 
 
 @dataclass
@@ -55,17 +54,13 @@ class TransportPlan:
 
 
 def cost_matrix(x: Tensor, y: Tensor) -> CostMatrix:
-    """C_ij = 1 - cos(x_i, y_j). Zero-norm rows are clamped and flagged."""
-    degenerate = bool(
-        (np.linalg.norm(x.data, axis=1) <= NORM_EPS).any()
-        or (np.linalg.norm(y.data, axis=1) <= NORM_EPS).any()
-    )
-    if degenerate:
+    """C_ij = 1 - cos(x_i, y_j). Zero-norm rows are clamped, with a warning."""
+    if any((np.linalg.norm(t.data, axis=1) <= NORM_EPS).any() for t in (x, y)):
         warnings.warn("zero-norm embedding row in cost matrix; norm clamped",
                       DegenerateInputWarning, stacklevel=2)
     sim = T.cosine_similarity(x, y, eps=NORM_EPS)
     ones = Tensor(np.ones(sim.shape))
-    return CostMatrix(values=ones - sim, degenerate=degenerate)
+    return CostMatrix(values=ones - sim)
 
 
 def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,

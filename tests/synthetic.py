@@ -6,10 +6,15 @@ multi-token reconstruction is learnable but not saturated.
 
 Pair world: associated document pairs that are identical except for one
 planted synonym slot, giving ground-truth word alignments.
+
+Damaged checkpoints: copies of a saved checkpoint cut short, with bytes
+overwritten, or with a metadata key dropped.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -156,3 +161,33 @@ def write_pair_world(tmp_path, world: PairWorld):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("\n".join(world.pair_lines) + "\n")
     return corpus, content, pairs
+
+
+CHECKPOINT_DAMAGE = ("truncated", "bytes-overwritten", "no-adam_t")
+
+
+def drop_meta_key(src, dst, key: str) -> None:
+    """Copy checkpoint ``src`` to ``dst`` without ``key`` in its metadata."""
+    with np.load(src) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    del meta[key]
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def corrupt_checkpoint(src, dst, damage: str) -> None:
+    """Write a damaged copy of checkpoint ``src`` to ``dst`` (which may be
+    ``src``): the first half of its bytes, 64 bytes inverted mid-file, or
+    the metadata without ``adam_t``."""
+    if damage == "no-adam_t":
+        return drop_meta_key(src, dst, "adam_t")
+    data = bytearray(Path(src).read_bytes())
+    if damage == "truncated":
+        data = data[:len(data) // 2]
+    else:
+        assert damage == "bytes-overwritten", damage
+        mid = len(data) // 2
+        data[mid:mid + 64] = bytes(b ^ 0xFF for b in data[mid:mid + 64])
+    Path(dst).write_bytes(bytes(data))

@@ -20,7 +20,9 @@ from domainlm.corpus import Vocab
 from domainlm.encoder import EncoderConfig
 from domainlm.phrases import load_pool
 
-from synthetic import build_pair_world, build_phrase_world, write_pair_world, write_phrase_world
+from synthetic import (CHECKPOINT_DAMAGE, build_pair_world, build_phrase_world,
+                       corrupt_checkpoint, drop_meta_key, write_pair_world,
+                       write_phrase_world)
 
 DESK_FLAGS = {"batch_size": 8, "learning_rate": 3e-3, "dim": 16, "ffn_dim": 32,
               "warm_iters": 5, "max_seq_len": 32, "log_every": 0}
@@ -233,19 +235,10 @@ def test_resume_rejects_same_size_pool_with_other_phrases(workspace, one_epoch,
     assert not (tmp_path / "out" / "checkpoint.npz").exists()
 
 
-def _drop_meta_key(src, dst, key):
-    with np.load(src) as data:
-        arrays = {name: data[name] for name in data.files}
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    del meta[key]
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(dst, **arrays)
-
-
 def test_checkpoint_without_phrases_falls_back_to_size_check(workspace, one_epoch,
                                                              tmp_path):
     old = tmp_path / "old.npz"
-    _drop_meta_key(one_epoch, old, "phrases")
+    drop_meta_key(one_epoch, old, "phrases")
     assert TR.load_checkpoint(old).phrases is None
     lines = workspace["pool"].read_text().splitlines()
     smaller = tmp_path / "smaller.tsv"
@@ -290,48 +283,63 @@ def test_reset_scheduler_for_stage2_numbers_steps_across_stages(pair_workspace, 
     assert state.scheduler.iteration == state.stage2_iters_done
 
 
-@pytest.mark.parametrize("command, no_meta, extra", [
-    ("pretrain", False, ["--bootstrap-every", "0"]),
-    ("pretrain", False, ["--ipot-beta", "0"]),
-    ("pretrain", False, ["--ipot-outer-iters", "0"]),
-    ("pretrain", False, ["--ipot-beta", "nan"]),
-    ("pretrain", False, ["--cea-weight", "nan"]),
-    ("pretrain", False, ["--learning-rate", "inf"]),
-    ("pretrain", False, ["--learning-rate", "-1"]),
-    ("pretrain", False, ["--warm-alpha", "nan"]),
-    ("pretrain", False, ["--warm-alpha", "2"]),
-    ("pretrain", False, ["--ema-decay", "-0.5"]),
-    ("pretrain", False, ["--ema-decay", "1.5"]),
-    ("pretrain", False, ["--warm-iters", "-5"]),
-    ("pretrain", False, ["--eval-docs", "-1"]),
-    ("align", False, ["--outer-iters", "0"]),
-    ("align", False, ["--outer-iters", "-5"]),
-    ("align", False, ["--beta", "nan"]),
-    ("align", False, ["--beta", "inf"]),
-    ("align", True, []),
-    ("align-pair", False, ["--pair", "ea000,nope"]),
-    ("align-pair", False, ["--pair", "ea000,blank"]),
-    ("eval", False, ["--max-docs", "-1"]),
-    ("eval", True, []),
+DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
+                            for command in ("align", "eval", "pretrain-resume")
+                            for damage in CHECKPOINT_DAMAGE]
+
+
+@pytest.mark.parametrize("command, damage, extra", [
+    ("pretrain", None, ["--bootstrap-every", "0"]),
+    ("pretrain", None, ["--ipot-beta", "0"]),
+    ("pretrain", None, ["--ipot-outer-iters", "0"]),
+    ("pretrain", None, ["--ipot-beta", "nan"]),
+    ("pretrain", None, ["--cea-weight", "nan"]),
+    ("pretrain", None, ["--learning-rate", "inf"]),
+    ("pretrain", None, ["--learning-rate", "-1"]),
+    ("pretrain", None, ["--warm-alpha", "nan"]),
+    ("pretrain", None, ["--warm-alpha", "2"]),
+    ("pretrain", None, ["--ema-decay", "-0.5"]),
+    ("pretrain", None, ["--ema-decay", "1.5"]),
+    ("pretrain", None, ["--warm-iters", "-5"]),
+    ("pretrain", None, ["--eval-docs", "-1"]),
+    ("align", None, ["--outer-iters", "0"]),
+    ("align", None, ["--outer-iters", "-5"]),
+    ("align", None, ["--beta", "nan"]),
+    ("align", None, ["--beta", "inf"]),
+    ("align", "no-meta", []),
+    ("align-pair", None, ["--pair", "ea000,nope"]),
+    ("align-pair", None, ["--pair", "ea000,blank"]),
+    ("eval", None, ["--max-docs", "-1"]),
+    ("eval", "no-meta", []),
+    *DAMAGED_CHECKPOINT_CASES,
+    ("pretrain-repeated-vocab", None, []),
 ], ids=["bootstrap-every-0", "ipot-beta-0", "ipot-outer-iters-0", "ipot-beta-nan",
         "cea-weight-nan", "learning-rate-inf", "learning-rate-negative", "warm-alpha-nan",
         "warm-alpha-2", "ema-decay-negative", "ema-decay-1.5", "warm-iters-negative",
         "eval-docs-negative", "align-outer-iters-0",
         "align-outer-iters-negative", "align-beta-nan", "align-beta-inf", "align-no-meta",
         "align-unknown-entity", "align-entity-without-tokens", "eval-max-docs-negative",
-        "eval-no-meta"])
+        "eval-no-meta", *[f"{c}-{d}" for c, d, _ in DAMAGED_CHECKPOINT_CASES],
+        "pretrain-repeated-vocab"])
 def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
                                                        one_epoch, tmp_path,
-                                                       command, no_meta, extra):
+                                                       command, damage, extra):
     ckpt = one_epoch
-    if no_meta:
+    if damage == "no-meta":
         ckpt = tmp_path / "no_meta.npz"
         np.savez(ckpt, weights=np.zeros(3))
+    elif damage is not None:
+        ckpt = tmp_path / "damaged.npz"
+        corrupt_checkpoint(one_epoch, ckpt, damage)
+    if command == "pretrain-repeated-vocab":
+        _rewrite_vocab(workspace, tmp_path, lambda toks: toks + toks[4:5])
     out = tmp_path / "out"
     pw = pair_workspace
     text = workspace["corpus"].read_text().splitlines()[0]
     content = tmp_path / "content.tsv"
     content.write_text(f"ea000\t{text}\nblank\t   \n")
+    stage1 = ["--corpus", str(workspace["corpus"]), "--phrase-pool", str(workspace["pool"]),
+              "--out-dir", str(out)]
     argv = {
         "pretrain": ["--corpus", str(pw["corpus"]), "--vocab", str(pw["vocab"]),
                      "--phrase-pool", str(pw["pool"]), "--out-dir", str(out),
@@ -343,6 +351,9 @@ def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
                        "--out-dir", str(out)],
         "eval": ["--checkpoint", str(ckpt), "--eval-corpus", str(workspace["corpus"]),
                  "--phrase-pool", str(workspace["pool"])],
+        "pretrain-resume": [*stage1, "--vocab", str(workspace["vocab"]), "--resume", str(ckpt)],
+        "pretrain-repeated-vocab": [*stage1, "--vocab", str(tmp_path / "vocab.tsv"),
+                                    *flags({**DESK_FLAGS, "stage2_epochs": 0})],
     }[command]
     src = str(Path(domainlm.__file__).resolve().parents[1])
     env = {**os.environ,

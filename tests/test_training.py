@@ -11,8 +11,8 @@ from domainlm import tensor as T
 from domainlm import training as TR
 from domainlm import transport as OT
 
-from synthetic import (build_pair_world, build_phrase_world, load_phrase_world,
-                       write_pair_world)
+from synthetic import (CHECKPOINT_DAMAGE, build_pair_world, build_phrase_world,
+                       corrupt_checkpoint, load_phrase_world, write_pair_world)
 
 
 @pytest.fixture(scope="module")
@@ -632,6 +632,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=str(path)) as exc:
             TR.load_checkpoint(path)
         assert drop in str(exc.value)
+
+    @pytest.mark.parametrize("damage", CHECKPOINT_DAMAGE)
+    def test_corrupt_file_raises_value_error_naming_path(self, small_world, tmp_path,
+                                                        damage):
+        vocab, _, pool, _, _ = small_world
+        path = tmp_path / "model.npz"
+        TR.save_checkpoint(path, TR.init_train_state(vocab, pool, desk_config()))
+        corrupt_checkpoint(path, path, damage)
+        with pytest.raises(ValueError, match=str(path)):
+            TR.load_checkpoint(path)
 
 
 class TestReport:

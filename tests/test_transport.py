@@ -29,7 +29,6 @@ class TestCostMatrix:
         x = T.Tensor([[0.0, 0.0], [1.0, 0.0]])
         with pytest.warns(OT.DegenerateInputWarning):
             cm = OT.cost_matrix(x, T.Tensor([[1.0, 0.0]]))
-        assert cm.degenerate
         assert np.isfinite(cm.values.data).all()
 
 
