@@ -9,7 +9,9 @@ resumed checkpoint's config, else the field's default.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import time
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Literal, Union, get_args, get_origin, get_type_hints
@@ -214,30 +216,35 @@ def cmd_pretrain(args) -> int:
                                    phrase_vocab_size=pool.phrase_vocab_size, **shape)
         state = init_train_state(vocab, pool, config, enc_config)
     docs = load_corpus(args.corpus, vocab, max_seq_len=config.max_seq_len)
+    pair_set = load_entity_pairs(args.pairs, args.content, vocab, config.max_seq_len) \
+        if config.stage2_epochs > 0 else None
+    if pair_set is not None and not pair_set.pairs:
+        raise CorpusError(f"{args.pairs}: no pair has content for both entities")
 
     log_every = given.get("log_every", LOG_EVERY)
-
-    def progress(rec: dict) -> None:
-        if log_every and rec["iter"] % log_every == 0:
-            loss = rec["L_w"] if rec["L_w"] is not None else rec["L_p"]
-            extra = f" L_cea={rec['L_cea']:.4f}" if rec["L_cea"] is not None else ""
-            print(f"iter={rec['iter']} stage={rec['stage']} mode={rec['mode']} "
-                  f"loss={loss:.4f}{extra} alpha={rec['alpha']:.4f}", file=sys.stderr)
-
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if config.stage1_epochs > 0:
-        run_stage1(docs, pool, state, progress=progress)
-    if config.stage2_epochs > 0:
-        pair_set = load_entity_pairs(args.pairs, args.content, vocab,
-                                     max_seq_len=config.max_seq_len)
-        run_stage2(pair_set, pool, state, progress=progress)
+    ckpt, report_path = out_dir / "checkpoint.npz", out_dir / "report.jsonl"
+    with open(report_path, "w", encoding="utf-8") as report:
+        def record(rec: dict) -> None:
+            report.write(json.dumps(rec) + "\n")
+            report.flush()
+            if log_every and "iter" in rec and rec["iter"] % log_every == 0:
+                loss = rec["L_w"] if rec["L_w"] is not None else rec["L_p"]
+                extra = f" L_cea={rec['L_cea']:.4f}" if rec["L_cea"] is not None else ""
+                print(f"iter={rec['iter']} stage={rec['stage']} mode={rec['mode']} "
+                      f"loss={loss:.4f}{extra} alpha={rec['alpha']:.4f}", file=sys.stderr)
 
-    ckpt = out_dir / "checkpoint.npz"
-    save_checkpoint(ckpt, state)
-    state.report.write_jsonl(out_dir / "report.jsonl")
+        started = time.perf_counter()
+        if config.stage1_epochs > 0:
+            run_stage1(docs, pool, state, progress=record)
+        if pair_set is not None:
+            run_stage2(pair_set, pool, state, progress=record)
+        wall_time = time.perf_counter() - started
+        save_checkpoint(ckpt, state)
+        record({"wall_time": wall_time})
     print(f"checkpoint\t{ckpt}")
-    print(f"report\t{out_dir / 'report.jsonl'}")
+    print(f"report\t{report_path}")
     return EXIT_OK
 
 

@@ -158,6 +158,8 @@ def load_content(content_path, vocab: Vocab, max_seq_len: int = 128) -> dict[str
             if len(parts) != 2:
                 raise CorpusError(f"{content_path}:{lineno}: expected 'id<TAB>text'")
             eid, text = parts
+            if eid in content:
+                raise CorpusError(f"{content_path}:{lineno}: repeated entity id {eid!r}")
             content[eid] = tokenize(text, vocab, max_seq_len)
     return content
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Literal, Optional, get_args
 
 import numpy as np
@@ -93,36 +92,6 @@ class TrainConfig:
             value = getattr(self, key)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{key} must lie in [0, 1]")
-
-
-@dataclass
-class TrainReport:
-    """Append-only run log: one record per iteration plus per-epoch evals."""
-
-    records: list[dict] = field(default_factory=list)
-    epoch_records: list[dict] = field(default_factory=list)
-    wall_time: float = 0.0
-
-    def add_iteration(self, iteration: int, stage: int, mode: str,
-                      l_w: Optional[float], l_p: Optional[float],
-                      l_cea: Optional[float], alpha: float) -> dict:
-        if self.records and iteration <= self.records[-1]["iter"]:
-            raise ValueError("iteration records must be monotone")
-        rec = {"iter": iteration, "stage": stage, "mode": mode,
-               "L_w": l_w, "L_p": l_p, "L_cea": l_cea, "alpha": alpha}
-        self.records.append(rec)
-        return rec
-
-    def add_epoch(self, stage: int, epoch: int, word_acc: Optional[float],
-                  phrase_acc: Optional[float]) -> None:
-        self.epoch_records.append({"epoch": epoch, "stage": stage,
-                                   "word_acc": word_acc, "phrase_acc": phrase_acc})
-
-    def write_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records + self.epoch_records:
-                fh.write(json.dumps(rec) + "\n")
-            fh.write(json.dumps({"wall_time": self.wall_time}) + "\n")
 
 
 def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -209,7 +178,6 @@ class TrainState:
     vocab: Vocab
     # phrase-pool token ids in phrase-id order; None from checkpoints that predate it
     phrases: Optional[list[tuple[int, ...]]]
-    report: TrainReport = field(default_factory=TrainReport)
     stage1_iters_done: int = 0
     stage2_iters_done: int = 0
 
@@ -341,10 +309,11 @@ def _run_stage(stage: int, groups: list[list[Document]], pool: PhrasePool,
 
     A step masks the documents of one batch of groups in the epoch's order
     and, when ``aligned`` is given, adds the weighted alignment loss over
-    the same pair indices. Epoch evals read each group's first document.
+    the same pair indices. ``progress`` gets each step's record, ``iter``
+    counting both stages' steps from 1, and with ``eval_docs > 0`` each
+    epoch's accuracies on the groups' first documents after its last step.
     """
     cfg = state.config
-    started = time.perf_counter()
     counter = f"stage{stage}_iters_done"
     batches_per_epoch = math.ceil(len(groups) / cfg.batch_size)
     total = getattr(cfg, f"stage{stage}_epochs") * batches_per_epoch
@@ -370,22 +339,23 @@ def _run_stage(stage: int, groups: list[list[Document]], pool: PhrasePool,
             T.backward(loss)
             adam_step(state.params, state.adam, cfg.learning_rate)
             state.scheduler.record(mode, l_hybrid)
-            step = state.stage1_iters_done + state.stage2_iters_done + 1
-            lw, lp = (l_hybrid, None) if mode == "word" else (None, l_hybrid)
-            rec = state.report.add_iteration(step, stage, mode, lw, lp, l_cea, alpha)
             if progress is not None:
-                progress(rec)
+                lw, lp = (l_hybrid, None) if mode == "word" else (None, l_hybrid)
+                progress({"iter": state.stage1_iters_done + state.stage2_iters_done + 1,
+                          "stage": stage, "mode": mode, "L_w": lw, "L_p": lp,
+                          "L_cea": l_cea, "alpha": alpha})
             setattr(state, counter, getattr(state, counter) + 1)
-        if cfg.eval_docs > 0:
-            first_docs = [group[0] for group in groups]
-            state.report.add_epoch(stage, epoch, *_epoch_eval(state, first_docs, pool))
-    state.report.wall_time += time.perf_counter() - started
+        if cfg.eval_docs > 0 and progress is not None:
+            word_acc, phrase_acc = _epoch_eval(state, [group[0] for group in groups], pool)
+            progress({"epoch": epoch, "stage": stage, "word_acc": word_acc,
+                      "phrase_acc": phrase_acc})
     return state
 
 
 def run_stage1(docs: list[Document], pool: PhrasePool, state: TrainState,
                progress: Optional[Callable[[dict], None]] = None) -> TrainState:
-    """Hybrid masked training over the corpus; resumes from saved counters."""
+    """Hybrid masked training over the corpus; resumes from saved counters.
+    ``progress`` gets the records ``_run_stage`` describes."""
     if not docs:
         raise ValueError("stage 1 requires a non-empty corpus")
     return _run_stage(1, [[doc] for doc in docs], pool, state, progress)
@@ -401,6 +371,7 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
     is skipped entirely, reproducing stage-1 dynamics on the pair corpus.
     reset_scheduler_for_stage2 restarts the scheduler once, before the
     first stage-2 step; a resumed run keeps the scheduler it saved.
+    ``progress`` gets the records ``_run_stage`` describes.
     """
     cfg = state.config
     if len(pair_set) == 0:

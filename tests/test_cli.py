@@ -29,6 +29,10 @@ def workspace(tmp_path_factory):
             "content": content, "vocab": vocab_file, "pair_world": pair_world}
 
 
+def read_report(out):
+    return [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+
+
 def pretrain_args(ws, out, **kv):
     args = ["pretrain", "--corpus", str(ws["corpus"]), "--vocab", str(ws["vocab"]),
             "--phrase-pool", str(ws["pool"]), "--out-dir", str(out),
@@ -70,10 +74,23 @@ class TestPretrain:
         out = tmp_path / "run"
         rc = cli.main(pretrain_args(workspace, out, stage1_epochs=1, stage2_epochs=0))
         assert rc == 0
-        records = [json.loads(line) for line in
-                   (out / "report.jsonl").read_text().splitlines()]
-        iters = [r for r in records if "iter" in r]
+        iters = [r for r in read_report(out) if "iter" in r]
         assert iters and all(r["L_cea"] is None for r in iters)
+
+    def test_jsonl_stable_key_order(self, workspace, tmp_path):
+        out = tmp_path / "keys"
+        assert cli.main(pretrain_args(workspace, out, stage1_epochs=2, stage2_epochs=0,
+                                      eval_docs=8)) == 0
+        *body, last = read_report(out)
+        assert list(last) == ["wall_time"]
+        # each epoch's eval record follows that epoch's last step
+        epochs = [i for i, rec in enumerate(body) if "epoch" in rec]
+        steps = epochs[0]
+        assert steps > 0 and epochs == [steps, 2 * steps + 1] and len(body) == 2 * steps + 2
+        assert [body[i]["epoch"] for i in epochs] == [1, 2]
+        for i, rec in enumerate(body):
+            assert list(rec) == (["epoch", "stage", "word_acc", "phrase_acc"] if i in epochs
+                                 else ["iter", "stage", "mode", "L_w", "L_p", "L_cea", "alpha"])
 
     def test_same_seed_identical_checkpoints(self, workspace, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -101,9 +118,7 @@ class TestPretrain:
         args += ["--pairs", str(workspace["pairs"]),
                  "--content", str(workspace["content"])]
         assert cli.main(args) == 0
-        records = [json.loads(line) for line in
-                   (out / "report.jsonl").read_text().splitlines()]
-        iters = [r for r in records if "iter" in r]
+        iters = [r for r in read_report(out) if "iter" in r]
         assert iters and all(r["L_cea"] is not None for r in iters)
 
     def test_config_file_flags_win(self, workspace, tmp_path):
@@ -134,6 +149,23 @@ class TestPretrain:
                                     stage1_epochs=1, stage2_epochs=0))
         assert rc == 3
         assert "tok_emb" in capsys.readouterr().err
+
+    def test_nan_abort_keeps_the_completed_steps(self, workspace, tmp_path, monkeypatch):
+        adam_step, calls = TR.adam_step, []
+
+        def fail_fourth(*args):
+            calls.append(1)
+            if len(calls) == 4:
+                raise TR.NanGradientError("tok_emb")
+            adam_step(*args)
+
+        monkeypatch.setattr(TR, "adam_step", fail_fourth)
+        out = tmp_path / "nan"
+        rc = cli.main(pretrain_args(workspace, out, stage1_epochs=1, stage2_epochs=0))
+        assert rc == 3
+        # one flushed line per completed step, and no wall_time line
+        assert [rec.get("iter") for rec in read_report(out)] == [1, 2, 3]
+        assert not (out / "checkpoint.npz").exists()
 
     def test_progress_lines_go_to_stderr(self, workspace, tmp_path, capsys):
         out = tmp_path / "prog"

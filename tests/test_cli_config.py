@@ -313,6 +313,9 @@ DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
     ("eval", "no-meta", []),
     *DAMAGED_CHECKPOINT_CASES,
     ("pretrain-repeated-vocab", None, []),
+    ("pretrain-bad-pairs", None, []),
+    ("pretrain-unusable-pairs", None, []),
+    ("align-repeated-id", None, ["--pair", "ea000,ea000"]),
 ], ids=["bootstrap-every-0", "ipot-beta-0", "ipot-outer-iters-0", "ipot-beta-nan",
         "cea-weight-nan", "learning-rate-inf", "learning-rate-negative", "warm-alpha-nan",
         "warm-alpha-2", "ema-decay-negative", "ema-decay-1.5", "warm-iters-negative",
@@ -320,7 +323,8 @@ DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
         "align-outer-iters-negative", "align-beta-nan", "align-beta-inf", "align-no-meta",
         "align-unknown-entity", "align-entity-without-tokens", "eval-max-docs-negative",
         "eval-no-meta", *[f"{c}-{d}" for c, d, _ in DAMAGED_CHECKPOINT_CASES],
-        "pretrain-repeated-vocab"])
+        "pretrain-repeated-vocab", "pretrain-bad-pairs", "pretrain-unusable-pairs",
+        "align-repeated-entity-id"])
 def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
                                                        one_epoch, tmp_path,
                                                        command, damage, extra):
@@ -337,18 +341,27 @@ def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
     pw = pair_workspace
     text = workspace["corpus"].read_text().splitlines()[0]
     content = tmp_path / "content.tsv"
-    content.write_text(f"ea000\t{text}\nblank\t   \n")
+    content.write_text(f"ea000\t{text}\nblank\t   \n"
+                       + f"ea000\t{text}\n" * (command == "align-repeated-id"))
+    pairs = tmp_path / "pairs.tsv"  # malformed, or naming no entity with content
+    pairs.write_text("ea000\tea001\textra\n" if command == "pretrain-bad-pairs"
+                     else "ghost1\tghost2\n")
+    pretrain_both = ["--corpus", str(pw["corpus"]), "--vocab", str(pw["vocab"]),
+                     "--phrase-pool", str(pw["pool"]), "--out-dir", str(out),
+                     *flags({**DESK_FLAGS, "stage1_epochs": 1, "stage2_epochs": 1}),
+                     *pw["pair_args"]]
     stage1 = ["--corpus", str(workspace["corpus"]), "--phrase-pool", str(workspace["pool"]),
               "--out-dir", str(out)]
     argv = {
-        "pretrain": ["--corpus", str(pw["corpus"]), "--vocab", str(pw["vocab"]),
-                     "--phrase-pool", str(pw["pool"]), "--out-dir", str(out),
-                     *flags({**DESK_FLAGS, "stage1_epochs": 1, "stage2_epochs": 1}),
-                     *pw["pair_args"]],
+        "pretrain": pretrain_both,
+        "pretrain-bad-pairs": [*pretrain_both, "--pairs", str(pairs)],
+        "pretrain-unusable-pairs": [*pretrain_both, "--pairs", str(pairs)],
         "align": ["--checkpoint", str(ckpt), "--text-a", text, "--text-b", text,
                   "--out-dir", str(out)],
         "align-pair": ["--checkpoint", str(ckpt), "--content", str(content),
                        "--out-dir", str(out)],
+        "align-repeated-id": ["--checkpoint", str(ckpt), "--content", str(content),
+                              "--out-dir", str(out)],
         "eval": ["--checkpoint", str(ckpt), "--eval-corpus", str(workspace["corpus"]),
                  "--phrase-pool", str(workspace["pool"])],
         "pretrain-resume": [*stage1, "--vocab", str(workspace["vocab"]), "--resume", str(ckpt)],

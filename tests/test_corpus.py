@@ -174,6 +174,15 @@ class TestEntityPairs:
         with pytest.raises(C.CorpusError, match=":2"):
             C.load_entity_pairs(p, content, vocab)
 
+    def test_repeated_content_id_rejected_naming_file_and_line(self, pair_files, tmp_path):
+        pairs, _, vocab = pair_files
+        content = tmp_path / "content-repeated.tsv"
+        content.write_text("p1\tgreat battery life\np2\tsharp screen\np1\tbattery lasts long\n")
+        with pytest.raises(C.CorpusError, match=f"{content}:3: repeated entity id 'p1'"):
+            C.load_content(content, vocab)
+        with pytest.raises(C.CorpusError, match=f"{content}:3"):
+            C.load_entity_pairs(pairs, content, vocab)
+
     def test_length_bound_holds(self, pair_files, tmp_path):
         pairs, content, vocab = pair_files
         long_content = tmp_path / "content-long.tsv"

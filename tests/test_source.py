@@ -37,6 +37,15 @@ def test_checker_sees_an_unused_import():
     assert unused_imports(source) == ["Optional (line 1)"]
 
 
+def test_package_exports_exactly_what_it_imports():
+    # the unused-import check counts every __all__ entry as read, so a stale
+    # entry would pass it yet break `from domainlm import *`
+    tree = ast.parse(Path(domainlm.__file__).read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(domainlm.__all__) == sorted(imported)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

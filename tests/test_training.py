@@ -171,33 +171,37 @@ class TestStage1:
         vocab, docs, pool, _, _ = small_world
         cfg = desk_config(stage1_epochs=2)
         state = TR.init_train_state(vocab, pool, cfg)
-        TR.run_stage1(docs, pool, state)
+        records = []
+        TR.run_stage1(docs, pool, state, progress=records.append)
         expected = 2 * math.ceil(len(docs) / cfg.batch_size)
         assert state.stage1_iters_done == expected
-        assert len(state.report.records) == expected
+        assert len(records) == expected
 
     def test_alpha_trace_respects_warm_fix(self, small_world):
         vocab, docs, pool, _, _ = small_world
         cfg = desk_config(warm_iters=15, warm_alpha=0.6)
         state = TR.init_train_state(vocab, pool, cfg)
-        TR.run_stage1(docs, pool, state)
-        for rec in state.report.records:
+        records = []
+        TR.run_stage1(docs, pool, state, progress=records.append)
+        for rec in records:
             if rec["iter"] <= 15:
                 assert rec["alpha"] == 0.6
 
     def test_exactly_one_loss_per_record(self, small_world):
         vocab, docs, pool, _, _ = small_world
         state = TR.init_train_state(vocab, pool, desk_config())
-        TR.run_stage1(docs, pool, state)
-        for rec in state.report.records:
+        records = []
+        TR.run_stage1(docs, pool, state, progress=records.append)
+        for rec in records:
             assert (rec["L_w"] is None) != (rec["L_p"] is None)
             assert (rec["mode"] == "word") == (rec["L_p"] is None)
 
     def test_force_alpha_one_runs_word_only(self, small_world):
         vocab, docs, pool, _, _ = small_world
         state = TR.init_train_state(vocab, pool, desk_config(force_alpha=1.0))
-        TR.run_stage1(docs, pool, state)
-        assert all(rec["mode"] == "word" for rec in state.report.records)
+        records = []
+        TR.run_stage1(docs, pool, state, progress=records.append)
+        assert all(rec["mode"] == "word" for rec in records)
         assert math.isnan(state.scheduler.phrase_first)
 
     def test_determinism_same_seed(self, small_world):
@@ -216,15 +220,16 @@ class TestStage1:
         cfg = desk_config(stage1_epochs=6, warm_iters=40, bootstrap_every=2,
                           seed=seed)
         state = TR.init_train_state(vocab, pool, cfg)
-        at_warm_exit = {}
+        at_warm_exit, records = {}, []
 
         def snap(rec):
+            records.append(rec)
             if rec["iter"] == cfg.warm_iters:
                 at_warm_exit["word"] = state.scheduler.word_curr
                 at_warm_exit["phrase"] = state.scheduler.phrase_curr
 
         TR.run_stage1(docs, pool, state, progress=snap)
-        post = [r["mode"] for r in state.report.records if r["iter"] > cfg.warm_iters]
+        post = [r["mode"] for r in records if r["iter"] > cfg.warm_iters]
         assert post.count("word") > 0 and post.count("phrase") > 0
         assert state.scheduler.word_curr < at_warm_exit["word"]
         assert state.scheduler.phrase_curr < at_warm_exit["phrase"]
@@ -276,9 +281,11 @@ class TestStage2:
                              cea_weight=1.0, ipot_outer_iters=20, eval_docs=0,
                              max_seq_len=32)
         state = TR.init_train_state(vocab, pool, cfg)
-        TR.run_stage2(pair_set, pool, state)
-        assert all(rec["L_cea"] is not None for rec in state.report.records)
-        assert all(rec["stage"] == 2 for rec in state.report.records)
+        records = []
+        TR.run_stage2(pair_set, pool, state, progress=records.append)
+        assert records
+        assert all(rec["L_cea"] is not None for rec in records)
+        assert all(rec["stage"] == 2 for rec in records)
 
     def test_attention_variant_produces_triplet_records(self, pair_world, small_world):
         world, vocab, pair_set = pair_world
@@ -288,9 +295,11 @@ class TestStage2:
                              cea_weight=1.0, cea_variant="attention", eval_docs=0,
                              max_seq_len=32)
         state = TR.init_train_state(vocab, pool, cfg)
-        TR.run_stage2(pair_set, pool, state)
-        assert all(rec["L_cea"] is not None for rec in state.report.records)
-        assert all(rec["L_cea"] >= 0.0 for rec in state.report.records)
+        records = []
+        TR.run_stage2(pair_set, pool, state, progress=records.append)
+        assert records
+        assert all(rec["L_cea"] is not None for rec in records)
+        assert all(rec["L_cea"] >= 0.0 for rec in records)
 
     def test_cea_loss_mean_drops_from_first_epoch(self, pair_world, small_world):
         world, vocab, pair_set = pair_world
@@ -302,9 +311,10 @@ class TestStage2:
         state = TR.init_train_state(vocab, pool, cfg)
         docs = [d for pair in pair_set.pairs for d in
                 (pair_set.content[pair[0]], pair_set.content[pair[1]])]
-        TR.run_stage1(docs, pool, state)
-        TR.run_stage2(pair_set, pool, state)
-        cea = [r["L_cea"] for r in state.report.records if r["L_cea"] is not None]
+        records = []
+        TR.run_stage1(docs, pool, state, progress=records.append)
+        TR.run_stage2(pair_set, pool, state, progress=records.append)
+        cea = [r["L_cea"] for r in records if r["L_cea"] is not None]
         per_epoch = math.ceil(len(pair_set) / cfg.batch_size)
         first = sum(cea[:per_epoch]) / per_epoch
         last = sum(cea[-per_epoch:]) / per_epoch
@@ -321,11 +331,12 @@ class TestStage2:
         state = TR.init_train_state(vocab, pool, cfg)
         state.scheduler = H.SchedulerState(warm_iters=99, warm_alpha=0.1,
                                            ema_decay=0.0, bootstrap_every=7)
-        TR.run_stage2(pair_set, pool, state)
+        records = []
+        TR.run_stage2(pair_set, pool, state, progress=records.append)
         sched = state.scheduler
         assert (sched.warm_iters, sched.warm_alpha, sched.ema_decay,
                 sched.bootstrap_every) == (3, 0.7, 0.5, 2)
-        assert sched.iteration == len(state.report.records)
+        assert sched.iteration == len(records)
 
     @pytest.mark.parametrize("stage1_epochs", [0, 1])
     def test_reset_scheduler_resume_mid_stage2_matches_uninterrupted(
@@ -341,13 +352,13 @@ class TestStage2:
                                   reset_scheduler_for_stage2=True, eval_docs=0,
                                   max_seq_len=32)
 
-        def run(state):
+        def run(state, progress=None):
             if stage1_epochs:
-                TR.run_stage1(docs, pool, state)
-            TR.run_stage2(pair_set, pool, state)
+                TR.run_stage1(docs, pool, state, progress)
+            TR.run_stage2(pair_set, pool, state, progress)
 
-        full = TR.init_train_state(vocab, pool, config(6))
-        run(full)
+        full, records = TR.init_train_state(vocab, pool, config(6)), []
+        run(full, records.append)
         partial = TR.init_train_state(vocab, pool, config(3))
         run(partial)
         path = tmp_path / "mid_stage2.npz"
@@ -358,7 +369,7 @@ class TestStage2:
         assert params_bytes(resumed) == params_bytes(full)
         assert resumed.scheduler.to_dict() == full.scheduler.to_dict()
         assert full.scheduler.iteration == full.stage2_iters_done
-        steps = [r["iter"] for r in full.report.records]
+        steps = [r["iter"] for r in records]
         assert steps == list(range(1, full.stage1_iters_done + full.stage2_iters_done + 1))
 
     def test_empty_pair_set_rejected(self, pair_world, small_world):
@@ -450,8 +461,9 @@ class TestAlignmentPass:
         state = TR.init_train_state(vocab, pool, desk_config(
             stage1_epochs=0, stage2_epochs=1, cea_weight=cea_weight, cea_variant=variant,
             ipot_outer_iters=5))
-        TR.run_stage2(pair_set, pool, state)
-        assert len(state.report.records) == state.stage2_iters_done > 1
+        records = []
+        TR.run_stage2(pair_set, pool, state, progress=records.append)
+        assert len(records) == state.stage2_iters_done > 1
         assert len(calls) == passes * state.stage2_iters_done
 
 
@@ -642,25 +654,3 @@ class TestCheckpoint:
         corrupt_checkpoint(path, path, damage)
         with pytest.raises(ValueError, match=str(path)):
             TR.load_checkpoint(path)
-
-
-class TestReport:
-    def test_jsonl_stable_key_order(self, small_world, tmp_path):
-        vocab, docs, pool, _, _ = small_world
-        state = TR.init_train_state(vocab, pool, desk_config())
-        TR.run_stage1(docs, pool, state)
-        out = tmp_path / "report.jsonl"
-        state.report.write_jsonl(out)
-        lines = out.read_text().strip().splitlines()
-        for line in lines[:-1]:
-            rec = json.loads(line)
-            if "iter" in rec:
-                assert list(rec.keys()) == ["iter", "stage", "mode", "L_w", "L_p",
-                                            "L_cea", "alpha"]
-        assert "wall_time" in json.loads(lines[-1])
-
-    def test_monotone_iteration_enforced(self):
-        rep = TR.TrainReport()
-        rep.add_iteration(1, 1, "word", 1.0, None, None, 0.6)
-        with pytest.raises(ValueError):
-            rep.add_iteration(1, 1, "word", 1.0, None, None, 0.6)
