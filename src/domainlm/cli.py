@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from . import crossattn, training, transport
-from .corpus import (CorpusError, Vocab, build_vocab, load_corpus,
-                     load_content, load_entity_pairs, split_words, tokenize)
+from .corpus import (CorpusError, Vocab, build_vocab, load_corpus, load_content,
+                     load_entity_pairs, numbered_lines, token_counts, tokenize)
 from .encoder import EncoderConfig
 from .phrases import PhraseFileError, load_pool
 from .training import (CeaVariant, NanGradientError, TrainConfig, eval_reconstruction,
@@ -80,21 +80,20 @@ def _parser_for(hint):
 def _read_config_file(path) -> dict:
     """key=value lines; keys name pretrain settings; values typed by annotation."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CorpusError(f"{path}:{lineno}: expected key=value")
-            key_raw, raw = (part.strip() for part in line.split("=", 1))
-            key = key_raw.replace("-", "_")
-            if key not in SETTINGS:
-                raise CorpusError(f"{path}:{lineno}: unknown config key {key_raw!r}")
-            try:
-                values[key] = _parser_for(SETTINGS[key][0])(raw)
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    for lineno, line in numbered_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CorpusError(f"{path}:{lineno}: expected key=value")
+        key_raw, raw = (part.strip() for part in line.split("=", 1))
+        key = key_raw.replace("-", "_")
+        if key not in SETTINGS:
+            raise CorpusError(f"{path}:{lineno}: unknown config key {key_raw!r}")
+        try:
+            values[key] = _parser_for(SETTINGS[key][0])(raw)
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 
@@ -158,13 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_build_vocab(args) -> int:
     vocab = build_vocab(args.corpus, min_freq=args.min_freq)
     vocab.save(args.out)
-    total = 0
-    covered = 0
-    with open(args.corpus, encoding="utf-8") as fh:
-        for line in fh:
-            for tok in split_words(line):
-                total += 1
-                covered += tok in vocab.token_to_id
+    counts = token_counts(args.corpus)
+    total = sum(counts.values())
+    covered = sum(c for tok, c in counts.items() if tok in vocab.token_to_id)
     print(f"vocab_size\t{len(vocab)}")
     print(f"coverage\t{covered / total:.4f}")
     return EXIT_OK
@@ -186,6 +181,28 @@ def _check_resume(state, vocab: Vocab, pool, given: dict) -> None:
                               f"checkpoint's {fixed[key]!r}, which a resumed run keeps")
     if state.phrases is not None and pool.by_id() != state.phrases:
         raise CorpusError("--resume: the --phrase-pool phrases differ from the checkpoint's")
+
+
+def _earlier_records(report_path: Path, done: int) -> list[str]:
+    """The lines of an earlier report that a run resumed after step ``done`` keeps.
+
+    That is every line before the first step record past ``done``, so the
+    steps an aborted run took after its last checkpoint are dropped.
+    """
+    kept: list[str] = []
+    if not report_path.exists():
+        return kept
+    for lineno, line in numbered_lines(report_path):
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            rec = None
+        if not isinstance(rec, dict):
+            raise CorpusError(f"{report_path}:{lineno}: expected a JSON record")
+        if isinstance(rec.get("iter"), int) and rec["iter"] > done:
+            break
+        kept.append(line)
+    return kept
 
 
 def cmd_pretrain(args) -> int:
@@ -221,11 +238,21 @@ def cmd_pretrain(args) -> int:
     if pair_set is not None and not pair_set.pairs:
         raise CorpusError(f"{args.pairs}: no pair has content for both entities")
 
-    log_every = given.get("log_every", LOG_EVERY)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt, report_path = out_dir / "checkpoint.npz", out_dir / "report.jsonl"
+    # a resume appends to the report, after the records up to its checkpoint
+    earlier = _earlier_records(report_path, state.stage1_iters_done + state.stage2_iters_done) \
+        if args.resume else []
+
+    print(f"pool phrases={len(pool)} dropped_oov={pool.dropped_oov} "
+          f"dropped_short={pool.dropped_short}", file=sys.stderr)
+    if pair_set is not None:
+        print(f"pairs usable={len(pair_set)} dropped={pair_set.dropped}", file=sys.stderr)
+    log_every = given.get("log_every", LOG_EVERY)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(report_path, "w", encoding="utf-8") as report:
+        report.writelines(line + "\n" for line in earlier)
+
         def record(rec: dict) -> None:
             report.write(json.dumps(rec) + "\n")
             report.flush()
@@ -262,6 +289,10 @@ def _alignment(state, doc_a, doc_b, variant, outer_iters, beta):
 def cmd_align(args) -> int:
     # Every input is checked and every matrix computed before --out-dir is
     # created, so a rejected run leaves nothing behind.
+    if args.outer_iters < 1:
+        raise CorpusError(f"--outer-iters must be >= 1, got {args.outer_iters}")
+    if not 0 < args.beta < float("inf"):
+        raise CorpusError(f"--beta must be finite and positive, got {args.beta}")
     state = load_checkpoint(args.checkpoint)
     max_len = state.enc_config.max_seq_len
     jobs = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 PAD_ID = 0
 UNK_ID = 1
@@ -29,6 +29,20 @@ class CorpusError(ValueError):
 def split_words(text: str) -> list[str]:
     """Lowercase and split into word/punctuation tokens."""
     return _TOKEN_RE.findall(text.lower())
+
+
+def numbered_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, text without its newline) for each non-empty line of a UTF-8 file.
+
+    A leading byte-order mark is skipped. Every text input (vocab, corpus,
+    entity content and pairs, phrase pool, config file, run report) is read
+    here, so all of them follow the same rules.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if line:
+                yield lineno, line
 
 
 @dataclass
@@ -60,21 +74,17 @@ class Vocab:
     def load(cls, path) -> "Vocab":
         token_to_id: dict[str, int] = {}
         id_to_token: list[str] = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    tok, idx = line.split("\t")
-                    idx = int(idx)
-                except ValueError as exc:
-                    raise CorpusError(f"{path}:{lineno}: malformed vocab line") from exc
-                if idx != len(id_to_token):
-                    raise CorpusError(f"{path}:{lineno}: non-contiguous vocab id {idx}")
-                if token_to_id.setdefault(tok, idx) != idx:
-                    raise CorpusError(f"{path}:{lineno}: repeated vocab token {tok!r}")
-                id_to_token.append(tok)
+        for lineno, line in numbered_lines(path):
+            try:
+                tok, idx = line.split("\t")
+                idx = int(idx)
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{lineno}: malformed vocab line") from exc
+            if idx != len(id_to_token):
+                raise CorpusError(f"{path}:{lineno}: non-contiguous vocab id {idx}")
+            if token_to_id.setdefault(tok, idx) != idx:
+                raise CorpusError(f"{path}:{lineno}: repeated vocab token {tok!r}")
+            id_to_token.append(tok)
         if id_to_token[:NUM_SPECIALS] != list(SPECIAL_TOKENS):
             raise CorpusError(f"{path}: vocab file does not start with the special tokens")
         return cls(token_to_id, id_to_token)
@@ -102,22 +112,24 @@ class EntityPairSet:
         return len(self.pairs)
 
 
+def token_counts(corpus_path) -> dict[str, int]:
+    """How often each token occurs in a one-document-per-line corpus."""
+    counts: dict[str, int] = {}
+    for _, line in numbered_lines(corpus_path):
+        for tok in split_words(line):
+            counts[tok] = counts.get(tok, 0) + 1
+    return counts
+
+
 def build_vocab(corpus_path, min_freq: int = 1) -> Vocab:
     """Count tokens over a one-document-per-line corpus and assign ids.
 
     Tokens with frequency below ``min_freq`` are excluded (they map to UNK
     at encode time). Specials are always present.
     """
-    path = Path(corpus_path)
-    counts: dict[str, int] = {}
-    n_tokens = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            for tok in split_words(line):
-                counts[tok] = counts.get(tok, 0) + 1
-                n_tokens += 1
-    if n_tokens == 0:
-        raise CorpusError(f"{path}: corpus contains no tokens")
+    counts = token_counts(corpus_path)
+    if not counts:
+        raise CorpusError(f"{Path(corpus_path)}: corpus contains no tokens")
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_freq),
         key=lambda tok: (-counts[tok], tok),
@@ -136,11 +148,10 @@ def tokenize(text: str, vocab: Vocab, max_seq_len: int = 128) -> Document:
 def load_corpus(corpus_path, vocab: Vocab, max_seq_len: int = 128) -> list[Document]:
     """Tokenize every non-empty line of the corpus file."""
     docs = []
-    with open(corpus_path, encoding="utf-8") as fh:
-        for line in fh:
-            doc = tokenize(line, vocab, max_seq_len)
-            if doc.tokens:
-                docs.append(doc)
+    for _, line in numbered_lines(corpus_path):
+        doc = tokenize(line, vocab, max_seq_len)
+        if doc.tokens:
+            docs.append(doc)
     if not docs:
         raise CorpusError(f"{corpus_path}: corpus contains no tokens")
     return docs
@@ -149,18 +160,14 @@ def load_corpus(corpus_path, vocab: Vocab, max_seq_len: int = 128) -> list[Docum
 def load_content(content_path, vocab: Vocab, max_seq_len: int = 128) -> dict[str, Document]:
     """Read an "id<TAB>text" file into tokenized documents keyed by entity id."""
     content: dict[str, Document] = {}
-    with open(content_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise CorpusError(f"{content_path}:{lineno}: expected 'id<TAB>text'")
-            eid, text = parts
-            if eid in content:
-                raise CorpusError(f"{content_path}:{lineno}: repeated entity id {eid!r}")
-            content[eid] = tokenize(text, vocab, max_seq_len)
+    for lineno, line in numbered_lines(content_path):
+        parts = line.split("\t", 1)
+        if len(parts) != 2:
+            raise CorpusError(f"{content_path}:{lineno}: expected 'id<TAB>text'")
+        eid, text = parts
+        if eid in content:
+            raise CorpusError(f"{content_path}:{lineno}: repeated entity id {eid!r}")
+        content[eid] = tokenize(text, vocab, max_seq_len)
     return content
 
 
@@ -178,24 +185,20 @@ def load_entity_pairs(pairs_path, content_path, vocab: Vocab,
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     dropped = 0
-    with open(pairs_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusError(f"{pairs_path}:{lineno}: expected 'id_a<TAB>id_b'")
-            a, b = parts
-            if a == b:
-                dropped += 1
-                continue
-            key = (a, b) if a < b else (b, a)
-            if key in seen:
-                continue
-            if key[0] not in content or key[1] not in content:
-                dropped += 1
-                continue
-            seen.add(key)
-            pairs.append(key)
+    for lineno, line in numbered_lines(pairs_path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise CorpusError(f"{pairs_path}:{lineno}: expected 'id_a<TAB>id_b'")
+        a, b = parts
+        if a == b:
+            dropped += 1
+            continue
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            continue
+        if key[0] not in content or key[1] not in content:
+            dropped += 1
+            continue
+        seen.add(key)
+        pairs.append(key)
     return EntityPairSet(pairs=pairs, content=content, dropped=dropped)

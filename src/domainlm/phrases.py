@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Document, UNK_ID, Vocab, split_words
+from .corpus import Document, UNK_ID, Vocab, numbered_lines, split_words
 
 MIN_SCORE = 0.5
 
@@ -71,36 +71,30 @@ def load_pool(path, vocab: Vocab) -> PhrasePool:
     texts: dict[tuple[int, ...], str] = {}
     dropped_oov = 0
     dropped_short = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise PhraseFileError(f"{path}:{lineno}: expected 'phrase<TAB>score'")
-            text, score_str = parts
-            try:
-                score = float(score_str)
-            except ValueError as exc:
-                raise PhraseFileError(
-                    f"{path}:{lineno}: non-numeric score {score_str!r}"
-                ) from exc
-            if not (math.isfinite(score) and score <= 1.0):
-                raise PhraseFileError(f"{path}:{lineno}: score {score_str!r} is not "
-                                      "a finite number <= 1")
-            if score < MIN_SCORE:
-                continue
-            ids = tuple(vocab.encode(split_words(text)))
-            if UNK_ID in ids:
-                dropped_oov += 1
-                continue
-            if len(ids) < 2:
-                dropped_short += 1
-                continue
-            if ids not in raw or score > raw[ids]:
-                raw[ids] = score
-                texts[ids] = text.lower()
+    for lineno, line in numbered_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise PhraseFileError(f"{path}:{lineno}: expected 'phrase<TAB>score'")
+        text, score_str = parts
+        try:
+            score = float(score_str)
+        except ValueError as exc:
+            raise PhraseFileError(f"{path}:{lineno}: non-numeric score {score_str!r}") from exc
+        if not (math.isfinite(score) and score <= 1.0):
+            raise PhraseFileError(f"{path}:{lineno}: score {score_str!r} is not "
+                                  "a finite number <= 1")
+        if score < MIN_SCORE:
+            continue
+        ids = tuple(vocab.encode(split_words(text)))
+        if UNK_ID in ids:
+            dropped_oov += 1
+            continue
+        if len(ids) < 2:
+            dropped_short += 1
+            continue
+        if ids not in raw or score > raw[ids]:
+            raw[ids] = score
+            texts[ids] = text.lower()
     ordered = sorted(raw)
     pool = PhrasePool(
         entries=raw,

@@ -7,6 +7,8 @@ import pytest
 
 from domainlm import cli
 from domainlm import training as TR
+from domainlm.corpus import Vocab
+from domainlm.phrases import load_pool
 from domainlm.transport import read_alignment_csv
 
 from synthetic import build_pair_world, build_phrase_world, write_pair_world, write_phrase_world
@@ -42,6 +44,28 @@ def pretrain_args(ws, out, **kv):
     for key, val in kv.items():
         args += ["--" + key.replace("_", "-"), str(val)]
     return args
+
+
+def fail_fourth_adam_step(monkeypatch):
+    """Make the fourth Adam step abort as a non-finite gradient would."""
+    adam_step, calls = TR.adam_step, []
+
+    def fail_fourth(*args):
+        calls.append(1)
+        if len(calls) == 4:
+            raise TR.NanGradientError("tok_emb")
+        adam_step(*args)
+
+    monkeypatch.setattr(TR, "adam_step", fail_fourth)
+
+
+def run_one_epoch(ws, out):
+    """Train one stage-1 epoch into ``out``; return its step count and the
+    argv that resumes it to two epochs in the same directory."""
+    assert cli.main(pretrain_args(ws, out, stage1_epochs=1, stage2_epochs=0)) == 0
+    resume = pretrain_args(ws, out, stage1_epochs=2, stage2_epochs=0) + [
+        "--resume", str(out / "checkpoint.npz")]
+    return len(read_report(out)) - 1, resume
 
 
 class TestBuildVocab:
@@ -151,21 +175,63 @@ class TestPretrain:
         assert "tok_emb" in capsys.readouterr().err
 
     def test_nan_abort_keeps_the_completed_steps(self, workspace, tmp_path, monkeypatch):
-        adam_step, calls = TR.adam_step, []
-
-        def fail_fourth(*args):
-            calls.append(1)
-            if len(calls) == 4:
-                raise TR.NanGradientError("tok_emb")
-            adam_step(*args)
-
-        monkeypatch.setattr(TR, "adam_step", fail_fourth)
+        fail_fourth_adam_step(monkeypatch)
         out = tmp_path / "nan"
         rc = cli.main(pretrain_args(workspace, out, stage1_epochs=1, stage2_epochs=0))
         assert rc == 3
         # one flushed line per completed step, and no wall_time line
         assert [rec.get("iter") for rec in read_report(out)] == [1, 2, 3]
         assert not (out / "checkpoint.npz").exists()
+
+    def test_resume_into_the_same_dir_appends_to_the_report(self, workspace, tmp_path):
+        out = tmp_path / "run"
+        n, resume = run_one_epoch(workspace, out)
+        assert cli.main(resume) == 0
+        records = read_report(out)
+        assert [rec["iter"] for rec in records if "iter" in rec] == list(range(1, 2 * n + 1))
+        # one wall_time line per completed invocation, after that invocation's steps
+        assert [i for i, rec in enumerate(records) if "wall_time" in rec] == [n, 2 * n + 1]
+
+    def test_resume_after_an_abort_repeats_no_step(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        n, resume = run_one_epoch(workspace, out)
+        fail_fourth_adam_step(monkeypatch)
+        assert cli.main(resume) == 3
+        # the aborted run's steps n+1..n+3 follow the checkpoint's step n
+        assert [rec.get("iter") for rec in read_report(out)][-3:] == [n + 1, n + 2, n + 3]
+        monkeypatch.undo()
+        assert cli.main(resume) == 0
+        steps = [rec["iter"] for rec in read_report(out) if "iter" in rec]
+        assert steps == list(range(1, 2 * n + 1))
+
+    def test_resume_rejects_a_report_line_that_is_not_json(self, workspace, tmp_path,
+                                                            capsys):
+        out = tmp_path / "run"
+        _, resume = run_one_epoch(workspace, out)
+        report = out / "report.jsonl"
+        with open(report, "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        before = report.read_bytes()
+        lineno = before.count(b"\n")
+        assert cli.main(resume) == 2
+        assert f"{report}:{lineno}:" in capsys.readouterr().err
+        assert report.read_bytes() == before
+
+    def test_loaders_report_what_they_dropped(self, workspace, tmp_path, capsys):
+        word = workspace["corpus"].read_text().split()[0]
+        pool = tmp_path / "pool.tsv"
+        pool.write_text(workspace["pool"].read_text() + f"unseen gizmo\t0.9\n{word}\t0.9\n")
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(workspace["pairs"].read_text() + "ea000\tea000\n")
+        args = pretrain_args(workspace, tmp_path / "run", stage1_epochs=0, stage2_epochs=1,
+                             pairs=pairs, content=workspace["content"])
+        args[args.index("--phrase-pool") + 1] = str(pool)
+        assert cli.main(args) == 0
+        base = load_pool(workspace["pool"], Vocab.load(workspace["vocab"]))
+        lines = capsys.readouterr().err.splitlines()
+        assert f"pool phrases={len(base)} dropped_oov={base.dropped_oov + 1} " \
+               f"dropped_short={base.dropped_short + 1}" in lines
+        assert "pairs usable=10 dropped=1" in lines
 
     def test_progress_lines_go_to_stderr(self, workspace, tmp_path, capsys):
         out = tmp_path / "prog"

@@ -306,6 +306,8 @@ DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
     ("align", None, ["--outer-iters", "-5"]),
     ("align", None, ["--beta", "nan"]),
     ("align", None, ["--beta", "inf"]),
+    ("align", None, ["--variant", "attention", "--outer-iters", "0"]),
+    ("align", None, ["--variant", "attention", "--beta", "nan"]),
     ("align", "no-meta", []),
     ("align-pair", None, ["--pair", "ea000,nope"]),
     ("align-pair", None, ["--pair", "ea000,blank"]),
@@ -320,7 +322,8 @@ DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
         "cea-weight-nan", "learning-rate-inf", "learning-rate-negative", "warm-alpha-nan",
         "warm-alpha-2", "ema-decay-negative", "ema-decay-1.5", "warm-iters-negative",
         "eval-docs-negative", "align-outer-iters-0",
-        "align-outer-iters-negative", "align-beta-nan", "align-beta-inf", "align-no-meta",
+        "align-outer-iters-negative", "align-beta-nan", "align-beta-inf",
+        "align-attention-outer-iters-0", "align-attention-beta-nan", "align-no-meta",
         "align-unknown-entity", "align-entity-without-tokens", "eval-max-docs-negative",
         "eval-no-meta", *[f"{c}-{d}" for c, d, _ in DAMAGED_CHECKPOINT_CASES],
         "pretrain-repeated-vocab", "pretrain-bad-pairs", "pretrain-unusable-pairs",

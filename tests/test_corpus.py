@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from domainlm import cli
 from domainlm import corpus as C
+from domainlm import phrases as P
 
 
 @pytest.fixture
@@ -190,3 +192,37 @@ class TestEntityPairs:
         ps = C.load_entity_pairs(pairs, long_content, vocab, max_seq_len=64)
         for doc in ps.content.values():
             assert len(doc) <= 64
+
+
+@pytest.mark.parametrize("kind", ["vocab", "corpus", "content", "pairs", "phrase_pool",
+                                  "config"])
+def test_byte_order_mark_gives_the_same_result(kind, pair_files, tmp_path):
+    pairs, content, vocab = pair_files
+    vocab_file = tmp_path / "vocab.tsv"
+    vocab.save(vocab_file)
+
+    def read_corpus(path):
+        return C.build_vocab(path).id_to_token, [d.tokens for d in C.load_corpus(path, vocab)]
+
+    def read_pairs(path):
+        pair_set = C.load_entity_pairs(path, content, vocab)
+        return pair_set.pairs, pair_set.dropped
+
+    def read_pool(path):
+        pool = P.load_pool(path, vocab)
+        return pool.entries, pool.dropped_oov, pool.dropped_short
+
+    text, read = {
+        "vocab": (vocab_file.read_text(), lambda path: C.Vocab.load(path).id_to_token),
+        "corpus": ("battery life\n\ngreat screen\n", read_corpus),
+        "content": (content.read_text(),
+                    lambda path: {k: d.tokens for k, d in C.load_content(path, vocab).items()}),
+        "pairs": (pairs.read_text(), read_pairs),
+        "phrase_pool": ("battery life\t0.9\nsharp screen\t0.8\n", read_pool),
+        "config": ("batch_size = 4\n# a comment\n", cli._read_config_file),
+    }[kind]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")  # starts with the mark EF BB BF
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert read(marked) == read(plain)

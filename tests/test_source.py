@@ -31,6 +31,56 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+# The one text reader, and the alignment CSV reader kept for round-trip checks.
+TEXT_READERS = {("corpus.py", "numbered_lines"), ("transport.py", "read_alignment_csv")}
+
+
+def text_reads(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each open() of a file as text for reading.
+
+    A mode that is not a string literal counts as a read; so does read_text().
+    """
+    found = []
+
+    def is_text_read(call: ast.Call) -> bool:
+        if isinstance(call.func, ast.Attribute):
+            return call.func.attr == "read_text"
+        if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+            return False
+        mode = call.args[1] if len(call.args) > 1 else \
+            next((k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            return True
+        writes_only = any(c in mode.value for c in "wax") and "+" not in mode.value
+        return "b" not in mode.value and not writes_only
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and is_text_read(node):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_sees_a_text_read():
+    source = ("def load(p):\n    with open(p, encoding='utf-8') as fh:\n        return fh.read()\n"
+              "def save(p):\n    open(p, 'w').close()\n    open(p, 'rb').close()\n"
+              "    open(p, mode='r+').close()\n"
+              "def f(p):\n    def inner():\n        return p.read_text()\n    return inner\n")
+    assert text_reads(source) == [("load", 2), ("save", 7), ("inner", 10)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_text_is_read_in_one_place(path):
+    reads = [f"{where} (line {line})" for where, line in text_reads(path.read_text("utf-8"))
+             if (path.name, where) not in TEXT_READERS]
+    assert reads == []
+
+
 def test_checker_sees_an_unused_import():
     source = ("from typing import Optional, Sequence\nimport numpy as np\n"
               "__all__ = ['np']\n\ndef f(x: Sequence): return x\n")
