@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -17,8 +18,8 @@ from pathlib import Path
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from . import crossattn, training, transport
-from .corpus import (CorpusError, Vocab, build_vocab, load_corpus, load_content,
-                     load_entity_pairs, numbered_lines, token_counts, tokenize)
+from .corpus import (CorpusError, Vocab, load_corpus, load_content, load_entity_pairs,
+                     numbered_lines, token_counts, tokenize, vocab_from_counts)
 from .encoder import EncoderConfig
 from .phrases import PhraseFileError, load_pool
 from .training import (CeaVariant, NanGradientError, TrainConfig, eval_reconstruction,
@@ -155,9 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_build_vocab(args) -> int:
-    vocab = build_vocab(args.corpus, min_freq=args.min_freq)
-    vocab.save(args.out)
     counts = token_counts(args.corpus)
+    vocab = vocab_from_counts(counts, args.min_freq)
+    vocab.save(args.out)
     total = sum(counts.values())
     covered = sum(c for tok, c in counts.items() if tok in vocab.token_to_id)
     print(f"vocab_size\t{len(vocab)}")
@@ -308,6 +309,7 @@ def cmd_align(args) -> int:
         if not args.content:
             raise CorpusError("--content is required with --pair")
         content = load_content(args.content, state.vocab, max_len)
+        writers: dict[str, str] = {}  # output file -> the --pair that writes it
         for spec in args.pair:
             parts = spec.split(",")
             if len(parts) != 2:
@@ -317,8 +319,14 @@ def cmd_align(args) -> int:
                     raise CorpusError(f"unknown entity id {eid!r}")
                 if not content[eid].tokens:
                     raise CorpusError(f"entity {eid!r}: content must contain at least one token")
+                if "/" in eid or os.sep in eid:
+                    raise CorpusError(f"entity id {eid!r} contains a path separator")
             ida, idb = parts
-            jobs.append((content[ida], content[idb], f"align_{ida}_{idb}.csv"))
+            name = f"align_{ida}_{idb}.csv"
+            if writers.setdefault(name, spec) != spec:
+                raise CorpusError(f"--pair {writers[name]!r} and --pair {spec!r} "
+                                  f"would both write {name}")
+            jobs.append((content[ida], content[idb], name))
     if not jobs:
         raise CorpusError("nothing to align: give --pair or --text-a/--text-b")
     matrices = [_alignment(state, doc_a, doc_b, args.variant, args.outer_iters, args.beta)

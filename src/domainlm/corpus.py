@@ -113,29 +113,30 @@ class EntityPairSet:
 
 
 def token_counts(corpus_path) -> dict[str, int]:
-    """How often each token occurs in a one-document-per-line corpus."""
+    """How often each token occurs in a one-document-per-line corpus; a
+    corpus with no token at all is an error naming the file."""
     counts: dict[str, int] = {}
     for _, line in numbered_lines(corpus_path):
         for tok in split_words(line):
             counts[tok] = counts.get(tok, 0) + 1
+    if not counts:
+        raise CorpusError(f"{Path(corpus_path)}: corpus contains no tokens")
     return counts
 
 
-def build_vocab(corpus_path, min_freq: int = 1) -> Vocab:
-    """Count tokens over a one-document-per-line corpus and assign ids.
-
-    Tokens with frequency below ``min_freq`` are excluded (they map to UNK
-    at encode time). Specials are always present.
-    """
-    counts = token_counts(corpus_path)
-    if not counts:
-        raise CorpusError(f"{Path(corpus_path)}: corpus contains no tokens")
-    kept = sorted(
-        (tok for tok, c in counts.items() if c >= min_freq),
-        key=lambda tok: (-counts[tok], tok),
-    )
+def vocab_from_counts(counts: dict[str, int], min_freq: int = 1) -> Vocab:
+    """Specials, then every token counted at least ``min_freq`` times, most
+    frequent first (ties by token); rarer tokens map to UNK at encode time."""
+    kept = sorted((tok for tok, c in counts.items() if c >= min_freq),
+                  key=lambda tok: (-counts[tok], tok))
     id_to_token = list(SPECIAL_TOKENS) + kept
     return Vocab({tok: i for i, tok in enumerate(id_to_token)}, id_to_token)
+
+
+def build_vocab(corpus_path, min_freq: int = 1) -> Vocab:
+    """The vocabulary of a one-document-per-line corpus: ``vocab_from_counts``
+    over its ``token_counts``."""
+    return vocab_from_counts(token_counts(corpus_path), min_freq)
 
 
 def tokenize(text: str, vocab: Vocab, max_seq_len: int = 128) -> Document:

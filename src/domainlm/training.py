@@ -25,9 +25,9 @@ import numpy as np
 from . import crossattn, transport
 from . import tensor as T
 from .corpus import Document, EntityPairSet, MASK_ID, Vocab
-from .encoder import EncoderConfig, forward, init_params, token_logits
-from .hybrid import (SchedulerState, phrase_loss, scheduled_mode, select_mode,
-                     update_alpha, word_loss)
+from .encoder import EncoderConfig, forward, gather_positions, init_params, token_logits
+from .hybrid import (SchedulerState, _flat_masked_indices, phrase_loss, scheduled_mode,
+                     select_mode, update_alpha, word_loss)
 from .masking import MaskedBatch, MaskedExample, collate, mask_phrases, mask_words, pad
 from .phrases import PhrasePool, detect
 from .tensor import Tensor
@@ -387,12 +387,12 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
 
 
 def _predict_masked(state_params, enc_config, batch: MaskedBatch) -> list[list[int]]:
+    """Arg-max token ids at each example's masked positions, read at the
+    masked rows the way ``masked_token_nll`` reads them in training."""
     hidden = forward(batch.input_ids, batch.pad_mask, state_params, enc_config)
-    logits = token_logits(hidden, state_params).data
-    out = []
-    for row, positions in enumerate(batch.masked_positions):
-        out.append([int(np.argmax(logits[row, pos])) for pos in positions])
-    return out
+    flat, _ = _flat_masked_indices(batch)
+    ids = iter(token_logits(gather_positions(hidden, flat), state_params).data.argmax(1).tolist())
+    return [[next(ids) for _ in positions] for positions in batch.masked_positions]
 
 
 def eval_reconstruction(state: TrainState, docs: list[Document], pool: PhrasePool,
@@ -411,43 +411,24 @@ def eval_reconstruction(state: TrainState, docs: list[Document], pool: PhrasePoo
         if max_docs < 0:
             raise ValueError(f"max_docs must be >= 0, got {max_docs}")
         docs = docs[:max_docs]
-    counts = {length: 0 for length in span_lengths}
-    hits = {length: 0 for length in span_lengths}
-
-    pending: list[tuple[int, list[int], Document]] = []
+    examples: list[MaskedExample] = []
     for doc in docs:
-        if len(doc) == 0:
-            continue
-        if 1 in counts:
-            pos = int(rng.integers(len(doc)))
-            pending.append((1, [pos], doc))
-        for match in detect(doc, pool):
-            length = match.end - match.start
-            if length in counts and length >= 2:
-                pending.append((length, list(range(match.start, match.end)), doc))
-
-    for start in range(0, len(pending), eval_batch):
-        chunk = pending[start:start + eval_batch]
-        examples = []
-        for _, positions, doc in chunk:
-            ids = list(doc.tokens)
-            for p in positions:
-                ids[p] = MASK_ID
-            examples.append(MaskedExample(input_ids=ids, gold_ids=list(doc.tokens),
-                                          masked_positions=positions))
-        batch = collate(examples)
-        preds = _predict_masked(state.params, state.enc_config, batch)
-        for (length, positions, doc), pred in zip(chunk, preds):
-            counts[length] += 1
-            gold = [doc.tokens[p] for p in positions]
-            if pred == gold:
-                hits[length] += 1
-
+        spans = [[int(rng.integers(len(doc)))]] if 1 in span_lengths and len(doc) else []
+        spans += [list(range(m.start, m.end)) for m in detect(doc, pool)
+                  if m.end - m.start in span_lengths]
+        examples += [MaskedExample([MASK_ID if i in span else t for i, t in enumerate(doc.tokens)],
+                                   list(doc.tokens), span) for span in spans]
+    correct = []
+    for start in range(0, len(examples), eval_batch):
+        chunk = examples[start:start + eval_batch]
+        preds = _predict_masked(state.params, state.enc_config, collate(chunk))
+        correct += [pred == [ex.gold_ids[p] for p in ex.masked_positions]
+                    for ex, pred in zip(chunk, preds)]
     rows = []
     for length in span_lengths:
-        n = counts[length]
-        rows.append({"span_len": length, "n_examples": n,
-                     "accuracy": (hits[length] / n) if n else None})
+        got = [ok for ex, ok in zip(examples, correct) if len(ex.masked_positions) == length]
+        rows.append({"span_len": length, "n_examples": len(got),
+                     "accuracy": (sum(got) / len(got)) if got else None})
     return rows
 
 
@@ -456,10 +437,9 @@ def _epoch_eval(state: TrainState, docs: list[Document], pool: PhrasePool
     """Word accuracy and the example-weighted accuracy over phrase lengths 2-4."""
     rows = eval_reconstruction(state, docs, pool, seed=state.config.seed,
                                max_docs=state.config.eval_docs)
-    multi = [r for r in rows[1:] if r["n_examples"] > 0]
-    n = sum(r["n_examples"] for r in multi)
-    phrase_acc = (sum(r["accuracy"] * r["n_examples"] for r in multi) / n) if n else None
-    return rows[0]["accuracy"], phrase_acc
+    n = sum(r["n_examples"] for r in rows[1:])
+    hits = sum(r["accuracy"] * r["n_examples"] for r in rows[1:] if r["n_examples"])
+    return rows[0]["accuracy"], (hits / n) if n else None
 
 
 # ---------------------------------------------------------------- checkpointing

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from domainlm import cli
+from domainlm import corpus as C
 from domainlm import training as TR
 from domainlm.corpus import Vocab
 from domainlm.phrases import load_pool
@@ -91,6 +94,22 @@ class TestBuildVocab:
                   "--out", str(tmp_path / "v.tsv")])
         out = capsys.readouterr().out
         assert "vocab_size" in out and "coverage" in out
+
+    def test_counts_the_corpus_once(self, workspace, tmp_path, monkeypatch, capsys):
+        calls = []
+        counts = C.token_counts
+
+        def counting(path):
+            calls.append(path)
+            return counts(path)
+
+        monkeypatch.setattr(C, "token_counts", counting)
+        monkeypatch.setattr(cli, "token_counts", counting)
+        out = tmp_path / "v.tsv"
+        assert cli.main(["build-vocab", "--corpus", str(workspace["corpus"]),
+                         "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert out.read_bytes() == workspace["vocab"].read_bytes()
 
 
 class TestPretrain:
@@ -347,10 +366,13 @@ class TestEval:
 def test_console_module_smoke(tmp_path):
     corpus = tmp_path / "c.txt"
     corpus.write_text("alpha beta gamma alpha\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "domainlm.cli", "build-vocab",
          "--corpus", str(corpus), "--out", str(tmp_path / "v.tsv")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "vocab_size" in proc.stdout
 

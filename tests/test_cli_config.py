@@ -318,6 +318,8 @@ DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
     ("pretrain-bad-pairs", None, []),
     ("pretrain-unusable-pairs", None, []),
     ("align-repeated-id", None, ["--pair", "ea000,ea000"]),
+    ("align-pair", None, ["--pair", "ea000,ea000", "--pair", "brand/x,ea000"]),
+    ("align-pair", None, ["--pair", "a,b_c", "--pair", "a_b,c"]),
 ], ids=["bootstrap-every-0", "ipot-beta-0", "ipot-outer-iters-0", "ipot-beta-nan",
         "cea-weight-nan", "learning-rate-inf", "learning-rate-negative", "warm-alpha-nan",
         "warm-alpha-2", "ema-decay-negative", "ema-decay-1.5", "warm-iters-negative",
@@ -327,7 +329,8 @@ DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
         "align-unknown-entity", "align-entity-without-tokens", "eval-max-docs-negative",
         "eval-no-meta", *[f"{c}-{d}" for c, d, _ in DAMAGED_CHECKPOINT_CASES],
         "pretrain-repeated-vocab", "pretrain-bad-pairs", "pretrain-unusable-pairs",
-        "align-repeated-entity-id"])
+        "align-repeated-entity-id", "align-entity-id-with-path-separator",
+        "align-pairs-naming-one-file"])
 def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
                                                        one_epoch, tmp_path,
                                                        command, damage, extra):
@@ -345,6 +348,7 @@ def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
     text = workspace["corpus"].read_text().splitlines()[0]
     content = tmp_path / "content.tsv"
     content.write_text(f"ea000\t{text}\nblank\t   \n"
+                       + "".join(f"{eid}\t{text}\n" for eid in ("brand/x", "a", "b_c", "a_b", "c"))
                        + f"ea000\t{text}\n" * (command == "align-repeated-id"))
     pairs = tmp_path / "pairs.tsv"  # malformed, or naming no entity with content
     pairs.write_text("ea000\tea001\textra\n" if command == "pretrain-bad-pairs"

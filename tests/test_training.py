@@ -6,10 +6,12 @@ import pytest
 
 from domainlm import corpus as C
 from domainlm import crossattn as CA
+from domainlm import encoder as E
 from domainlm import hybrid as H
 from domainlm import tensor as T
 from domainlm import training as TR
 from domainlm import transport as OT
+from domainlm.masking import MaskedExample, collate
 
 from synthetic import (CHECKPOINT_DAMAGE, build_pair_world, build_phrase_world,
                        corrupt_checkpoint, load_phrase_world, write_pair_world)
@@ -301,6 +303,29 @@ class TestStage2:
         assert all(rec["L_cea"] is not None for rec in records)
         assert all(rec["L_cea"] >= 0.0 for rec in records)
 
+    def test_attention_variant_trains_through_an_active_hinge(self, pair_world, small_world):
+        # In the pair world the triplet margin holds from the first step, so
+        # L_cea is 0 there; random-token pairs leave the hinge active.
+        _, vocab, _ = pair_world
+        _, _, pool, _, _ = small_world
+        rng = np.random.default_rng(0)
+        content = {f"e{i}": C.Document(tokens=rng.integers(C.NUM_SPECIALS, len(vocab), n).tolist())
+                   for i, n in enumerate(rng.integers(2, 13, 12))}
+        pair_set = C.EntityPairSet(pairs=[(f"e{i}", f"e{i + 1}") for i in range(0, 12, 2)],
+                                   content=content)
+
+        def run(cea_weight):
+            state = TR.init_train_state(vocab, pool, desk_config(
+                stage1_epochs=0, stage2_epochs=3, batch_size=4, warm_iters=2,
+                cea_weight=cea_weight, cea_variant="attention"))
+            records = []
+            TR.run_stage2(pair_set, pool, state, progress=records.append)
+            return records, params_bytes(state)
+
+        records, trained = run(1.0)
+        assert any(rec["L_cea"] > 0.0 for rec in records)
+        assert trained != run(0.0)[1]
+
     def test_cea_loss_mean_drops_from_first_epoch(self, pair_world, small_world):
         world, vocab, pair_set = pair_world
         _, _, pool, _, _ = small_world
@@ -519,6 +544,27 @@ class TestEvalReconstruction:
                     token_hits += pred == doc.tokens[pos]
         per_token = token_hits / token_total
         assert rows[0]["accuracy"] <= per_token + 1e-12
+
+    def test_predictions_are_the_argmax_of_the_full_logits(self, small_world):
+        vocab, docs, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config(stage1_epochs=2))
+        TR.run_stage1(docs, pool, state)
+        rng = np.random.default_rng(3)
+        examples = []
+        for k, doc in enumerate(docs[:16]):
+            positions = sorted(rng.choice(len(doc), size=1 + k % 3, replace=False).tolist())
+            ids = [C.MASK_ID if i in positions else t for i, t in enumerate(doc.tokens)]
+            examples.append(MaskedExample(ids, list(doc.tokens), positions))
+        batch = collate(examples)
+        assert not batch.pad_mask.all()  # ragged documents: the batch pads
+        hidden = E.forward(batch.input_ids, batch.pad_mask, state.params, state.enc_config)
+        logits = E.token_logits(hidden, state.params).data
+        want = [[int(np.argmax(logits[row, pos])) for pos in positions]
+                for row, positions in enumerate(batch.masked_positions)]
+        got = TR._predict_masked(state.params, state.enc_config, batch)
+        assert got == want
+        assert any(pred == [doc.tokens[p] for p in ex.masked_positions]
+                   for pred, doc, ex in zip(got, docs, examples))  # a trained model
 
     def test_absent_length_is_none_not_zero(self, small_world):
         vocab, docs, pool, _, _ = small_world
