@@ -15,7 +15,7 @@ from .hybrid import (SchedulerState, fitting_progress, phrase_loss, select_mode,
 from .masking import MaskedBatch, MaskedExample, collate, mask_phrases, mask_words
 from .phrases import PhraseMatch, PhrasePool, detect, load_pool, sample_phrase_tokens
 from .tensor import Tensor, backward
-from .training import (TrainConfig, TrainState, adam_step,
+from .training import (TrainConfig, TrainState, adam_step, align_pairs,
                        eval_reconstruction, init_train_state, load_checkpoint,
                        run_stage1, run_stage2, save_checkpoint)
 from .transport import (CostMatrix, TransportPlan, alignment_matrix, cea_loss,
@@ -33,7 +33,7 @@ __all__ = [
     "MaskedBatch", "MaskedExample", "collate", "mask_phrases", "mask_words",
     "PhraseMatch", "PhrasePool", "detect", "load_pool", "sample_phrase_tokens",
     "Tensor", "backward",
-    "TrainConfig", "TrainState", "adam_step",
+    "TrainConfig", "TrainState", "adam_step", "align_pairs",
     "eval_reconstruction", "init_train_state", "load_checkpoint",
     "run_stage1", "run_stage2", "save_checkpoint",
     "CostMatrix", "TransportPlan", "alignment_matrix", "cea_loss",

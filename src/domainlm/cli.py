@@ -17,14 +17,14 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
-from . import crossattn, training, transport
+from . import training, transport
 from .corpus import (CorpusError, Vocab, load_corpus, load_content, load_entity_pairs,
                      numbered_lines, token_counts, tokenize, vocab_from_counts)
 from .encoder import EncoderConfig
 from .phrases import PhraseFileError, load_pool
-from .training import (CeaVariant, NanGradientError, TrainConfig, eval_reconstruction,
-                       init_train_state, load_checkpoint, run_stage1,
-                       run_stage2, save_checkpoint)
+from .training import (CeaVariant, NanGradientError, TrainConfig, align_pairs,
+                       eval_reconstruction, init_train_state, load_checkpoint,
+                       run_stage1, run_stage2, save_checkpoint)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -211,6 +211,9 @@ def cmd_pretrain(args) -> int:
     # the --config file, explicit flags.
     given = _read_config_file(args.config) if args.config else {}
     given.update((k, v) for k, v in vars(args).items() if k in SETTINGS)
+    log_every = given.get("log_every", LOG_EVERY)
+    if log_every < 0:
+        raise CorpusError(f"log_every must be >= 0, got {log_every}")
 
     vocab = Vocab.load(args.vocab)
     pool = load_pool(args.phrase_pool, vocab)
@@ -249,7 +252,6 @@ def cmd_pretrain(args) -> int:
           f"dropped_short={pool.dropped_short}", file=sys.stderr)
     if pair_set is not None:
         print(f"pairs usable={len(pair_set)} dropped={pair_set.dropped}", file=sys.stderr)
-    log_every = given.get("log_every", LOG_EVERY)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(report_path, "w", encoding="utf-8") as report:
         report.writelines(line + "\n" for line in earlier)
@@ -276,17 +278,6 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _alignment(state, doc_a, doc_b, variant, outer_iters, beta):
-    """The (len_a, len_b) alignment matrix of two non-empty documents."""
-    emb_a = training._doc_embeddings(state, doc_a)
-    emb_b = training._doc_embeddings(state, doc_b)
-    if variant == "ot":
-        plan = transport.ipot(transport.cost_matrix(emb_a, emb_b).values.data,
-                              beta=beta, outer_iters=outer_iters)
-        return transport.alignment_matrix(plan)
-    return crossattn.cross_attention(emb_a, emb_b).alpha.data
-
-
 def cmd_align(args) -> int:
     # Every input is checked and every matrix computed before --out-dir is
     # created, so a rejected run leaves nothing behind.
@@ -310,7 +301,7 @@ def cmd_align(args) -> int:
             raise CorpusError("--content is required with --pair")
         content = load_content(args.content, state.vocab, max_len)
         writers: dict[str, str] = {}  # output file -> the --pair that writes it
-        for spec in args.pair:
+        for spec in dict.fromkeys(args.pair):  # a repeated pair is aligned once
             parts = spec.split(",")
             if len(parts) != 2:
                 raise CorpusError(f"--pair expects 'id_a,id_b', got {spec!r}")
@@ -323,14 +314,15 @@ def cmd_align(args) -> int:
                     raise CorpusError(f"entity id {eid!r} contains a path separator")
             ida, idb = parts
             name = f"align_{ida}_{idb}.csv"
-            if writers.setdefault(name, spec) != spec:
+            if name in writers:
                 raise CorpusError(f"--pair {writers[name]!r} and --pair {spec!r} "
                                   f"would both write {name}")
+            writers[name] = spec
             jobs.append((content[ida], content[idb], name))
     if not jobs:
         raise CorpusError("nothing to align: give --pair or --text-a/--text-b")
-    matrices = [_alignment(state, doc_a, doc_b, args.variant, args.outer_iters, args.beta)
-                for doc_a, doc_b, _ in jobs]
+    matrices = align_pairs(state, [(doc_a, doc_b) for doc_a, doc_b, _ in jobs],
+                           args.variant, args.outer_iters, args.beta)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for (doc_a, doc_b, name), matrix in zip(jobs, matrices):

@@ -11,13 +11,15 @@ draw from separate streams derived from the config seed. Data order and
 negatives are pure functions of (seed, stage, epoch), so a checkpoint
 only needs the sequential masking stream plus counters to resume
 bit-exactly.
+
+Inference runs forward only, on weights that record no backward closure.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Literal, Optional, get_args
 
 import numpy as np
@@ -80,7 +82,7 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         minimum = {"stage1_epochs": 0, "stage2_epochs": 0, "batch_size": 1,
                    "learning_rate": 0, "cea_weight": 0, "bootstrap_every": 1,
-                   "ipot_outer_iters": 1, "warm_iters": 0, "eval_docs": 0}
+                   "ipot_outer_iters": 1, "warm_iters": 0, "eval_docs": 0, "seed": 0}
         for key, low in minimum.items():
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}")
@@ -383,7 +385,31 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
                       pair_set if cfg.cea_weight > 0 else None)
 
 
-# ------------------------------------------------------------------ evaluation
+# ------------------------------------------------------------------- inference
+
+
+def _forward_only(state: TrainState) -> TrainState:
+    """``state`` with each weight as a leaf that needs no gradient, a view of
+    the same arena: forwards through it record no backward closures."""
+    return replace(state, params={k: Tensor(p.data) for k, p in state.params.items()})
+
+
+def align_pairs(state: TrainState, doc_pairs: list[tuple[Document, Document]],
+                variant: CeaVariant, outer_iters: int, beta: float) -> list[np.ndarray]:
+    """The (len_a, len_b) alignment matrix of each pair of non-empty documents,
+    one forward per document: row-normalised IPOT plan or cross-attention."""
+    if variant not in get_args(CeaVariant):
+        raise ValueError(f"unknown alignment variant {variant!r}")
+    view, matrices = _forward_only(state), []
+    for doc_a, doc_b in doc_pairs:
+        emb_a, emb_b = _doc_embeddings(view, doc_a), _doc_embeddings(view, doc_b)
+        if variant == "ot":
+            cost = transport.cost_matrix(emb_a, emb_b).values.data
+            plan = transport.ipot(cost, beta=beta, outer_iters=outer_iters)
+            matrices.append(transport.alignment_matrix(plan))
+        else:
+            matrices.append(crossattn.cross_attention(emb_a, emb_b).alpha.data)
+    return matrices
 
 
 def _predict_masked(state_params, enc_config, batch: MaskedBatch) -> list[list[int]]:
@@ -406,11 +432,11 @@ def eval_reconstruction(state: TrainState, docs: list[Document], pool: PhrasePoo
     (exact match: all tokens correct). Masking uses the literal MASK
     token. Lengths with no examples report accuracy None.
     """
+    for name, value in (("seed", seed), ("max_docs", max_docs)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     rng = np.random.default_rng([seed, 0xE7A1])
-    if max_docs is not None:
-        if max_docs < 0:
-            raise ValueError(f"max_docs must be >= 0, got {max_docs}")
-        docs = docs[:max_docs]
+    docs = docs[:max_docs]
     examples: list[MaskedExample] = []
     for doc in docs:
         spans = [[int(rng.integers(len(doc)))]] if 1 in span_lengths and len(doc) else []
@@ -418,10 +444,11 @@ def eval_reconstruction(state: TrainState, docs: list[Document], pool: PhrasePoo
                   if m.end - m.start in span_lengths]
         examples += [MaskedExample([MASK_ID if i in span else t for i, t in enumerate(doc.tokens)],
                                    list(doc.tokens), span) for span in spans]
+    params = _forward_only(state).params
     correct = []
     for start in range(0, len(examples), eval_batch):
         chunk = examples[start:start + eval_batch]
-        preds = _predict_masked(state.params, state.enc_config, collate(chunk))
+        preds = _predict_masked(params, state.enc_config, collate(chunk))
         correct += [pred == [ex.gold_ids[p] for p in ex.masked_positions]
                     for ex, pred in zip(chunk, preds)]
     rows = []

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import tensor as T
 from .tensor import Tensor
@@ -107,6 +106,7 @@ def exact_ot_oracle(c) -> tuple[np.ndarray, float]:
     Small instances only (m, n <= 8); the returned plan is a basic
     solution, i.e. a vertex of the transportation polytope.
     """
+    from scipy.optimize import linprog  # imported here: it slows every CLI start
     cv = np.asarray(c, dtype=np.float64)
     m, n = cv.shape
     if m > ORACLE_MAX_SIDE or n > ORACLE_MAX_SIDE:

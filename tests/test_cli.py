@@ -10,6 +10,7 @@ import pytest
 from domainlm import cli
 from domainlm import corpus as C
 from domainlm import training as TR
+from domainlm import transport as OT
 from domainlm.corpus import Vocab
 from domainlm.phrases import load_pool
 from domainlm.transport import read_alignment_csv
@@ -301,6 +302,22 @@ class TestAlign:
         assert rc == 0
         _, _, matrix = read_alignment_csv(tmp_path / f"align_{ida}_{idb}.csv")
         assert np.abs(matrix.sum(axis=1) - 1.0).max() <= 1e-9
+
+    def test_repeated_pair_is_aligned_and_written_once(self, trained, workspace, tmp_path,
+                                                       monkeypatch, capsys):
+        solves = []
+        ipot = OT.ipot
+        monkeypatch.setattr(OT, "ipot", lambda *a, **k: solves.append(1) or ipot(*a, **k))
+        (ida, idb, _, _), (idc, idd, _, _) = workspace["pair_world"].planted[:2]
+        rc = cli.main(["align", "--checkpoint", str(trained),
+                       "--content", str(workspace["content"]), "--outer-iters", "20",
+                       "--pair", f"{ida},{idb}", "--pair", f"{idc},{idd}",
+                       "--pair", f"{ida},{idb}", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"alignment\t{tmp_path / f'align_{ida}_{idb}.csv'}",
+            f"alignment\t{tmp_path / f'align_{idc}_{idd}.csv'}"]
+        assert len(solves) == 2
 
     def test_attention_variant_matrix(self, trained, tmp_path):
         rc = cli.main(["align", "--checkpoint", str(trained),

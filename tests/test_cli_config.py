@@ -283,6 +283,12 @@ def test_reset_scheduler_for_stage2_numbers_steps_across_stages(pair_workspace, 
     assert state.scheduler.iteration == state.stage2_iters_done
 
 
+# Cases whose message must name the out-of-range setting.
+NAMED_SETTING = {"seed-negative": "seed must be >= 0",
+                 "config-seed-negative": "seed must be >= 0",
+                 "log-every-negative": "log_every must be >= 0",
+                 "eval-seed-negative": "seed must be >= 0"}
+
 DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
                             for command in ("align", "eval", "pretrain-resume")
                             for damage in CHECKPOINT_DAMAGE]
@@ -302,6 +308,9 @@ DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
     ("pretrain", None, ["--ema-decay", "1.5"]),
     ("pretrain", None, ["--warm-iters", "-5"]),
     ("pretrain", None, ["--eval-docs", "-1"]),
+    ("pretrain", None, ["--seed", "-1"]),
+    ("pretrain-config", None, []),
+    ("pretrain", None, ["--log-every", "-3"]),
     ("align", None, ["--outer-iters", "0"]),
     ("align", None, ["--outer-iters", "-5"]),
     ("align", None, ["--beta", "nan"]),
@@ -312,6 +321,7 @@ DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
     ("align-pair", None, ["--pair", "ea000,nope"]),
     ("align-pair", None, ["--pair", "ea000,blank"]),
     ("eval", None, ["--max-docs", "-1"]),
+    ("eval", None, ["--seed", "-1"]),
     ("eval", "no-meta", []),
     *DAMAGED_CHECKPOINT_CASES,
     ("pretrain-repeated-vocab", None, []),
@@ -323,16 +333,17 @@ DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
 ], ids=["bootstrap-every-0", "ipot-beta-0", "ipot-outer-iters-0", "ipot-beta-nan",
         "cea-weight-nan", "learning-rate-inf", "learning-rate-negative", "warm-alpha-nan",
         "warm-alpha-2", "ema-decay-negative", "ema-decay-1.5", "warm-iters-negative",
-        "eval-docs-negative", "align-outer-iters-0",
+        "eval-docs-negative", "seed-negative", "config-seed-negative",
+        "log-every-negative", "align-outer-iters-0",
         "align-outer-iters-negative", "align-beta-nan", "align-beta-inf",
         "align-attention-outer-iters-0", "align-attention-beta-nan", "align-no-meta",
         "align-unknown-entity", "align-entity-without-tokens", "eval-max-docs-negative",
-        "eval-no-meta", *[f"{c}-{d}" for c, d, _ in DAMAGED_CHECKPOINT_CASES],
+        "eval-seed-negative", "eval-no-meta", *[f"{c}-{d}" for c, d, _ in DAMAGED_CHECKPOINT_CASES],
         "pretrain-repeated-vocab", "pretrain-bad-pairs", "pretrain-unusable-pairs",
         "align-repeated-entity-id", "align-entity-id-with-path-separator",
         "align-pairs-naming-one-file"])
 def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
-                                                       one_epoch, tmp_path,
+                                                       one_epoch, tmp_path, request,
                                                        command, damage, extra):
     ckpt = one_epoch
     if damage == "no-meta":
@@ -353,6 +364,8 @@ def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
     pairs = tmp_path / "pairs.tsv"  # malformed, or naming no entity with content
     pairs.write_text("ea000\tea001\textra\n" if command == "pretrain-bad-pairs"
                      else "ghost1\tghost2\n")
+    conf = tmp_path / "run.conf"
+    conf.write_text("seed = -1\n")
     pretrain_both = ["--corpus", str(pw["corpus"]), "--vocab", str(pw["vocab"]),
                      "--phrase-pool", str(pw["pool"]), "--out-dir", str(out),
                      *flags({**DESK_FLAGS, "stage1_epochs": 1, "stage2_epochs": 1}),
@@ -363,6 +376,7 @@ def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
         "pretrain": pretrain_both,
         "pretrain-bad-pairs": [*pretrain_both, "--pairs", str(pairs)],
         "pretrain-unusable-pairs": [*pretrain_both, "--pairs", str(pairs)],
+        "pretrain-config": [*pretrain_both, "--config", str(conf)],
         "align": ["--checkpoint", str(ckpt), "--text-a", text, "--text-b", text,
                   "--out-dir", str(out)],
         "align-pair": ["--checkpoint", str(ckpt), "--content", str(content),
@@ -383,6 +397,7 @@ def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert NAMED_SETTING.get(request.node.callspec.id, "") in proc.stderr
     # rejected before --out-dir was made: no checkpoint, report or alignment
     assert not out.exists()
 

@@ -1,5 +1,8 @@
-"""Static checks over the library source."""
+"""Checks over the library source and what importing it loads."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,3 +102,14 @@ def test_package_exports_exactly_what_it_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_the_lp_solver_unloaded():
+    # scipy.optimize serves only the exact-transport oracle and slows every CLI start
+    src = str(Path(domainlm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, domainlm.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"

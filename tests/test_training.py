@@ -492,6 +492,47 @@ class TestAlignmentPass:
         assert len(calls) == passes * state.stage2_iters_done
 
 
+class TestForwardOnlyInference:
+    def test_eval_and_align_record_no_tape(self, small_world, monkeypatch):
+        vocab, docs, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config())
+        outputs = []
+        forward = TR.forward
+        monkeypatch.setattr(TR, "forward",
+                            lambda *a, **k: outputs.append(forward(*a, **k)) or outputs[-1])
+        TR.eval_reconstruction(state, docs[:40], pool)
+        n_eval = len(outputs)
+        for variant in ("ot", "attention"):
+            TR.align_pairs(state, [(docs[0], docs[1]), (docs[2], docs[3])], variant, 5, 0.5)
+        assert n_eval > 0 and len(outputs) == n_eval + 8
+        assert not any(hidden.requires_grad for hidden in outputs)
+        assert all(p.requires_grad and p.grad is None for p in state.params.values())
+        assert_params_in_arena(state)
+
+    @pytest.mark.parametrize("variant", ["ot", "attention"])
+    def test_align_pairs_matches_the_tape_path(self, ragged_docs, variant):
+        make_state, docs = ragged_docs
+        state = make_state(variant)
+        pairs = [(docs[0], docs[5]), (docs[3], docs[1]), (docs[4], docs[2]), (docs[5], docs[5])]
+        got = TR.align_pairs(state, pairs, variant, 30, 0.5)
+        assert len(got) == len(pairs)
+        for (doc_a, doc_b), matrix in zip(pairs, got):
+            emb_a, emb_b = TR._doc_embeddings(state, doc_a), TR._doc_embeddings(state, doc_b)
+            if variant == "ot":
+                plan = OT.ipot(OT.cost_matrix(emb_a, emb_b).values.data, beta=0.5,
+                               outer_iters=30)
+                want = OT.alignment_matrix(plan)
+            else:
+                want = CA.cross_attention(emb_a, emb_b).alpha.data
+            assert matrix.shape == (len(doc_a), len(doc_b))
+            assert np.array_equal(matrix, want)
+
+    def test_unknown_variant_raises(self, ragged_docs):
+        make_state, docs = ragged_docs
+        with pytest.raises(ValueError, match="cosine"):
+            TR.align_pairs(make_state(), [(docs[0], docs[1])], "cosine", 5, 0.5)
+
+
 class TestEvalReconstruction:
     def test_oracle_predictor_scores_one(self, small_world, monkeypatch):
         vocab, docs, pool, _, _ = small_world
