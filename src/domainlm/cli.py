@@ -21,7 +21,7 @@ from . import training, transport
 from .corpus import (CorpusError, Vocab, load_corpus, load_content, load_entity_pairs,
                      numbered_lines, token_counts, tokenize, vocab_from_counts)
 from .encoder import EncoderConfig
-from .phrases import PhraseFileError, load_pool
+from .phrases import load_pool
 from .training import (CeaVariant, NanGradientError, TrainConfig, align_pairs,
                        eval_reconstruction, init_train_state, load_checkpoint,
                        run_stage1, run_stage2, save_checkpoint)
@@ -232,10 +232,8 @@ def cmd_pretrain(args) -> int:
         state.config = config
         state.phrases = pool.by_id()  # checkpoints that predate the list gain it
     else:
-        shape = _only(EncoderConfig, {**given, "max_seq_len": config.max_seq_len})
-        enc_config = EncoderConfig(vocab_size=len(vocab),
-                                   phrase_vocab_size=pool.phrase_vocab_size, **shape)
-        state = init_train_state(vocab, pool, config, enc_config)
+        shape = {k: v for k, v in _only(EncoderConfig, given).items() if k != "max_seq_len"}
+        state = init_train_state(vocab, pool, config, **shape)  # max_seq_len: from config
     docs = load_corpus(args.corpus, vocab, max_seq_len=config.max_seq_len)
     pair_set = load_entity_pairs(args.pairs, args.content, vocab, config.max_seq_len) \
         if config.stage2_epochs > 0 else None
@@ -289,7 +287,7 @@ def cmd_align(args) -> int:
     max_len = state.enc_config.max_seq_len
     jobs = []
     if args.text_a is not None or args.text_b is not None:
-        if not (args.text_a and args.text_b):
+        if args.text_a is None or args.text_b is None:
             raise CorpusError("--text-a and --text-b must be given together")
         doc_a = tokenize(args.text_a, state.vocab, max_len)
         doc_b = tokenize(args.text_b, state.vocab, max_len)
@@ -314,6 +312,8 @@ def cmd_align(args) -> int:
                     raise CorpusError(f"entity id {eid!r} contains a path separator")
             ida, idb = parts
             name = f"align_{ida}_{idb}.csv"
+            if len(name.encode("utf-8")) > 255:  # the longest file name most file systems take
+                raise CorpusError(f"--pair {spec!r} would write {name}, longer than 255 bytes")
             if name in writers:
                 raise CorpusError(f"--pair {writers[name]!r} and --pair {spec!r} "
                                   f"would both write {name}")
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     except NanGradientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CorpusError, PhraseFileError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # CorpusError and PhraseFileError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

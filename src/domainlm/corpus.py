@@ -34,15 +34,21 @@ def split_words(text: str) -> list[str]:
 def numbered_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, text without its newline) for each non-empty line of a UTF-8 file.
 
-    A leading byte-order mark is skipped. Every text input (vocab, corpus,
-    entity content and pairs, phrase pool, config file, run report) is read
-    here, so all of them follow the same rules.
+    A leading byte-order mark is skipped; a line that is not UTF-8 raises
+    CorpusError naming it. Every text input (vocab, corpus, entity content
+    and pairs, phrase pool, config file, run report) is read here, so all of
+    them follow the same rules.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if line:
-                yield lineno, line
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError:  # on this path only, find the first line that does not decode
+        lines = Path(path).read_bytes().splitlines()  # at \n, \r\n and \r, as text mode splits
+        bad = next(n for n, b in enumerate(lines, 1) if b.decode("utf-8", "ignore").encode() != b)
+        raise CorpusError(f"{path}:{bad}: not valid UTF-8") from None
 
 
 @dataclass
@@ -127,6 +133,8 @@ def token_counts(corpus_path) -> dict[str, int]:
 def vocab_from_counts(counts: dict[str, int], min_freq: int = 1) -> Vocab:
     """Specials, then every token counted at least ``min_freq`` times, most
     frequent first (ties by token); rarer tokens map to UNK at encode time."""
+    if min_freq < 1:
+        raise CorpusError(f"min_freq must be >= 1, got {min_freq}")
     kept = sorted((tok for tok, c in counts.items() if c >= min_freq),
                   key=lambda tok: (-counts[tok], tok))
     id_to_token = list(SPECIAL_TOKENS) + kept

@@ -24,23 +24,21 @@ ETA_EPS = 1e-12
 # ----------------------------------------------------------------------- losses
 
 
-def _flat_masked_indices(batch: MaskedBatch) -> tuple[np.ndarray, np.ndarray]:
-    length = batch.seq_len
-    flat, gold = [], []
-    for row, positions in enumerate(batch.masked_positions):
-        for pos in positions:
-            flat.append(row * length + pos)
-            gold.append(batch.gold_ids[row, pos])
-    return np.array(flat, dtype=np.int64), np.array(gold, dtype=np.int64)
+def masked_token_logits(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]
+                        ) -> tuple[Tensor, np.ndarray]:
+    """Token logits at each example's masked positions, in order, and the gold ids there."""
+    at = np.array([(row, pos) for row, positions in enumerate(batch.masked_positions)
+                   for pos in positions], dtype=np.int64).reshape(-1, 2)
+    if at.size == 0:
+        raise ValueError("batch has no masked positions")
+    rows, cols = at.T
+    picked = gather_positions(hidden, rows * batch.seq_len + cols)
+    return token_logits(picked, params), batch.gold_ids[rows, cols]
 
 
 def masked_token_nll(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Mean NLL of the gold tokens at the masked positions."""
-    flat, gold = _flat_masked_indices(batch)
-    if flat.size == 0:
-        raise ValueError("batch has no masked positions")
-    picked = gather_positions(hidden, flat)
-    return T.cross_entropy(token_logits(picked, params), gold)
+    return T.cross_entropy(*masked_token_logits(batch, hidden, params))
 
 
 def word_loss(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]) -> Tensor:

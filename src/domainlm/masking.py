@@ -55,7 +55,7 @@ def _target_count(length: int) -> int:
 
 def _sample_positions(eligible: np.ndarray, count: int, rng: np.random.Generator) -> list[int]:
     count = min(count, eligible.size)
-    if count == 0:
+    if count <= 0:
         return []
     picked = rng.choice(eligible, size=count, replace=False)
     return sorted(int(p) for p in picked)
@@ -76,34 +76,31 @@ def _perturb(tokens: list[int], positions: list[int], vocab_size: int,
 
 def mask_words(doc: Document, vocab_size: int, rng: np.random.Generator) -> MaskedExample:
     """Uniformly mask max(1, ceil(0.15 * len)) whole words."""
-    if len(doc) < 1:
-        raise ValueError("cannot mask an empty document")
-    positions = _sample_positions(np.arange(len(doc)), _target_count(len(doc)), rng)
-    return MaskedExample(
-        input_ids=_perturb(doc.tokens, positions, vocab_size, rng),
-        gold_ids=list(doc.tokens),
-        masked_positions=positions,
-        mode="word",
-    )
+    return _mask(doc, None, vocab_size, rng)
 
 
 def mask_phrases(doc: Document, pool: PhrasePool, vocab_size: int,
                  rng: np.random.Generator) -> MaskedExample:
     """Mask sampled pool phrases, topping up with word-style fill if short.
 
-    With no detected phrases this consumes the generator exactly like
-    mask_words, so phrase-poor documents behave identically across modes.
+    Word mode is this routine with no phrases, so a document with no
+    detected phrase consumes the generator exactly like mask_words.
     """
+    return _mask(doc, pool, vocab_size, rng)
+
+
+def _mask(doc: Document, pool: PhrasePool | None, vocab_size: int,
+          rng: np.random.Generator) -> MaskedExample:
+    """Phrase mode with a pool, word mode without one."""
     if len(doc) < 1:
         raise ValueError("cannot mask an empty document")
-    matches = detect(doc, pool)
-    covered, sampled = sample_phrase_tokens(doc, matches, MASK_RATIO, rng)
+    covered, sampled = (set(), []) if pool is None else \
+        sample_phrase_tokens(doc, detect(doc, pool), MASK_RATIO, rng)
     target = _target_count(len(doc))
-    if len(covered) < target:
-        remaining = np.setdiff1d(np.arange(len(doc)), sorted(covered))
-        fill = _sample_positions(remaining, target - len(covered), rng)
-    else:
-        fill = []
+    remaining = np.arange(len(doc))
+    if covered and len(covered) < target:
+        remaining = np.setdiff1d(remaining, sorted(covered))
+    fill = _sample_positions(remaining, target - len(covered), rng)
     positions = sorted(set(fill) | covered)
     return MaskedExample(
         input_ids=_perturb(doc.tokens, positions, vocab_size, rng),
@@ -111,7 +108,7 @@ def mask_phrases(doc: Document, pool: PhrasePool, vocab_size: int,
         masked_positions=positions,
         phrase_groups=[list(range(m.start, m.end)) for m in sampled],
         phrase_labels=[m.phrase_id for m in sampled],
-        mode="phrase",
+        mode="word" if pool is None else "phrase",
     )
 
 

@@ -27,8 +27,8 @@ import numpy as np
 from . import crossattn, transport
 from . import tensor as T
 from .corpus import Document, EntityPairSet, MASK_ID, Vocab
-from .encoder import EncoderConfig, forward, gather_positions, init_params, token_logits
-from .hybrid import (SchedulerState, _flat_masked_indices, phrase_loss, scheduled_mode,
+from .encoder import EncoderConfig, forward, init_params
+from .hybrid import (SchedulerState, masked_token_logits, phrase_loss, scheduled_mode,
                      select_mode, update_alpha, word_loss)
 from .masking import MaskedBatch, MaskedExample, collate, mask_phrases, mask_words, pad
 from .phrases import PhrasePool, detect
@@ -195,12 +195,11 @@ def _new_scheduler(config: TrainConfig) -> SchedulerState:
 
 
 def init_train_state(vocab: Vocab, pool: PhrasePool, config: TrainConfig,
-                     enc_config: Optional[EncoderConfig] = None) -> TrainState:
+                     **shape: int) -> TrainState:
+    """A fresh run whose encoder is sized by the data, ``config.max_seq_len`` and ``shape``."""
     config.validate()
-    if enc_config is None:
-        enc_config = EncoderConfig(vocab_size=len(vocab),
-                                   phrase_vocab_size=pool.phrase_vocab_size,
-                                   max_seq_len=config.max_seq_len)
+    enc_config = EncoderConfig(vocab_size=len(vocab), phrase_vocab_size=pool.phrase_vocab_size,
+                               max_seq_len=config.max_seq_len, **shape)
     params = init_params(enc_config, np.random.default_rng([config.seed, 0x1A17]))
     return TrainState(
         config=config,
@@ -276,28 +275,20 @@ def _embed_docs(state: TrainState, docs: list[Document]) -> list[Tensor]:
             for i, doc in enumerate(docs)]
 
 
-def _doc_embeddings(state: TrainState, doc: Document) -> Tensor:
-    """Unmasked contextual embeddings of one document as a (len, dim) tensor."""
-    return _embed_docs(state, [doc])[0]
-
-
-def _alignment_loss(state: TrainState, pair_set: EntityPairSet, pair_idx: np.ndarray,
-                    negatives: Optional[list[str]]) -> Tensor:
-    """Mean alignment loss over a batch of pairs; every document of the batch
-    (a, b, and the negative for ``attention``) shares one unmasked pass."""
+def _alignment_loss(state: TrainState, docs: list[Document], negatives: list[Document]) -> Tensor:
+    """Mean alignment loss over the step's pairs, whose documents ``docs`` lists
+    in turn (a0, b0, a1, b1, ...); ``negatives`` holds one per pair for
+    ``attention`` and none for ``ot``. All documents share one unmasked pass."""
     cfg = state.config
-    entities = [e for j in pair_idx for e in pair_set.pairs[j]]
-    if cfg.cea_variant == "attention":
-        entities += [negatives[j] for j in pair_idx]
-    emb = _embed_docs(state, [pair_set.content[e] for e in entities])
+    emb = _embed_docs(state, docs + negatives)
     parts = []
-    for k in range(len(pair_idx)):
+    for k in range(len(docs) // 2):
         emb_a, emb_b = emb[2 * k], emb[2 * k + 1]
         if cfg.cea_variant == "ot":
             parts.append(transport.cea_loss(emb_a, emb_b, beta=cfg.ipot_beta,
                                             outer_iters=cfg.ipot_outer_iters))
         else:
-            parts.append(crossattn.triplet_loss(emb_a, emb_b, emb[2 * len(pair_idx) + k]))
+            parts.append(crossattn.triplet_loss(emb_a, emb_b, emb[len(docs) + k]))
     return T.scale(sum(parts[1:], parts[0]), 1.0 / len(parts))
 
 
@@ -311,7 +302,7 @@ def _run_stage(stage: int, groups: list[list[Document]], pool: PhrasePool,
 
     A step masks the documents of one batch of groups in the epoch's order
     and, when ``aligned`` is given, adds the weighted alignment loss over
-    the same pair indices. ``progress`` gets each step's record, ``iter``
+    the same documents. ``progress`` gets each step's record, ``iter``
     counting both stages' steps from 1, and with ``eval_docs > 0`` each
     epoch's accuracies on the groups' first documents after its last step.
     """
@@ -323,17 +314,17 @@ def _run_stage(stage: int, groups: list[list[Document]], pool: PhrasePool,
         done = getattr(state, counter)
         epoch = done // batches_per_epoch + 1
         order = _epoch_order(cfg.seed, stage, epoch, len(groups), cfg.shuffle)
-        negatives = _epoch_negatives(aligned, cfg.seed, epoch) \
-            if aligned is not None and cfg.cea_variant == "attention" else None
+        negatives = [aligned.content[e] for e in _epoch_negatives(aligned, cfg.seed, epoch)] \
+            if aligned is not None and cfg.cea_variant == "attention" else []
         for b in range(done % batches_per_epoch, batches_per_epoch):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             state.scheduler.iteration += 1
-            hybrid_loss, mode, alpha = _hybrid_forward(
-                state, [doc for i in idx for doc in groups[i]], pool)
+            docs = [doc for i in idx for doc in groups[i]]
+            hybrid_loss, mode, alpha = _hybrid_forward(state, docs, pool)
             l_hybrid = hybrid_loss.item()
             loss, l_cea = hybrid_loss, None
             if aligned is not None:
-                cea = _alignment_loss(state, aligned, idx, negatives)
+                cea = _alignment_loss(state, docs, [negatives[i] for i in idx if negatives])
                 l_cea = cea.item()
                 loss = hybrid_loss + T.scale(cea, cfg.cea_weight)
             for p in state.params.values():
@@ -394,15 +385,20 @@ def _forward_only(state: TrainState) -> TrainState:
     return replace(state, params={k: Tensor(p.data) for k, p in state.params.items()})
 
 
+def _doc_embeddings(state: TrainState, doc: Document) -> Tensor:
+    """Forward-only unmasked contextual embeddings of one document, (len, dim)."""
+    return _embed_docs(_forward_only(state), [doc])[0]
+
+
 def align_pairs(state: TrainState, doc_pairs: list[tuple[Document, Document]],
                 variant: CeaVariant, outer_iters: int, beta: float) -> list[np.ndarray]:
     """The (len_a, len_b) alignment matrix of each pair of non-empty documents,
     one forward per document: row-normalised IPOT plan or cross-attention."""
     if variant not in get_args(CeaVariant):
         raise ValueError(f"unknown alignment variant {variant!r}")
-    view, matrices = _forward_only(state), []
+    matrices = []
     for doc_a, doc_b in doc_pairs:
-        emb_a, emb_b = _doc_embeddings(view, doc_a), _doc_embeddings(view, doc_b)
+        emb_a, emb_b = _doc_embeddings(state, doc_a), _doc_embeddings(state, doc_b)
         if variant == "ot":
             cost = transport.cost_matrix(emb_a, emb_b).values.data
             plan = transport.ipot(cost, beta=beta, outer_iters=outer_iters)
@@ -413,11 +409,10 @@ def align_pairs(state: TrainState, doc_pairs: list[tuple[Document, Document]],
 
 
 def _predict_masked(state_params, enc_config, batch: MaskedBatch) -> list[list[int]]:
-    """Arg-max token ids at each example's masked positions, read at the
-    masked rows the way ``masked_token_nll`` reads them in training."""
+    """Arg-max token ids at each example's masked positions, read through
+    ``masked_token_logits`` as the training loss reads them."""
     hidden = forward(batch.input_ids, batch.pad_mask, state_params, enc_config)
-    flat, _ = _flat_masked_indices(batch)
-    ids = iter(token_logits(gather_positions(hidden, flat), state_params).data.argmax(1).tolist())
+    ids = iter(masked_token_logits(batch, hidden, state_params)[0].data.argmax(1).tolist())
     return [[next(ids) for _ in positions] for positions in batch.masked_positions]
 
 

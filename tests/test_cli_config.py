@@ -283,11 +283,17 @@ def test_reset_scheduler_for_stage2_numbers_steps_across_stages(pair_workspace, 
     assert state.scheduler.iteration == state.stage2_iters_done
 
 
+LONG_ID = "x" * 250  # align_ea000_<id>.csv is 266 bytes
+
 # Cases whose message must name the out-of-range setting.
 NAMED_SETTING = {"seed-negative": "seed must be >= 0",
                  "config-seed-negative": "seed must be >= 0",
                  "log-every-negative": "log_every must be >= 0",
-                 "eval-seed-negative": "seed must be >= 0"}
+                 "eval-seed-negative": "seed must be >= 0",
+                 "pretrain-pool-not-utf8": ":3: not valid UTF-8",
+                 "align-file-name-too-long": f"--pair 'ea000,{LONG_ID}'",
+                 "build-vocab-min-freq-0": "min_freq must be >= 1",
+                 "build-vocab-min-freq-negative": "min_freq must be >= 1"}
 
 DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
                             for command in ("align", "eval", "pretrain-resume")
@@ -330,6 +336,10 @@ DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
     ("align-repeated-id", None, ["--pair", "ea000,ea000"]),
     ("align-pair", None, ["--pair", "ea000,ea000", "--pair", "brand/x,ea000"]),
     ("align-pair", None, ["--pair", "a,b_c", "--pair", "a_b,c"]),
+    ("pretrain-not-utf8", None, []),
+    ("align-pair", None, ["--pair", "ea000,ea000", "--pair", f"ea000,{LONG_ID}"]),
+    ("build-vocab", None, ["--min-freq", "0"]),
+    ("build-vocab", None, ["--min-freq", "-5"]),
 ], ids=["bootstrap-every-0", "ipot-beta-0", "ipot-outer-iters-0", "ipot-beta-nan",
         "cea-weight-nan", "learning-rate-inf", "learning-rate-negative", "warm-alpha-nan",
         "warm-alpha-2", "ema-decay-negative", "ema-decay-1.5", "warm-iters-negative",
@@ -341,7 +351,8 @@ DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
         "eval-seed-negative", "eval-no-meta", *[f"{c}-{d}" for c, d, _ in DAMAGED_CHECKPOINT_CASES],
         "pretrain-repeated-vocab", "pretrain-bad-pairs", "pretrain-unusable-pairs",
         "align-repeated-entity-id", "align-entity-id-with-path-separator",
-        "align-pairs-naming-one-file"])
+        "align-pairs-naming-one-file", "pretrain-pool-not-utf8", "align-file-name-too-long",
+        "build-vocab-min-freq-0", "build-vocab-min-freq-negative"])
 def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
                                                        one_epoch, tmp_path, request,
                                                        command, damage, extra):
@@ -359,13 +370,17 @@ def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
     text = workspace["corpus"].read_text().splitlines()[0]
     content = tmp_path / "content.tsv"
     content.write_text(f"ea000\t{text}\nblank\t   \n"
-                       + "".join(f"{eid}\t{text}\n" for eid in ("brand/x", "a", "b_c", "a_b", "c"))
+                       + "".join(f"{eid}\t{text}\n"
+                                 for eid in ("brand/x", "a", "b_c", "a_b", "c", LONG_ID))
                        + f"ea000\t{text}\n" * (command == "align-repeated-id"))
     pairs = tmp_path / "pairs.tsv"  # malformed, or naming no entity with content
     pairs.write_text("ea000\tea001\textra\n" if command == "pretrain-bad-pairs"
                      else "ghost1\tghost2\n")
     conf = tmp_path / "run.conf"
     conf.write_text("seed = -1\n")
+    bad_pool = tmp_path / "pool.tsv"  # line 3 is not UTF-8
+    bad_pool.write_bytes(b"".join(pw["pool"].read_bytes().splitlines(keepends=True)[:2])
+                         + b"\xff\t0.5\n")
     pretrain_both = ["--corpus", str(pw["corpus"]), "--vocab", str(pw["vocab"]),
                      "--phrase-pool", str(pw["pool"]), "--out-dir", str(out),
                      *flags({**DESK_FLAGS, "stage1_epochs": 1, "stage2_epochs": 1}),
@@ -377,6 +392,7 @@ def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
         "pretrain-bad-pairs": [*pretrain_both, "--pairs", str(pairs)],
         "pretrain-unusable-pairs": [*pretrain_both, "--pairs", str(pairs)],
         "pretrain-config": [*pretrain_both, "--config", str(conf)],
+        "pretrain-not-utf8": [*pretrain_both, "--phrase-pool", str(bad_pool)],
         "align": ["--checkpoint", str(ckpt), "--text-a", text, "--text-b", text,
                   "--out-dir", str(out)],
         "align-pair": ["--checkpoint", str(ckpt), "--content", str(content),
@@ -386,14 +402,16 @@ def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
         "eval": ["--checkpoint", str(ckpt), "--eval-corpus", str(workspace["corpus"]),
                  "--phrase-pool", str(workspace["pool"])],
         "pretrain-resume": [*stage1, "--vocab", str(workspace["vocab"]), "--resume", str(ckpt)],
+        "build-vocab": ["--corpus", str(workspace["corpus"]), "--out", str(out)],
         "pretrain-repeated-vocab": [*stage1, "--vocab", str(tmp_path / "vocab.tsv"),
                                     *flags({**DESK_FLAGS, "stage2_epochs": 0})],
     }[command]
     src = str(Path(domainlm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "domainlm.cli", command.split("-")[0],
-                           *argv, *extra], capture_output=True, text=True, env=env)
+    sub = "build-vocab" if command == "build-vocab" else command.split("-")[0]
+    proc = subprocess.run([sys.executable, "-m", "domainlm.cli", sub, *argv, *extra],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -414,7 +432,8 @@ def test_align_pair_without_tokens_is_rejected_like_empty_text(workspace, one_ep
     err = capsys.readouterr().err
     assert "'blank'" in err and "at least one token" in err
     assert not out.exists()  # the valid first pair was not written either
-    rc = cli.main(["align", "--checkpoint", str(one_epoch), "--text-a", text,
-                   "--text-b", "   ", "--out-dir", str(out)])
-    assert rc == 2
-    assert "at least one token" in capsys.readouterr().err
+    for text_a, text_b in ((text, "   "), ("", text)):
+        rc = cli.main(["align", "--checkpoint", str(one_epoch), "--text-a", text_a,
+                       "--text-b", text_b, "--out-dir", str(out)])
+        assert rc == 2
+        assert "at least one token" in capsys.readouterr().err

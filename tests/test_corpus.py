@@ -25,6 +25,13 @@ class TestBuildVocab:
         assert "red" in v.token_to_id
         assert "apple" not in v.token_to_id
 
+    @pytest.mark.parametrize("min_freq", [0, -5])
+    def test_min_freq_below_one_rejected(self, tiny_corpus, min_freq):
+        with pytest.raises(C.CorpusError, match=f"min_freq must be >= 1, got {min_freq}"):
+            C.build_vocab(tiny_corpus, min_freq=min_freq)
+        with pytest.raises(C.CorpusError, match="min_freq must be >= 1"):
+            C.vocab_from_counts({"red": 2}, min_freq)
+
     def test_below_threshold_maps_to_unk(self, tiny_corpus):
         v = C.build_vocab(tiny_corpus, min_freq=2)
         assert v.encode(["apple"]) == [C.UNK_ID]
@@ -226,3 +233,35 @@ def test_byte_order_mark_gives_the_same_result(kind, pair_files, tmp_path):
     marked.write_text(text, encoding="utf-8-sig")  # starts with the mark EF BB BF
     assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
     assert read(marked) == read(plain)
+
+
+@pytest.mark.parametrize("kind", ["vocab", "corpus", "content", "pairs", "phrase_pool",
+                                  "config", "report"])
+def test_a_line_that_is_not_utf8_is_named(kind, pair_files, tmp_path):
+    pairs, content, vocab = pair_files
+    vocab_file = tmp_path / "vocab.tsv"
+    vocab.save(vocab_file)
+    valid, read = {  # two valid lines for the reader, then a bad line 3
+        "vocab": (vocab_file.read_bytes(), C.Vocab.load),
+        "corpus": (b"battery life\n\n", lambda path: C.load_corpus(path, vocab)),
+        "content": (content.read_bytes(), lambda path: C.load_content(path, vocab)),
+        "pairs": (pairs.read_bytes(), lambda path: C.load_entity_pairs(path, content, vocab)),
+        "phrase_pool": (b"battery life\t0.9\nsharp screen\t0.8\n",
+                        lambda path: P.load_pool(path, vocab)),
+        "config": (b"batch_size = 4\n# a comment\n", cli._read_config_file),
+        "report": (b'{"iter": 1}\n{"iter": 2}\n', lambda path: cli._earlier_records(path, 9)),
+    }[kind]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"".join(valid.splitlines(keepends=True)[:2]) + b"caf\xe9 \xff\nlast\n")
+    with pytest.raises(C.CorpusError, match=f"^{bad}:3: not valid UTF-8$"):
+        read(bad)
+
+
+def test_the_line_named_is_counted_as_text_mode_counts_it(tmp_path):
+    path = tmp_path / "late.txt"
+    lines = [b"word %d" % i for i in range(5000)] + [b"\xc3"]  # past the first decoded chunk
+    path.write_bytes(b"\xef\xbb\xbfa\rb\r\n" + b"\n".join(lines))
+    seen = []
+    with pytest.raises(C.CorpusError, match=f"{path}:5003: not valid UTF-8"):
+        seen.extend(C.numbered_lines(path))
+    assert seen[:3] == [(1, "a"), (2, "b"), (3, "word 0")]

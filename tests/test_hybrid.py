@@ -79,6 +79,23 @@ class TestWordLoss:
             total += -logp[batch.gold_ids[0, pos]]
         assert abs(loss - total / 3.0) <= 1e-10
 
+    def test_masked_token_logits_reads_each_masked_row_in_order(self):
+        cfg = E.EncoderConfig(vocab_size=12, phrase_vocab_size=3, layers=1, dim=8,
+                              heads=2, ffn_dim=16, max_seq_len=16)
+        params = E.init_params(cfg, np.random.default_rng(2))
+        ids, pad_mask = M.pad([[5, 6, 7, 8, 9, 10], [4, 5, 6], [7, 8, 9, 10]])
+        positions = [[1, 5], [], [3, 0, 2]]  # a row without masks, one out of order
+        batch = M.MaskedBatch(input_ids=ids, gold_ids=ids, pad_mask=pad_mask,
+                              masked_positions=positions, phrase_groups=[[], [], []],
+                              phrase_labels=[[], [], []], mode="word")
+        hidden = E.forward(ids, pad_mask, params, cfg)
+        logits, gold = H.masked_token_logits(batch, hidden, params)
+        full = E.token_logits(hidden, params).data
+        rows = [(row, pos) for row, ps in enumerate(positions) for pos in ps]
+        np.testing.assert_allclose(logits.data, np.stack([full[r, p] for r, p in rows]),
+                                   rtol=0, atol=1e-12)
+        assert gold.tolist() == [int(ids[r, p]) for r, p in rows]
+
     def test_mode_and_empty_contract(self):
         cfg, params = zero_model()
         hidden = T.Tensor(np.zeros((1, 8, cfg.dim)))

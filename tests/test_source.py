@@ -104,6 +104,25 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """_-prefixed names imported from another domainlm module, relatively or by name."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "domainlm")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_checker_sees_a_private_import():
+    source = ("from __future__ import annotations\nfrom ._util import _a, b\n"
+              "from domainlm.hybrid import _c\nfrom os import _exit\nfrom . import tensor\n")
+    assert private_imports(source) == ["_a (line 2)", "_c (line 3)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
 def test_cli_import_leaves_the_lp_solver_unloaded():
     # scipy.optimize serves only the exact-transport oracle and slows every CLI start
     src = str(Path(domainlm.__file__).resolve().parents[1])

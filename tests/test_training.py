@@ -439,7 +439,7 @@ class TestAlignmentPass:
         make_state, docs = ragged_docs
         state = make_state()
         batched = TR._embed_docs(state, docs)
-        single = [TR._doc_embeddings(state, d) for d in docs]
+        single = [TR._embed_docs(state, [d])[0] for d in docs]
         for doc, got, want in zip(docs, batched, single):
             assert got.shape == (len(doc), state.enc_config.dim)
             np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
@@ -460,7 +460,9 @@ class TestAlignmentPass:
         pair_set = C.EntityPairSet(pairs=[("e0", "e5"), ("e1", "e4"), ("e2", "e3")],
                                    content=content)
         negatives = ["e3", "e2", "e0"]
-        got = TR._alignment_loss(state, pair_set, np.array([2, 0, 1]), negatives)
+        docs = [content[e] for j in (2, 0, 1) for e in pair_set.pairs[j]]
+        negative_docs = [content[negatives[j]] for j in (2, 0, 1)] if variant == "attention" else []
+        got = TR._alignment_loss(state, docs, negative_docs)
         cfg = state.config
         parts = []
         for j in (2, 0, 1):
@@ -517,7 +519,7 @@ class TestForwardOnlyInference:
         got = TR.align_pairs(state, pairs, variant, 30, 0.5)
         assert len(got) == len(pairs)
         for (doc_a, doc_b), matrix in zip(pairs, got):
-            emb_a, emb_b = TR._doc_embeddings(state, doc_a), TR._doc_embeddings(state, doc_b)
+            emb_a, emb_b = TR._embed_docs(state, [doc_a])[0], TR._embed_docs(state, [doc_b])[0]
             if variant == "ot":
                 plan = OT.ipot(OT.cost_matrix(emb_a, emb_b).values.data, beta=0.5,
                                outer_iters=30)
