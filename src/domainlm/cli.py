@@ -333,20 +333,24 @@ def cmd_align(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # --out's directory is checked before any work, and the CSV written before
+    # the table is printed, so a rejected run prints no data.
+    out = Path(args.out) if args.out else None
+    if out is not None and not out.parent.is_dir():
+        raise CorpusError(f"--out: no directory {str(out.parent)!r} to write {out.name} in")
     state = load_checkpoint(args.checkpoint)
     docs = load_corpus(args.eval_corpus, state.vocab,
                        max_seq_len=state.enc_config.max_seq_len)
     pool = load_pool(args.phrase_pool, state.vocab)
     rows = eval_reconstruction(state, docs, pool, span_lengths=(1, 2, 3, 4),
                                seed=args.seed, max_docs=args.max_docs)
-    print("span_len\tn_examples\taccuracy")
-    lines = ["span_len,n_examples,accuracy"]
-    for row in rows:
-        acc = "NA" if row["accuracy"] is None else f"{row['accuracy']:.4f}"
-        print(f"{row['span_len']}\t{row['n_examples']}\t{acc}")
-        lines.append(f"{row['span_len']},{row['n_examples']},{acc}")
-    if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cells = [("span_len", "n_examples", "accuracy")]
+    cells += [(row["span_len"], row["n_examples"],
+               "NA" if row["accuracy"] is None else f"{row['accuracy']:.4f}") for row in rows]
+    if out is not None:
+        out.write_text("".join(",".join(map(str, c)) + "\n" for c in cells), encoding="utf-8")
+    for c in cells:
+        print("\t".join(map(str, c)))
     return EXIT_OK
 
 

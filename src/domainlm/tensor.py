@@ -350,29 +350,31 @@ def tensor_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
 
 
 def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
-    """All-pairs cosine similarity between rows: (m x d, n x d) -> m x n.
+    """All-pairs cosine similarity between rows: (..., m, d) x (..., n, d) -> (..., m, n).
 
-    Row norms are clamped at ``eps`` so zero rows stay finite; the backward
-    pass differentiates the clamped forward exactly.
+    Leading axes must match: one (m, n) block per batch entry, so one call
+    covers a step's pairs. Row norms are clamped at ``eps`` so zero rows
+    stay finite; the backward pass differentiates the clamped forward exactly.
     """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[-1] != b.shape[-1]:
+    if (a.ndim < 2 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-1]):
         raise ShapeError(f"cosine_similarity: incompatible shapes {a.shape}, {b.shape}")
-    na = np.linalg.norm(a.data, axis=1, keepdims=True)
-    nb = np.linalg.norm(b.data, axis=1, keepdims=True)
+    na = np.linalg.norm(a.data, axis=-1, keepdims=True)
+    nb = np.linalg.norm(b.data, axis=-1, keepdims=True)
     ca = np.maximum(na, eps)
     cb = np.maximum(nb, eps)
     ah = a.data / ca
     bh = b.data / cb
-    out = ah @ bh.T
+    out = ah @ np.swapaxes(bh, -1, -2)
 
     def grad_fn(g: np.ndarray):
         # d(a_i/||a_i||)/da_i = (I - ah ah^T)/||a_i||; the projection term
         # vanishes where the norm was clamped (linear map a/eps).
         gah = g @ bh
-        proj_a = (gah * ah).sum(axis=1, keepdims=True) * (na > eps)
+        proj_a = (gah * ah).sum(axis=-1, keepdims=True) * (na > eps)
         ga = (gah - proj_a * ah) / ca
-        gbh = g.T @ ah
-        proj_b = (gbh * bh).sum(axis=1, keepdims=True) * (nb > eps)
+        gbh = np.swapaxes(g, -1, -2) @ ah
+        proj_b = (gbh * bh).sum(axis=-1, keepdims=True) * (nb > eps)
         gb = (gbh - proj_b * bh) / cb
         return ga, gb
 

@@ -3,8 +3,10 @@
 Stage 1 iterates the corpus with the adaptive word/phrase objective.
 Stage 2 iterates associated entity pairs: the same hybrid objective on
 the pair documents plus a weighted alignment loss (transport-based by
-default, cross-attention triplet as the baseline variant) computed on one
-padded unmasked pass per step that shares parameters with the masked pass.
+default, cross-attention triplet as the baseline variant) computed on the
+documents unmasked. For the transport loss one padded forward per step
+encodes them masked and unmasked; the triplet baseline runs its own padded
+unmasked pass with the same parameters.
 
 Determinism: parameter init, masking, data order and negative sampling
 draw from separate streams derived from the config seed. Data order and
@@ -27,7 +29,7 @@ import numpy as np
 from . import crossattn, transport
 from . import tensor as T
 from .corpus import Document, EntityPairSet, MASK_ID, Vocab
-from .encoder import EncoderConfig, forward, init_params
+from .encoder import EncoderConfig, forward, gather_positions, init_params
 from .hybrid import (SchedulerState, masked_token_logits, phrase_loss, scheduled_mode,
                      select_mode, update_alpha, word_loss)
 from .masking import MaskedBatch, MaskedExample, collate, mask_phrases, mask_words, pad
@@ -243,9 +245,11 @@ def _epoch_negatives(pair_set: EntityPairSet, seed: int, epoch: int) -> list[str
 # --------------------------------------------------------------- one iteration
 
 
-def _hybrid_forward(state: TrainState, docs: list[Document], pool: PhrasePool
-                    ) -> tuple[Tensor, str, float]:
-    """Select a mode, mask, forward and compute the selected mode's loss."""
+def _hybrid_forward(state: TrainState, docs: list[Document], pool: PhrasePool,
+                    unmasked: bool = False) -> tuple[Tensor, str, float, Tensor]:
+    """Select a mode, mask, forward and compute the selected mode's loss; also
+    returns the hidden states. With ``unmasked`` the forward also encodes
+    ``docs`` unmasked, as rows len(docs)..; the loss reads the rows before."""
     cfg = state.config
     sched = state.scheduler
     if cfg.force_alpha is not None:
@@ -260,9 +264,12 @@ def _hybrid_forward(state: TrainState, docs: list[Document], pool: PhrasePool
     else:
         examples = [mask_phrases(d, pool, vocab_size, state.mask_rng) for d in docs]
     batch = collate(examples)
-    hidden = forward(batch.input_ids, batch.pad_mask, state.params, state.enc_config)
+    ids, pad_mask = batch.input_ids, batch.pad_mask
+    if unmasked:  # gold_ids are the documents themselves, padded to the same length
+        ids, pad_mask = np.concatenate([ids, batch.gold_ids]), np.concatenate([pad_mask] * 2)
+    hidden = forward(ids, pad_mask, state.params, state.enc_config)
     loss = (word_loss if mode == "word" else phrase_loss)(batch, hidden, state.params)
-    return loss, mode, alpha
+    return loss, mode, alpha, hidden
 
 
 def _embed_docs(state: TrainState, docs: list[Document]) -> list[Tensor]:
@@ -275,20 +282,28 @@ def _embed_docs(state: TrainState, docs: list[Document]) -> list[Tensor]:
             for i, doc in enumerate(docs)]
 
 
-def _alignment_loss(state: TrainState, docs: list[Document], negatives: list[Document]) -> Tensor:
+def _alignment_loss(state: TrainState, docs: list[Document], negatives: list[Document],
+                    hidden: Tensor) -> Tensor:
     """Mean alignment loss over the step's pairs, whose documents ``docs`` lists
     in turn (a0, b0, a1, b1, ...); ``negatives`` holds one per pair for
-    ``attention`` and none for ``ot``. All documents share one unmasked pass."""
+    ``attention`` and none for ``ot``. ``ot`` reads the unmasked rows of
+    ``hidden``, the step's stacked forward (see ``_hybrid_forward``)."""
     cfg = state.config
+    if cfg.cea_variant == "ot":
+        lengths = np.array([len(doc) for doc in docs]).reshape(-1, 2)
+        rows = len(docs) + np.arange(len(docs)).reshape(-1, 2)  # unmasked a and b rows
+        seq_len = hidden.shape[1]
+        emb_a, emb_b = (gather_positions(hidden, rows[:, s, None] * seq_len
+                                         + np.arange(lengths[:, s].max()))
+                        for s in (0, 1))
+        return transport.cea_loss(emb_a, emb_b, lengths.tolist(), beta=cfg.ipot_beta,
+                                  outer_iters=cfg.ipot_outer_iters)
+    # attention keeps its own unmasked pass: stacked, it measured slower (269 -> 306 ms
+    # per stage-2 run on the benchmark's pair world), where its hinge is inactive and
+    # this pass runs no backward.
     emb = _embed_docs(state, docs + negatives)
-    parts = []
-    for k in range(len(docs) // 2):
-        emb_a, emb_b = emb[2 * k], emb[2 * k + 1]
-        if cfg.cea_variant == "ot":
-            parts.append(transport.cea_loss(emb_a, emb_b, beta=cfg.ipot_beta,
-                                            outer_iters=cfg.ipot_outer_iters))
-        else:
-            parts.append(crossattn.triplet_loss(emb_a, emb_b, emb[len(docs) + k]))
+    parts = [crossattn.triplet_loss(emb[2 * k], emb[2 * k + 1], emb[len(docs) + k])
+             for k in range(len(docs) // 2)]
     return T.scale(sum(parts[1:], parts[0]), 1.0 / len(parts))
 
 
@@ -310,6 +325,7 @@ def _run_stage(stage: int, groups: list[list[Document]], pool: PhrasePool,
     counter = f"stage{stage}_iters_done"
     batches_per_epoch = math.ceil(len(groups) / cfg.batch_size)
     total = getattr(cfg, f"stage{stage}_epochs") * batches_per_epoch
+    stacked = aligned is not None and cfg.cea_variant == "ot"  # one forward for both passes
     while getattr(state, counter) < total:
         done = getattr(state, counter)
         epoch = done // batches_per_epoch + 1
@@ -320,11 +336,12 @@ def _run_stage(stage: int, groups: list[list[Document]], pool: PhrasePool,
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             state.scheduler.iteration += 1
             docs = [doc for i in idx for doc in groups[i]]
-            hybrid_loss, mode, alpha = _hybrid_forward(state, docs, pool)
+            hybrid_loss, mode, alpha, hidden = _hybrid_forward(state, docs, pool, stacked)
             l_hybrid = hybrid_loss.item()
             loss, l_cea = hybrid_loss, None
             if aligned is not None:
-                cea = _alignment_loss(state, docs, [negatives[i] for i in idx if negatives])
+                cea = _alignment_loss(state, docs, [negatives[i] for i in idx if negatives],
+                                      hidden)
                 l_cea = cea.item()
                 loss = hybrid_loss + T.scale(cea, cfg.cea_weight)
             for p in state.params.values():
@@ -358,8 +375,10 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
                progress: Optional[Callable[[dict], None]] = None) -> TrainState:
     """Joint objective over entity pairs: hybrid masking + weighted alignment.
 
-    The masked pass covers both pair documents; the alignment term runs on
-    one padded unmasked pass of the same parameters. One optimizer step per
+    The masked pass covers both pair documents. For ``ot`` the same padded
+    forward also encodes them unmasked, and the alignment term reads those
+    rows: one encoder forward per step covers both passes. ``attention``
+    runs a second, unmasked pass with the negatives. One optimizer step per
     iteration on the summed loss. With cea_weight = 0 the alignment pass
     is skipped entirely, reproducing stage-1 dynamics on the pair corpus.
     reset_scheduler_for_stage2 restarts the scheduler once, before the

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -52,11 +53,16 @@ class TransportPlan:
     cost_history: list[float] = field(default_factory=list)
 
 
+def _warn_on_zero_rows(*rows: np.ndarray) -> None:
+    """Warn, on behalf of the public caller, if any row of ``rows`` would be clamped."""
+    if any((np.linalg.norm(r, axis=-1) <= NORM_EPS).any() for r in rows):
+        warnings.warn("zero-norm embedding row in cost matrix; norm clamped",
+                      DegenerateInputWarning, stacklevel=3)
+
+
 def cost_matrix(x: Tensor, y: Tensor) -> CostMatrix:
     """C_ij = 1 - cos(x_i, y_j). Zero-norm rows are clamped, with a warning."""
-    if any((np.linalg.norm(t.data, axis=1) <= NORM_EPS).any() for t in (x, y)):
-        warnings.warn("zero-norm embedding row in cost matrix; norm clamped",
-                      DegenerateInputWarning, stacklevel=2)
+    _warn_on_zero_rows(x.data, y.data)
     sim = T.cosine_similarity(x, y, eps=NORM_EPS)
     ones = Tensor(np.ones(sim.shape))
     return CostMatrix(values=ones - sim)
@@ -125,16 +131,28 @@ def exact_ot_oracle(c) -> tuple[np.ndarray, float]:
     return plan, float((plan * cv).sum())
 
 
-def cea_loss(x: Tensor, y: Tensor, beta: float = 0.5,
-             outer_iters: int = 50) -> Tensor:
-    """Wasserstein alignment loss <T*, C> for one embedding pair.
+def cea_loss(x: Tensor, y: Tensor, lengths: Sequence[tuple[int, int]],
+             beta: float = 0.5, outer_iters: int = 50) -> Tensor:
+    """Mean over pairs of the Wasserstein alignment loss <T*_k, C_k>.
 
-    The plan is solved on detached cost values and enters the loss as a
-    constant, so gradients flow only through C into the embeddings.
+    ``x`` (B, M, d) and ``y`` (B, N, d) hold each pair's embeddings padded
+    along the token axis; pair k uses its first (m_k, n_k) = ``lengths[k]``
+    rows. One batched cosine gives every pair's costs; each plan is solved
+    by ``ipot`` on the pair's unpadded cost, held as a constant, and is 0
+    on padded cells, so padded rows take no loss and no gradient. Gradients
+    flow only through C into the embeddings.
     """
-    cm = cost_matrix(x, y)
-    plan = ipot(cm.values.data, beta=beta, outer_iters=outer_iters)
-    return (Tensor(plan.values) * cm.values).sum()
+    if x.ndim != 3 or y.ndim != 3 or len(lengths) != x.shape[0]:
+        raise ValueError(f"cea_loss: {len(lengths)} pair lengths for embeddings "
+                         f"of shapes {x.shape}, {y.shape}")
+    _warn_on_zero_rows(*(x.data[k, :m] for k, (m, _) in enumerate(lengths)),
+                       *(y.data[k, :n] for k, (_, n) in enumerate(lengths)))
+    sim = T.cosine_similarity(x, y, eps=NORM_EPS)
+    cost = Tensor(np.ones(sim.shape)) - sim
+    plans = np.zeros(sim.shape)
+    for k, (m, n) in enumerate(lengths):
+        plans[k, :m, :n] = ipot(cost.data[k, :m, :n], beta=beta, outer_iters=outer_iters).values
+    return T.scale((Tensor(plans) * cost).sum(), 1.0 / len(lengths))
 
 
 def alignment_matrix(plan: TransportPlan) -> np.ndarray:

@@ -379,6 +379,18 @@ class TestEval:
                        "--phrase-pool", str(workspace["pool"])])
         assert rc == 2
 
+    def test_out_in_a_missing_directory_exits_2_before_printing(self, trained, workspace,
+                                                                tmp_path, capsys):
+        rc = cli.main(["eval", "--checkpoint", str(trained),
+                       "--eval-corpus", str(workspace["corpus"]),
+                       "--phrase-pool", str(workspace["pool"]),
+                       "--out", str(tmp_path / "missing_dir" / "acc.csv")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "missing_dir" in captured.err
+        assert not (tmp_path / "missing_dir").exists()
+
 
 def test_console_module_smoke(tmp_path):
     corpus = tmp_path / "c.txt"

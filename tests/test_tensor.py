@@ -138,8 +138,30 @@ class TestCosine:
         b = T.Tensor([[1.0, 0.0]])
         assert np.isfinite(T.cosine_similarity(a, b).data).all()
 
+    @pytest.mark.parametrize("shape_a, shape_b", [((2, 3, 4), (3, 3, 4)), ((3, 4), (2, 3, 4)),
+                                                  ((3, 4), (4,)), ((2, 3, 4), (2, 3, 5))])
+    def test_leading_axes_and_width_must_match(self, shape_a, shape_b):
+        with pytest.raises(T.ShapeError):
+            T.cosine_similarity(T.Tensor(np.ones(shape_a)), T.Tensor(np.ones(shape_b)))
+
 
 # -------------------------------------------------------------------- backward
+
+
+def _cosine_2d_reference(a, b, g, eps):
+    """cosine_similarity's output and gradients for 2-D inputs and output
+    gradient ``g``, in the 2-D-only formula it used before it took a batch axis."""
+    na = np.linalg.norm(a, axis=1, keepdims=True)
+    nb = np.linalg.norm(b, axis=1, keepdims=True)
+    ca = np.maximum(na, eps)
+    cb = np.maximum(nb, eps)
+    ah = a / ca
+    bh = b / cb
+    gah = g @ bh
+    proj_a = (gah * ah).sum(axis=1, keepdims=True) * (na > eps)
+    gbh = g.T @ ah
+    proj_b = (gbh * bh).sum(axis=1, keepdims=True) * (nb > eps)
+    return ah @ bh.T, (gah - proj_a * ah) / ca, (gbh - proj_b * bh) / cb
 
 
 class TestBackward:
@@ -259,6 +281,31 @@ class TestGradOracle:
         a, b = rand((4, 6), 33), rand((3, 6), 34)
         w = T.Tensor(np.random.default_rng(35).standard_normal((4, 3)))
         check_grads(lambda: (T.cosine_similarity(a, b) * w).sum(), [a, b])
+
+    def test_cosine_similarity_on_a_ragged_batch(self):
+        # Pair 0 uses 4 x 2 rows, pair 1 uses 2 x 3; the weights are 0 past
+        # each pair's rows, as a transport plan is. eps = 0.5 keeps the zero
+        # row clamped under the 1e-5 perturbation; every other row's norm is
+        # near 2 * sqrt(6), far from it.
+        a, b = rand((2, 4, 6), 36, scale=2.0), rand((2, 3, 6), 37, scale=2.0)
+        a.data[0, 1] = 0.0
+        w = np.random.default_rng(38).standard_normal((2, 4, 3))
+        w[0, :, 2:] = 0.0
+        w[1, 2:, :] = 0.0
+        assert np.linalg.norm(np.delete(a.data.reshape(-1, 6), 1, axis=0), axis=1).min() > 1.0
+        assert np.linalg.norm(b.data, axis=-1).min() > 1.0
+        weights = T.Tensor(w)
+        check_grads(lambda: (T.cosine_similarity(a, b, eps=0.5) * weights).sum(), [a, b])
+
+    def test_cosine_similarity_2d_is_bitwise_the_2d_formula(self):
+        a, b = rand((5, 6), 39), rand((4, 6), 40)
+        a.data[2] = 0.0
+        g = np.random.default_rng(41).standard_normal((5, 4))
+        out = T.cosine_similarity(a, b)
+        T.backward((out * T.Tensor(g)).sum())
+        for got, want in zip((out.data, a.grad, b.grad),
+                             _cosine_2d_reference(a.data, b.data, g, 1e-8)):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_small_compositions(self, seed):

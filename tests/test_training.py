@@ -11,7 +11,7 @@ from domainlm import hybrid as H
 from domainlm import tensor as T
 from domainlm import training as TR
 from domainlm import transport as OT
-from domainlm.masking import MaskedExample, collate
+from domainlm.masking import MaskedExample, collate, pad
 
 from synthetic import (CHECKPOINT_DAMAGE, build_pair_world, build_phrase_world,
                        corrupt_checkpoint, load_phrase_world, write_pair_world)
@@ -452,6 +452,64 @@ class TestAlignmentPass:
             np.testing.assert_allclose(got[name], want[name], rtol=0,
                                        atol=1e-12 * largest, err_msg=name)
 
+    @pytest.mark.parametrize("force_alpha", [1.0, 0.0])  # a word step, then a phrase step
+    def test_stacked_step_matches_the_two_pass_path(self, ragged_docs, small_world,
+                                                    monkeypatch, force_alpha):
+        make_state, docs = ragged_docs
+        _, _, pool, _, _ = small_world
+        if not force_alpha:  # a pool phrase in every document, so phrase_loss reads groups
+            docs = [C.Document(tokens=d.tokens + list(pool.by_id()[0])) for d in docs]
+        content = {f"e{i}": d for i, d in enumerate(docs)}
+        pair_set = C.EntityPairSet(pairs=[("e0", "e5"), ("e3", "e1"), ("e4", "e2")],
+                                   content=content)
+        costs = []
+        ipot = OT.ipot
+        monkeypatch.setattr(OT, "ipot", lambda c, **kw: costs.append(np.array(c)) or ipot(c, **kw))
+
+        def fresh():
+            state = make_state()
+            state.config.force_alpha, state.config.shuffle = force_alpha, False
+            return state
+
+        # The step under test: one stacked forward, read by both losses.
+        state, records = fresh(), []
+        TR.run_stage2(pair_set, pool, state, progress=records.append)
+        got = {k: p.grad for k, p in state.params.items() if p.grad is not None}
+        assert len(records) == 1
+        got_costs, costs[:] = costs[:], []
+
+        # Reference: the masked pass, then one padded unmasked pass and a
+        # one-pair loss per pair, as stage 2 ran before the passes were stacked.
+        ref = fresh()
+        ref.scheduler.iteration += 1
+        pair_docs = [content[e] for pair in pair_set.pairs for e in pair]
+        hybrid_loss, mode, _, _ = TR._hybrid_forward(ref, pair_docs, pool)
+        emb = TR._embed_docs(ref, pair_docs)
+        parts = []
+        for k in range(len(pair_set)):
+            cm = OT.cost_matrix(emb[2 * k], emb[2 * k + 1])
+            plan = OT.ipot(cm.values.data, beta=ref.config.ipot_beta,
+                           outer_iters=ref.config.ipot_outer_iters)
+            parts.append((T.Tensor(plan.values) * cm.values).sum())
+        cea = T.scale(sum(parts[1:], parts[0]), 1.0 / len(parts))
+        want = _grads_of(ref, hybrid_loss + T.scale(cea, ref.config.cea_weight))
+
+        assert records[0]["mode"] == mode == ("word" if force_alpha else "phrase")
+        masked = records[0]["L_w"] if mode == "word" else records[0]["L_p"]
+        assert masked == pytest.approx(hybrid_loss.item(), rel=1e-12, abs=0)
+        assert records[0]["L_cea"] == pytest.approx(cea.item(), rel=1e-12, abs=0)
+        assert [c.shape for c in got_costs] == [(len(content[a]), len(content[b]))
+                                                for a, b in pair_set.pairs]
+        for got_cost, want_cost in zip(got_costs, costs):
+            np.testing.assert_allclose(got_cost, want_cost, rtol=0, atol=1e-12)
+        assert got.keys() == want.keys() and ("phrase_head" in want) == (mode == "phrase")
+        whole = np.sqrt(sum(np.sum(g * g) for g in want.values()))
+        for name in want:
+            # A key bias's true gradient is 0 (the softmax ignores it), so its
+            # values are rounding noise: judge it against the whole gradient.
+            norm = whole if name.endswith(".attn.bk") else np.linalg.norm(want[name])
+            assert np.linalg.norm(got[name] - want[name]) <= 1e-12 * norm, name
+
     @pytest.mark.parametrize("variant", ["ot", "attention"])
     def test_alignment_loss_matches_per_pair_reference(self, ragged_docs, variant):
         make_state, docs = ragged_docs
@@ -462,13 +520,16 @@ class TestAlignmentPass:
         negatives = ["e3", "e2", "e0"]
         docs = [content[e] for j in (2, 0, 1) for e in pair_set.pairs[j]]
         negative_docs = [content[negatives[j]] for j in (2, 0, 1)] if variant == "attention" else []
-        got = TR._alignment_loss(state, docs, negative_docs)
+        ids, pad_mask = pad([doc.tokens for doc in docs * 2])  # rows len(docs).. unmasked
+        hidden = TR.forward(ids, pad_mask, state.params, state.enc_config)
+        got = TR._alignment_loss(state, docs, negative_docs, hidden)
         cfg = state.config
         parts = []
         for j in (2, 0, 1):
             a, b = (TR._doc_embeddings(state, content[e]) for e in pair_set.pairs[j])
             if variant == "ot":
-                parts.append(OT.cea_loss(a, b, beta=cfg.ipot_beta,
+                parts.append(OT.cea_loss(T.Tensor(a.data[None]), T.Tensor(b.data[None]),
+                                         [(a.shape[0], b.shape[0])], beta=cfg.ipot_beta,
                                          outer_iters=cfg.ipot_outer_iters))
             else:
                 neg = TR._doc_embeddings(state, content[negatives[j]])
@@ -476,10 +537,12 @@ class TestAlignmentPass:
         want = T.scale(sum(parts[1:], parts[0]), 1.0 / len(parts))
         assert got.item() == pytest.approx(want.item(), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("variant", ["ot", "attention"])
-    @pytest.mark.parametrize("cea_weight, passes", [(1.0, 2), (0.0, 1)])
+    @pytest.mark.parametrize("cea_weight, passes, variant",
+                             [(1.0, 1, "ot"), (1.0, 2, "attention"),
+                              (0.0, 1, "ot"), (0.0, 1, "attention")])
     def test_stage2_step_runs_one_masked_and_one_alignment_pass(
-            self, pair_world, small_world, monkeypatch, variant, cea_weight, passes):
+            self, pair_world, small_world, monkeypatch, cea_weight, passes, variant):
+        # ot stacks its unmasked pass into the masked forward; attention runs its own.
         _, vocab, pair_set = pair_world
         _, _, pool, _, _ = small_world
         calls = []

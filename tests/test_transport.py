@@ -172,11 +172,17 @@ class TestOracle:
             assert abs(plan.cost - lp_cost) <= 1e-3
 
 
+def one_pair_loss(x, y, **kwargs):
+    """cea_loss on a batch of one (m, d) x (n, d) pair."""
+    return OT.cea_loss(T.Tensor(x.data[None]), T.Tensor(y.data[None]),
+                       [(x.shape[0], y.shape[0])], **kwargs)
+
+
 class TestCeaLoss:
     def test_identical_sets_go_to_zero(self):
         rng = np.random.default_rng(10)
         x = T.Tensor(rng.standard_normal((4, 6)))
-        loss = OT.cea_loss(x, T.Tensor(x.data.copy()), outer_iters=500)
+        loss = one_pair_loss(x, T.Tensor(x.data.copy()), outer_iters=500)
         assert loss.item() <= 1e-3
         # exact oracle agrees: zero-diagonal cost admits a diagonal plan
         cm = OT.cost_matrix(x, x)
@@ -186,7 +192,7 @@ class TestCeaLoss:
     def test_single_token_pair_is_cosine_distance(self):
         x = T.Tensor([[1.0, 2.0, 0.5]])
         y = T.Tensor([[0.3, -1.0, 2.0]])
-        loss = OT.cea_loss(x, y, outer_iters=10)
+        loss = one_pair_loss(x, y, outer_iters=10)
         expected = 1.0 - (x.data[0] @ y.data[0]) / (
             np.linalg.norm(x.data[0]) * np.linalg.norm(y.data[0]))
         assert np.isclose(loss.item(), expected, atol=1e-12)
@@ -198,8 +204,8 @@ class TestCeaLoss:
         rng = np.random.default_rng(11)
         x = T.Tensor(rng.standard_normal((4, 5)))
         y = T.Tensor(rng.standard_normal((6, 5)))
-        a = OT.cea_loss(x, y, outer_iters=2000).item()
-        b = OT.cea_loss(y, x, outer_iters=2000).item()
+        a = one_pair_loss(x, y, outer_iters=2000).item()
+        b = one_pair_loss(y, x, outer_iters=2000).item()
         assert abs(a - b) <= 1e-9
 
     def test_gradient_flows_through_cost_only(self):
@@ -223,8 +229,41 @@ class TestCeaLoss:
         x = T.Tensor([[0.0, 0.0], [1.0, 0.0]])
         y = T.Tensor([[0.0, 1.0], [1.0, 1.0]])
         with pytest.warns(OT.DegenerateInputWarning):
-            loss = OT.cea_loss(x, y, outer_iters=20)
+            loss = one_pair_loss(x, y, outer_iters=20)
         assert np.isfinite(loss.item())
+
+    def test_ragged_batch_is_the_mean_of_its_pairs(self):
+        # Reference: each pair's one-pair loss <T*, C> built from cost_matrix
+        # and ipot on its own rows. Padded rows are zero: they must neither
+        # warn (warnings are errors here) nor take a gradient.
+        rng = np.random.default_rng(16)
+        lengths = [(2, 5), (4, 1), (3, 3)]
+        x = T.Tensor(np.zeros((3, 4, 6)), requires_grad=True)
+        y = T.Tensor(np.zeros((3, 5, 6)), requires_grad=True)
+        for k, (m, n) in enumerate(lengths):
+            x.data[k, :m] = rng.standard_normal((m, 6))
+            y.data[k, :n] = rng.standard_normal((n, 6))
+        loss = OT.cea_loss(x, y, lengths, outer_iters=30)
+        T.backward(loss)
+        want = 0.0
+        for k, (m, n) in enumerate(lengths):
+            xk = T.Tensor(x.data[k, :m].copy(), requires_grad=True)
+            yk = T.Tensor(y.data[k, :n].copy(), requires_grad=True)
+            cm = OT.cost_matrix(xk, yk)
+            plan = OT.ipot(cm.values.data, outer_iters=30)
+            part = T.scale((T.Tensor(plan.values) * cm.values).sum(), 1.0 / len(lengths))
+            T.backward(part)
+            want += part.item()
+            for got, ref, real in ((x.grad[k], xk.grad, m), (y.grad[k], yk.grad, n)):
+                np.testing.assert_allclose(got[:real], ref, rtol=0, atol=1e-12)
+                assert not got[real:].any()
+        assert loss.item() == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_zero_norm_real_row_warns_in_a_batch(self):
+        x = T.Tensor(np.ones((2, 3, 2)))
+        x.data[1, 1] = 0.0  # a real row of the second pair
+        with pytest.warns(OT.DegenerateInputWarning):
+            OT.cea_loss(x, T.Tensor(np.ones((2, 2, 2))), [(1, 2), (2, 2)], outer_iters=5)
 
     def test_converged_plan_mass_concentrates(self):
         # m+n-1 largest entries carry nearly all mass at a unique optimum.
