@@ -333,11 +333,14 @@ def cmd_align(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    # --out's directory is checked before any work, and the CSV written before
-    # the table is printed, so a rejected run prints no data.
+    # --out is checked before any work, and the CSV written before the table
+    # is printed, so a rejected run prints no data.
     out = Path(args.out) if args.out else None
-    if out is not None and not out.parent.is_dir():
-        raise CorpusError(f"--out: no directory {str(out.parent)!r} to write {out.name} in")
+    if out is not None:
+        if not out.parent.is_dir():
+            raise CorpusError(f"--out: no directory {str(out.parent)!r} to write {out.name} in")
+        if out.is_dir():
+            raise CorpusError(f"--out: {str(out)!r} is a directory, not a file to write")
     state = load_checkpoint(args.checkpoint)
     docs = load_corpus(args.eval_corpus, state.vocab,
                        max_seq_len=state.enc_config.max_seq_len)

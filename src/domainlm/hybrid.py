@@ -51,7 +51,9 @@ def phrase_loss(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]) -
     """Token NLL over the masked positions plus mean phrase-unit NLL.
 
     Batches whose masking fell back entirely to word-style fill carry no
-    groups; the loss then reduces to the token term alone.
+    groups; the loss then reduces to the token term alone. ``hidden`` may
+    hold rows past the batch's own (a stacked forward); groups are pooled
+    over the batch's rows only.
     """
     if batch.mode != "phrase":
         raise ValueError(f"phrase_loss on a {batch.mode!r}-mode batch")
@@ -68,6 +70,10 @@ def phrase_loss(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]) -
             rows.append(row)
     if not groups:
         return token_term
+    n, length = batch.input_ids.shape
+    if hidden.shape[0] > n:
+        own = gather_positions(hidden, np.arange(n * length))
+        hidden = T.reshape(own, (n, length, hidden.shape[2]))
     logits = phrase_logits(hidden, groups, params, batch_index=rows)
     return token_term + T.cross_entropy(logits, labels)
 

@@ -75,16 +75,24 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
     Per outer iteration: Q = A .* T, then ``inner_k`` rounds of
     delta = 1 / (m Q sigma), sigma = 1 / (n Q^T delta), and finally
     T = diag(delta) Q diag(sigma). K = 1 suffices in practice.
+
+    The loop reuses buffers made once per solve: each step writes in place,
+    in the order the formulas above are written, and allocates nothing
+    unless ``track_costs`` is set. The returned plan is a fresh array.
     """
     cv = np.asarray(c, dtype=np.float64)
     if cv.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {cv.shape}")
+    if cv.size == 0:
+        raise ValueError(f"cost matrix has no cells, got shape {cv.shape}")
     if not np.isfinite(cv).all():
         raise ValueError("cost matrix contains non-finite entries")
     if not (np.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and positive, got {beta}")
     if outer_iters < 1:
         raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
+    if inner_k < 1:
+        raise ValueError(f"inner_k must be >= 1, got {inner_k}")
     m, n = cv.shape
     a = np.exp(-cv / beta)
     if (a < 1e-300).any() or (a > 1e300).any():
@@ -94,13 +102,24 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
         a = np.clip(a, 1e-300, 1e300)
     sigma = np.full(n, 1.0 / n)
     t = np.ones((m, n))
+    q = np.empty((m, n))
+    delta = np.empty(m)
+    q_t, delta_col = q.T, delta[:, None]
+    # 0-d float64 operands: the same values as the Python scalars, with
+    # less per-call dispatch than those on arrays this small
+    rows, cols, one = np.array(float(m)), np.array(float(n)), np.array(1.0)
     history: list[float] = []
     for _ in range(outer_iters):
-        q = a * t
+        np.multiply(a, t, q)
         for _ in range(inner_k):
-            delta = 1.0 / (m * (q @ sigma))
-            sigma = 1.0 / (n * (q.T @ delta))
-        t = delta[:, None] * q * sigma[None, :]
+            q.dot(sigma, delta)
+            np.multiply(rows, delta, delta)
+            np.divide(one, delta, delta)
+            q_t.dot(delta, sigma)
+            np.multiply(cols, sigma, sigma)
+            np.divide(one, sigma, sigma)
+        np.multiply(delta_col, q, t)
+        np.multiply(t, sigma, t)
         if track_costs:
             history.append(float((t * cv).sum()))
     return TransportPlan(values=t, cost=float((t * cv).sum()), cost_history=history)

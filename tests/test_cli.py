@@ -391,6 +391,17 @@ class TestEval:
         assert captured.err.startswith("error: ") and "missing_dir" in captured.err
         assert not (tmp_path / "missing_dir").exists()
 
+    def test_out_naming_a_directory_exits_2_before_loading(self, workspace, tmp_path, capsys):
+        # the checkpoint does not exist, so only a check made before loading names --out
+        rc = cli.main(["eval", "--checkpoint", str(tmp_path / "none.npz"),
+                       "--eval-corpus", str(workspace["corpus"]),
+                       "--phrase-pool", str(workspace["pool"]),
+                       "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --out: ") and "is a directory" in captured.err
+
 
 def test_console_module_smoke(tmp_path):
     corpus = tmp_path / "c.txt"

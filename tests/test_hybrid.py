@@ -149,6 +149,32 @@ class TestPhraseLoss:
         better = H.phrase_loss(batch, hidden, params).item()
         assert better < base
 
+    def test_stacked_forward_pools_over_the_batch_rows_only(self, monkeypatch):
+        # rows past the batch's own (a stacked forward) are left out of the
+        # pooling matrix; without them the hidden states go in as they are
+        cfg, params = zero_model()
+        rng = np.random.default_rng(3)
+        for head, width in (("token_head", 8), ("phrase_head", 4)):
+            params[head] = T.Tensor(rng.standard_normal((cfg.dim, width)), requires_grad=True)
+        batch = phrase_batch([(2, 3), (5, 6, 7)], [1, 3])
+        own = rng.standard_normal((1, 8, cfg.dim))
+        stacked = T.Tensor(np.concatenate([own, rng.standard_normal((1, 8, cfg.dim))]),
+                           requires_grad=True)
+        alone = T.Tensor(own.copy(), requires_grad=True)
+        pooled = []
+        phrase_logits = H.phrase_logits
+        monkeypatch.setattr(H, "phrase_logits", lambda hidden, *args, **kwargs:
+                            pooled.append(hidden) or phrase_logits(hidden, *args, **kwargs))
+        got = H.phrase_loss(batch, stacked, params)
+        want = H.phrase_loss(batch, alone, params)
+        T.backward(got)
+        T.backward(want)
+        assert [h.shape for h in pooled] == [(1, 8, cfg.dim)] * 2
+        assert pooled[1] is alone
+        assert got.item() == want.item()
+        assert stacked.grad[:1].tobytes() == alone.grad.tobytes()
+        assert not stacked.grad[1:].any()
+
     def test_group_label_mismatch_rejected(self):
         cfg, params = zero_model()
         batch = phrase_batch([(2, 3)], [1])

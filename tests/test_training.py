@@ -462,9 +462,13 @@ class TestAlignmentPass:
         content = {f"e{i}": d for i, d in enumerate(docs)}
         pair_set = C.EntityPairSet(pairs=[("e0", "e5"), ("e3", "e1"), ("e4", "e2")],
                                    content=content)
-        costs = []
+        costs, pooled_rows = [], []
         ipot = OT.ipot
         monkeypatch.setattr(OT, "ipot", lambda c, **kw: costs.append(np.array(c)) or ipot(c, **kw))
+        phrase_logits = H.phrase_logits
+        monkeypatch.setattr(H, "phrase_logits", lambda hidden, *args, **kwargs:
+                            pooled_rows.append(hidden.shape[0])
+                            or phrase_logits(hidden, *args, **kwargs))
 
         def fresh():
             state = make_state()
@@ -495,6 +499,8 @@ class TestAlignmentPass:
         want = _grads_of(ref, hybrid_loss + T.scale(cea, ref.config.cea_weight))
 
         assert records[0]["mode"] == mode == ("word" if force_alpha else "phrase")
+        # the phrase head pools over the masked rows only, in both paths
+        assert pooled_rows == ([] if force_alpha else [len(pair_docs)] * 2)
         masked = records[0]["L_w"] if mode == "word" else records[0]["L_p"]
         assert masked == pytest.approx(hybrid_loss.item(), rel=1e-12, abs=0)
         assert records[0]["L_cea"] == pytest.approx(cea.item(), rel=1e-12, abs=0)

@@ -32,6 +32,24 @@ class TestCostMatrix:
         assert np.isfinite(cm.values.data).all()
 
 
+def _ipot_reference(c, beta, outer_iters, inner_k):
+    """ipot's plan and cost history in the expression loop it ran before its
+    loop became in place: a fresh array for every term of every iteration."""
+    m, n = c.shape
+    a = np.clip(np.exp(-c / beta), 1e-300, 1e300)
+    sigma = np.full(n, 1.0 / n)
+    t = np.ones((m, n))
+    history = []
+    for _ in range(outer_iters):
+        q = a * t
+        for _ in range(inner_k):
+            delta = 1.0 / (m * (q @ sigma))
+            sigma = 1.0 / (n * (q.T @ delta))
+        t = delta[:, None] * q * sigma[None, :]
+        history.append(float((t * c).sum()))
+    return t, history
+
+
 class TestIpot:
     def test_symmetric_zero_diagonal_instance(self):
         plan = OT.ipot(np.array([[0.0, 1.0], [1.0, 0.0]]), beta=0.5, outer_iters=200)
@@ -120,6 +138,45 @@ class TestIpot:
         # zero iterations would return the all-ones start, which is no plan
         with pytest.raises(ValueError, match="outer_iters"):
             OT.ipot(np.array([[0.1, 0.2]]), outer_iters=outer_iters)
+
+    def test_no_inner_round_rejected(self):
+        # the plan's scalings come from the inner rounds; with none there is no plan
+        with pytest.raises(ValueError, match="inner_k"):
+            OT.ipot(np.array([[0.1, 0.2]]), inner_k=0)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_cost_rejected(self, shape):
+        with pytest.raises(ValueError, match="no cells"):
+            OT.ipot(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (7, 7), (20, 29), (64, 128)])
+    @pytest.mark.parametrize("outer_iters", [1, 50, 2000])
+    @pytest.mark.parametrize("inner_k", [1, 3])
+    def test_bitwise_the_expression_loop(self, shape, outer_iters, inner_k):
+        c = np.random.default_rng(sum(shape)).uniform(0.0, 2.0, size=shape)
+        plan = OT.ipot(c, beta=0.5, outer_iters=outer_iters, inner_k=inner_k,
+                       track_costs=True)
+        want, history = _ipot_reference(c, 0.5, outer_iters, inner_k)
+        assert plan.values.tobytes() == want.tobytes()
+        assert plan.cost_history == history
+        assert plan.cost == history[-1]
+
+    def test_clamped_kernel_bitwise_the_expression_loop(self):
+        c = np.array([[0.0, 800.0, 3.0], [800.0, 0.0, 1.0]])
+        with pytest.warns(OT.ConditioningWarning):
+            plan = OT.ipot(c, beta=0.5, outer_iters=50, track_costs=True)
+        want, history = _ipot_reference(c, 0.5, 50, 1)
+        assert plan.values.tobytes() == want.tobytes()
+        assert plan.cost_history == history
+
+    def test_each_call_returns_a_fresh_plan(self):
+        # cea_loss copies every plan and align keeps it: no buffer may outlive its call
+        c = np.random.default_rng(2).uniform(size=(4, 5))
+        first = OT.ipot(c, outer_iters=3)
+        kept = first.values.copy()
+        second = OT.ipot(c, outer_iters=3)
+        assert not np.shares_memory(first.values, second.values)
+        assert first.values.tobytes() == kept.tobytes()
 
     def test_conditioning_warning_on_extreme_costs(self):
         c = np.array([[0.0, 800.0], [800.0, 0.0]])
