@@ -131,10 +131,18 @@ def token_logits(hidden: Tensor, params: dict[str, Tensor]) -> Tensor:
     return hidden @ params["token_head"]
 
 
-def gather_positions(hidden: Tensor, flat_positions: np.ndarray) -> Tensor:
-    """Select rows of a (B, L, d) tensor by flat b * L + pos indices."""
+def gather_positions(hidden: Tensor, rows, positions) -> Tensor:
+    """``hidden[rows, positions]`` of a (B, L, d) forward, for row and position
+    arrays that broadcast together: the one reader of a forward's rows.
+
+    Raises IndexError on a row outside [0, B) or a position outside [0, L).
+    """
     b, length, d = hidden.shape
-    return T.embedding(T.reshape(hidden, (b * length, d)), flat_positions)
+    rows, positions = np.asarray(rows, dtype=np.int64), np.asarray(positions, dtype=np.int64)
+    for name, index, size in (("row", rows, b), ("position", positions, length)):
+        if index.size and (index.min() < 0 or index.max() >= size):
+            raise IndexError(f"{name} out of range [0, {size}) in a ({b}, {length}) forward")
+    return T.embedding(T.reshape(hidden, (b * length, d)), rows * length + positions)
 
 
 def phrase_logits(hidden: Tensor, groups: list[list[int]], params: dict[str, Tensor],
@@ -142,21 +150,23 @@ def phrase_logits(hidden: Tensor, groups: list[list[int]], params: dict[str, Ten
     """Mean-pool each group of positions, then map onto the phrase vocabulary.
 
     ``groups`` lists token positions per phrase; ``batch_index`` gives the
-    example row for each group (defaults to example 0). Returns one logits
-    row per group, in input order.
+    example row for each group (defaults to example 0). Only the groups'
+    tokens are gathered. Returns one logits row per group, in input order.
     """
     if "phrase_head" not in params:
         raise ValueError("model has no phrase head (phrase_vocab_size was 0)")
-    if batch_index is None:
-        batch_index = [0] * len(groups)
-    b, length, d = hidden.shape
     if not groups:
         raise ValueError("phrase_logits requires at least one group")
-    pool = np.zeros((len(groups), b * length))
-    for g, (row, group) in enumerate(zip(batch_index, groups)):
-        if len(group) == 0:
-            raise ValueError(f"empty phrase group at index {g}")
-        for pos in group:
-            pool[g, row * length + pos] = 1.0 / len(group)
-    means = Tensor(pool) @ T.reshape(hidden, (b * length, d))
-    return means @ params["phrase_head"]
+    if batch_index is None:
+        batch_index = [0] * len(groups)
+    if len(batch_index) != len(groups):
+        raise ValueError(f"{len(batch_index)} batch indices for {len(groups)} groups")
+    sizes = [len(group) for group in groups]
+    if 0 in sizes:
+        raise ValueError(f"empty phrase group at index {sizes.index(0)}")
+    owner = np.repeat(np.arange(len(groups)), sizes)  # the group of each gathered token
+    pool = np.zeros((len(groups), owner.size))
+    pool[owner, np.arange(owner.size)] = 1.0 / np.array(sizes)[owner]
+    picked = gather_positions(hidden, np.asarray(batch_index)[owner],
+                              [pos for group in groups for pos in group])
+    return (Tensor(pool) @ picked) @ params["phrase_head"]

@@ -27,12 +27,11 @@ ETA_EPS = 1e-12
 def masked_token_logits(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]
                         ) -> tuple[Tensor, np.ndarray]:
     """Token logits at each example's masked positions, in order, and the gold ids there."""
-    at = np.array([(row, pos) for row, positions in enumerate(batch.masked_positions)
-                   for pos in positions], dtype=np.int64).reshape(-1, 2)
-    if at.size == 0:
+    at = [(row, pos) for row, positions in enumerate(batch.masked_positions) for pos in positions]
+    if not at:
         raise ValueError("batch has no masked positions")
-    rows, cols = at.T
-    picked = gather_positions(hidden, rows * batch.seq_len + cols)
+    rows, cols = np.array(at, dtype=np.int64).T
+    picked = gather_positions(hidden, rows, cols)
     return token_logits(picked, params), batch.gold_ids[rows, cols]
 
 
@@ -51,31 +50,17 @@ def phrase_loss(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]) -
     """Token NLL over the masked positions plus mean phrase-unit NLL.
 
     Batches whose masking fell back entirely to word-style fill carry no
-    groups; the loss then reduces to the token term alone. ``hidden`` may
-    hold rows past the batch's own (a stacked forward); groups are pooled
-    over the batch's rows only.
+    phrases; the loss then reduces to the token term alone.
     """
     if batch.mode != "phrase":
         raise ValueError(f"phrase_loss on a {batch.mode!r}-mode batch")
     token_term = masked_token_nll(batch, hidden, params)
-    groups: list[list[int]] = []
-    labels: list[int] = []
-    rows: list[int] = []
-    for row, (row_groups, row_labels) in enumerate(zip(batch.phrase_groups, batch.phrase_labels)):
-        if len(row_groups) != len(row_labels):
-            raise ValueError(f"example {row}: {len(row_groups)} groups vs {len(row_labels)} labels")
-        for group, label in zip(row_groups, row_labels):
-            groups.append(group)
-            labels.append(label)
-            rows.append(row)
-    if not groups:
+    drawn = [(row, m) for row, matches in enumerate(batch.phrases) for m in matches]
+    if not drawn:
         return token_term
-    n, length = batch.input_ids.shape
-    if hidden.shape[0] > n:
-        own = gather_positions(hidden, np.arange(n * length))
-        hidden = T.reshape(own, (n, length, hidden.shape[2]))
-    logits = phrase_logits(hidden, groups, params, batch_index=rows)
-    return token_term + T.cross_entropy(logits, labels)
+    logits = phrase_logits(hidden, [list(range(m.start, m.end)) for _, m in drawn], params,
+                           batch_index=[row for row, _ in drawn])
+    return token_term + T.cross_entropy(logits, [m.phrase_id for _, m in drawn])
 
 
 # -------------------------------------------------------------------- scheduler

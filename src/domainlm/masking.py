@@ -3,7 +3,7 @@
 Both modes target max(1, ceil(0.15 * len)) positions. Word mode samples
 positions uniformly; phrase mode covers sampled pool phrases first and
 fills any shortfall with word-style sampling over the remaining
-positions (fill positions carry no phrase group). Each selected token is
+positions (fill positions belong to no phrase). Each selected token is
 independently replaced by MASK 80% of the time, a random non-special
 token 10%, or kept 10%.
 """
@@ -15,20 +15,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Document, MASK_ID, NUM_SPECIALS, PAD_ID
-from .phrases import PhrasePool, detect, sample_phrase_tokens
+from .phrases import PhraseMatch, PhrasePool, detect, sample_phrase_tokens
 
 MASK_RATIO = 0.15
 
 
 @dataclass
 class MaskedExample:
-    """A single perturbed sequence with its recovery metadata."""
+    """A single perturbed sequence with its recovery metadata: ``phrases`` are
+    the masked pool phrases, in the order the sampler drew them."""
 
     input_ids: list[int]
     gold_ids: list[int]
     masked_positions: list[int]
-    phrase_groups: list[list[int]] = field(default_factory=list)
-    phrase_labels: list[int] = field(default_factory=list)
+    phrases: list[PhraseMatch] = field(default_factory=list)
     mode: str = "word"
 
 
@@ -40,13 +40,8 @@ class MaskedBatch:
     gold_ids: np.ndarray           # B x L, int64
     pad_mask: np.ndarray           # B x L, True on real tokens
     masked_positions: list[list[int]]
-    phrase_groups: list[list[list[int]]]
-    phrase_labels: list[list[int]]
+    phrases: list[list[PhraseMatch]]
     mode: str
-
-    @property
-    def seq_len(self) -> int:
-        return self.input_ids.shape[1]
 
 
 def _target_count(length: int) -> int:
@@ -106,8 +101,7 @@ def _mask(doc: Document, pool: PhrasePool | None, vocab_size: int,
         input_ids=_perturb(doc.tokens, positions, vocab_size, rng),
         gold_ids=list(doc.tokens),
         masked_positions=positions,
-        phrase_groups=[list(range(m.start, m.end)) for m in sampled],
-        phrase_labels=[m.phrase_id for m in sampled],
+        phrases=sampled,
         mode="word" if pool is None else "phrase",
     )
 
@@ -137,7 +131,6 @@ def collate(examples: list[MaskedExample]) -> MaskedBatch:
         gold_ids=pad([ex.gold_ids for ex in examples])[0],
         pad_mask=pad_mask,
         masked_positions=[list(ex.masked_positions) for ex in examples],
-        phrase_groups=[list(ex.phrase_groups) for ex in examples],
-        phrase_labels=[list(ex.phrase_labels) for ex in examples],
+        phrases=[list(ex.phrases) for ex in examples],
         mode=mode,
     )

@@ -277,6 +277,8 @@ def _embed_docs(state: TrainState, docs: list[Document]) -> list[Tensor]:
     forward: a (len_i, dim) tensor per document, in input order."""
     ids, pad_mask = pad([doc.tokens for doc in docs])
     hidden = forward(ids, pad_mask, state.params, state.enc_config)
+    # One reshape shared by every document's gather: a gather_positions per document
+    # measured 6-7% slower per pretrain_pairs_attention step, in 3 of 3 alternating pairs.
     flat = T.reshape(hidden, (ids.size, state.enc_config.dim))
     return [T.embedding(flat, i * ids.shape[1] + np.arange(len(doc)))
             for i, doc in enumerate(docs)]
@@ -292,9 +294,7 @@ def _alignment_loss(state: TrainState, docs: list[Document], negatives: list[Doc
     if cfg.cea_variant == "ot":
         lengths = np.array([len(doc) for doc in docs]).reshape(-1, 2)
         rows = len(docs) + np.arange(len(docs)).reshape(-1, 2)  # unmasked a and b rows
-        seq_len = hidden.shape[1]
-        emb_a, emb_b = (gather_positions(hidden, rows[:, s, None] * seq_len
-                                         + np.arange(lengths[:, s].max()))
+        emb_a, emb_b = (gather_positions(hidden, rows[:, s, None], np.arange(lengths[:, s].max()))
                         for s in (0, 1))
         return transport.cea_loss(emb_a, emb_b, lengths.tolist(), beta=cfg.ipot_beta,
                                   outer_iters=cfg.ipot_outer_iters)
@@ -449,6 +449,8 @@ def eval_reconstruction(state: TrainState, docs: list[Document], pool: PhrasePoo
     for name, value in (("seed", seed), ("max_docs", max_docs)):
         if value is not None and value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
+    if eval_batch < 1:
+        raise ValueError(f"eval_batch must be >= 1, got {eval_batch}")
     rng = np.random.default_rng([seed, 0xE7A1])
     docs = docs[:max_docs]
     examples: list[MaskedExample] = []

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from domainlm import encoder as E
+from domainlm import hybrid as H
+from domainlm import masking as M
 from domainlm import tensor as T
 
 from gradcheck import check_grads
@@ -133,6 +135,46 @@ class TestPhraseLogits:
         hidden = T.Tensor(np.zeros((1, 3, CFG.dim)))
         with pytest.raises(ValueError):
             E.phrase_logits(hidden, [[]], params)
+
+    def test_batch_index_length_mismatch_rejected(self, params):
+        # zip would drop the second group and leave its logits row at zero
+        hidden = T.Tensor(np.random.default_rng(7).standard_normal((2, 5, CFG.dim)))
+        with pytest.raises(ValueError, match="batch ind"):
+            E.phrase_logits(hidden, [[0, 1], [2, 3]], params, batch_index=[1])
+
+    def test_gathers_only_the_group_tokens(self, params, monkeypatch):
+        hidden = T.Tensor(np.random.default_rng(8).standard_normal((3, 6, CFG.dim)))
+        gathered = []
+        gather = E.gather_positions
+        monkeypatch.setattr(E, "gather_positions", lambda h, rows, positions:
+                            gathered.append((list(rows), list(positions)))
+                            or gather(h, rows, positions))
+        E.phrase_logits(hidden, [[4, 5], [0, 1, 2], [3, 4]], params, batch_index=[2, 0, 2])
+        assert gathered == [([2, 2, 0, 0, 0, 2, 2], [4, 5, 0, 1, 2, 3, 4])]
+
+
+class TestGatherPositions:
+    def test_reads_hidden_at_broadcast_rows_and_positions(self):
+        data = np.random.default_rng(9).standard_normal((3, 4, CFG.dim))
+        rows, positions = np.array([[2], [0]]), np.array([3, 1, 0])
+        got = E.gather_positions(T.Tensor(data), rows, positions)
+        assert got.data.tobytes() == data[rows, positions].tobytes()
+
+    @pytest.mark.parametrize("rows, positions", [([2], [0]), ([-1], [0]), ([0], [5]),
+                                                 ([1], [-1]), ([0, 1], [4, 5])])
+    def test_outside_the_forward_raises(self, rows, positions):
+        # position 5 of a (2, 5) forward would otherwise read row 1, position 0
+        hidden = T.Tensor(np.random.default_rng(10).standard_normal((2, 5, CFG.dim)))
+        with pytest.raises(IndexError):
+            E.gather_positions(hidden, rows, positions)
+
+    def test_masked_position_past_the_row_raises(self, params):
+        ids, mask = batch(length=5)
+        batch_ = M.MaskedBatch(input_ids=ids, gold_ids=ids, pad_mask=mask,
+                               masked_positions=[[5], [1]], phrases=[[], []], mode="word")
+        hidden = E.forward(ids, mask, params, CFG)
+        with pytest.raises(IndexError, match="position"):
+            H.masked_token_logits(batch_, hidden, params)
 
 
 class TestGradients:

@@ -6,6 +6,7 @@ import pytest
 from domainlm import encoder as E
 from domainlm import hybrid as H
 from domainlm import masking as M
+from domainlm import phrases as P
 from domainlm import tensor as T
 
 ARTANH_HALF = 0.5 * math.log(3.0)  # artanh(0.5) ~ 0.5493
@@ -28,12 +29,12 @@ def word_batch(positions=(1, 3), length=6):
         inp[0, p] = 2
     return M.MaskedBatch(
         input_ids=inp, gold_ids=gold, pad_mask=np.ones((1, length), dtype=bool),
-        masked_positions=[list(positions)], phrase_groups=[[]], phrase_labels=[[]],
-        mode="word",
+        masked_positions=[list(positions)], phrases=[[]], mode="word",
     )
 
 
 def phrase_batch(groups, labels, length=8, extra_positions=()):
+    """One example masking each run of positions in ``groups`` as the phrase of its label."""
     gold = (4 + np.arange(length, dtype=np.int64) % 4)[None, :]  # ids stay < 8
     inp = gold.copy()
     positions = sorted({i for g in groups for i in g} | set(extra_positions))
@@ -41,8 +42,9 @@ def phrase_batch(groups, labels, length=8, extra_positions=()):
         inp[0, p] = 2
     return M.MaskedBatch(
         input_ids=inp, gold_ids=gold, pad_mask=np.ones((1, length), dtype=bool),
-        masked_positions=[positions], phrase_groups=[[list(g) for g in groups]],
-        phrase_labels=[list(labels)], mode="phrase",
+        masked_positions=[positions], mode="phrase",
+        phrases=[[P.PhraseMatch(start=g[0], end=g[-1] + 1, score=1.0, phrase_id=label)
+                  for g, label in zip(groups, labels)]],
     )
 
 
@@ -86,8 +88,7 @@ class TestWordLoss:
         ids, pad_mask = M.pad([[5, 6, 7, 8, 9, 10], [4, 5, 6], [7, 8, 9, 10]])
         positions = [[1, 5], [], [3, 0, 2]]  # a row without masks, one out of order
         batch = M.MaskedBatch(input_ids=ids, gold_ids=ids, pad_mask=pad_mask,
-                              masked_positions=positions, phrase_groups=[[], [], []],
-                              phrase_labels=[[], [], []], mode="word")
+                              masked_positions=positions, phrases=[[], [], []], mode="word")
         hidden = E.forward(ids, pad_mask, params, cfg)
         logits, gold = H.masked_token_logits(batch, hidden, params)
         full = E.token_logits(hidden, params).data
@@ -108,9 +109,9 @@ class TestWordLoss:
 
 def completeness_term(batch, hidden, params):
     """The phrase-unit NLL computed directly from the phrase head."""
-    groups = [g for row in batch.phrase_groups for g in row]
-    rows = [r for r, row in enumerate(batch.phrase_groups) for _ in row]
-    labels = [label for row in batch.phrase_labels for label in row]
+    groups = [list(range(m.start, m.end)) for row in batch.phrases for m in row]
+    rows = [r for r, row in enumerate(batch.phrases) for _ in row]
+    labels = [m.phrase_id for row in batch.phrases for m in row]
     return T.cross_entropy(E.phrase_logits(hidden, groups, params, batch_index=rows), labels)
 
 
@@ -150,8 +151,8 @@ class TestPhraseLoss:
         assert better < base
 
     def test_stacked_forward_pools_over_the_batch_rows_only(self, monkeypatch):
-        # rows past the batch's own (a stacked forward) are left out of the
-        # pooling matrix; without them the hidden states go in as they are
+        # rows past the batch's own (a stacked forward) are never read: the
+        # phrase head gathers exactly the masked phrases' tokens
         cfg, params = zero_model()
         rng = np.random.default_rng(3)
         for head, width in (("token_head", 8), ("phrase_head", 4)):
@@ -161,26 +162,19 @@ class TestPhraseLoss:
         stacked = T.Tensor(np.concatenate([own, rng.standard_normal((1, 8, cfg.dim))]),
                            requires_grad=True)
         alone = T.Tensor(own.copy(), requires_grad=True)
-        pooled = []
-        phrase_logits = H.phrase_logits
-        monkeypatch.setattr(H, "phrase_logits", lambda hidden, *args, **kwargs:
-                            pooled.append(hidden) or phrase_logits(hidden, *args, **kwargs))
+        gathered = []
+        gather = E.gather_positions
+        monkeypatch.setattr(E, "gather_positions", lambda hidden, rows, positions:
+                            gathered.append((list(rows), list(positions)))
+                            or gather(hidden, rows, positions))
         got = H.phrase_loss(batch, stacked, params)
         want = H.phrase_loss(batch, alone, params)
         T.backward(got)
         T.backward(want)
-        assert [h.shape for h in pooled] == [(1, 8, cfg.dim)] * 2
-        assert pooled[1] is alone
+        assert gathered == [([0] * 5, [2, 3, 5, 6, 7])] * 2
         assert got.item() == want.item()
         assert stacked.grad[:1].tobytes() == alone.grad.tobytes()
         assert not stacked.grad[1:].any()
-
-    def test_group_label_mismatch_rejected(self):
-        cfg, params = zero_model()
-        batch = phrase_batch([(2, 3)], [1])
-        batch.phrase_labels[0] = []
-        with pytest.raises(ValueError):
-            H.phrase_loss(batch, T.Tensor(np.zeros((1, 8, cfg.dim))), params)
 
 
 class TestFittingProgress:

@@ -87,8 +87,8 @@ class TestPhraseMode:
         pool = make_pool({phrase: 0.9})
         ex = M.mask_phrases(doc, pool, VOCAB_SIZE, np.random.default_rng(0))
         assert set(ex.masked_positions) == {2, 3}
-        assert ex.phrase_groups == [[2, 3]]
-        assert ex.phrase_labels == [pool.phrase_ids[phrase]]
+        assert [(m.start, m.end, m.phrase_id) for m in ex.phrases] == \
+            [(2, 4, pool.phrase_ids[phrase])]
 
     def test_zero_matches_equals_word_mode(self):
         doc = make_doc(17)
@@ -97,7 +97,7 @@ class TestPhraseMode:
         ex_w = M.mask_words(doc, VOCAB_SIZE, np.random.default_rng(7))
         assert ex_p.input_ids == ex_w.input_ids
         assert ex_p.masked_positions == ex_w.masked_positions
-        assert ex_p.phrase_groups == []
+        assert ex_p.phrases == []
 
     def test_shortfall_filled_by_word_sampling(self):
         doc = make_doc(40)  # target = 6
@@ -105,7 +105,7 @@ class TestPhraseMode:
         pool = make_pool({phrase: 0.9})
         ex = M.mask_phrases(doc, pool, VOCAB_SIZE, np.random.default_rng(1))
         assert len(ex.masked_positions) == 6
-        grouped = {i for g in ex.phrase_groups for i in g}
+        grouped = {i for m in ex.phrases for i in range(m.start, m.end)}
         assert grouped <= set(ex.masked_positions)
         # fill positions carry no group
         assert len(set(ex.masked_positions) - grouped) == 6 - len(grouped)
@@ -116,9 +116,9 @@ class TestPhraseMode:
         rng = np.random.default_rng(2)
         for _ in range(50):
             ex = M.mask_phrases(doc, pool, VOCAB_SIZE, rng)
-            for g in ex.phrase_groups:
-                assert len(g) >= 2
-                assert g == list(range(g[0], g[-1] + 1))
+            for m in ex.phrases:
+                assert m.end - m.start >= 2
+                assert pool.phrase_ids[tuple(doc.tokens[m.start:m.end])] == m.phrase_id
 
     def test_masked_count_bounds(self):
         doc = make_doc(30)  # target = 5
@@ -201,6 +201,6 @@ class TestCollate:
         batch = M.collate([M.mask_words(d, VOCAB_SIZE, rng) for d in docs])
         for i in range(len(docs)):
             masked = set(batch.masked_positions[i])
-            for j in range(batch.seq_len):
+            for j in range(batch.input_ids.shape[1]):
                 if j not in masked:
                     assert batch.input_ids[i, j] == batch.gold_ids[i, j]

@@ -84,6 +84,44 @@ def test_text_is_read_in_one_place(path):
     assert reads == []
 
 
+# The embedding tables, the one reader of a forward's rows, and the stacked
+# gather of the padded document pass.
+ROW_READERS = {("encoder.py", "forward"), ("encoder.py", "gather_positions"),
+               ("training.py", "_embed_docs")}
+
+
+def embedding_calls(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call of ``embedding``, bare or as an attribute."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and "embedding" in (getattr(node.func, "attr", None),
+                                                          getattr(node.func, "id", None)):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_sees_an_embedding_call():
+    source = ("def pool(h, idx):\n    return T.embedding(h, idx)\n"
+              "def rows(h):\n    def inner(i):\n        return embedding(h, i)\n"
+              "    return inner\ntable = tensor.embedding(w, [0])\n"
+              "def other(x):\n    return x.embedding_dim, embed(x)\n")
+    assert embedding_calls(source) == [("pool", 2), ("inner", 5), ("<module>", 7)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_rows_are_read_in_one_place(path):
+    calls = [f"{where} (line {line})" for where, line in embedding_calls(path.read_text("utf-8"))
+             if (path.name, where) not in ROW_READERS]
+    assert calls == []
+
+
 def test_checker_sees_an_unused_import():
     source = ("from typing import Optional, Sequence\nimport numpy as np\n"
               "__all__ = ['np']\n\ndef f(x: Sequence): return x\n")

@@ -462,13 +462,18 @@ class TestAlignmentPass:
         content = {f"e{i}": d for i, d in enumerate(docs)}
         pair_set = C.EntityPairSet(pairs=[("e0", "e5"), ("e3", "e1"), ("e4", "e2")],
                                    content=content)
-        costs, pooled_rows = [], []
+        costs, gathered, drawn = [], [], []
         ipot = OT.ipot
         monkeypatch.setattr(OT, "ipot", lambda c, **kw: costs.append(np.array(c)) or ipot(c, **kw))
-        phrase_logits = H.phrase_logits
-        monkeypatch.setattr(H, "phrase_logits", lambda hidden, *args, **kwargs:
-                            pooled_rows.append(hidden.shape[0])
-                            or phrase_logits(hidden, *args, **kwargs))
+        gather = E.gather_positions  # the phrase head's reader; the loss imports its own
+        monkeypatch.setattr(E, "gather_positions", lambda hidden, rows, positions:
+                            gathered.append(list(zip(rows, positions)))
+                            or gather(hidden, rows, positions))
+        phrase_loss = TR.phrase_loss
+        monkeypatch.setattr(TR, "phrase_loss", lambda batch, *args:
+                            drawn.append([(row, pos) for row, matches in enumerate(batch.phrases)
+                                          for m in matches for pos in range(m.start, m.end)])
+                            or phrase_loss(batch, *args))
 
         def fresh():
             state = make_state()
@@ -499,8 +504,10 @@ class TestAlignmentPass:
         want = _grads_of(ref, hybrid_loss + T.scale(cea, ref.config.cea_weight))
 
         assert records[0]["mode"] == mode == ("word" if force_alpha else "phrase")
-        # the phrase head pools over the masked rows only, in both paths
-        assert pooled_rows == ([] if force_alpha else [len(pair_docs)] * 2)
+        # the phrase head gathers exactly the masked phrases' tokens, in both paths
+        assert gathered == drawn and len(drawn) == (0 if force_alpha else 2)
+        assert all(drawn) and drawn[:1] == drawn[1:]
+        assert all(row < len(pair_docs) for tokens in drawn for row, _ in tokens)
         masked = records[0]["L_w"] if mode == "word" else records[0]["L_p"]
         assert masked == pytest.approx(hybrid_loss.item(), rel=1e-12, abs=0)
         assert records[0]["L_cea"] == pytest.approx(cea.item(), rel=1e-12, abs=0)
@@ -691,6 +698,13 @@ class TestEvalReconstruction:
         r1 = TR.eval_reconstruction(state, docs, pool, seed=5)
         r2 = TR.eval_reconstruction(state, docs, pool, seed=5)
         assert r1 == r2
+
+    @pytest.mark.parametrize("eval_batch", [0, -1])
+    def test_non_positive_eval_batch_rejected(self, small_world, eval_batch):
+        vocab, docs, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config())
+        with pytest.raises(ValueError, match="eval_batch"):
+            TR.eval_reconstruction(state, docs, pool, eval_batch=eval_batch)
 
 
 class TestCheckpoint:
