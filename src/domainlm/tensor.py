@@ -164,8 +164,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def grad_fn(g: np.ndarray):
-        ga = _reduce_to_shape(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _reduce_to_shape(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = (_reduce_to_shape(g @ np.swapaxes(b.data, -1, -2), a.shape)
+              if a.requires_grad else None)
+        if not b.requires_grad:
+            gb = None
+        elif b.ndim == 2:  # a weight shared by every row of a: one GEMM over the flat rows
+            gb = a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])
+        else:
+            gb = _reduce_to_shape(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
     return _make(data, (a, b), grad_fn)
@@ -179,7 +185,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}") from exc
 
     def grad_fn(g: np.ndarray):
-        return _reduce_to_shape(g, a.shape), _reduce_to_shape(g, b.shape)
+        return (_reduce_to_shape(g, a.shape) if a.requires_grad else None,
+                _reduce_to_shape(g, b.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), grad_fn)
 
@@ -193,8 +200,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g: np.ndarray):
         return (
-            _reduce_to_shape(g * b.data, a.shape),
-            _reduce_to_shape(g * a.data, b.shape),
+            _reduce_to_shape(g * b.data, a.shape) if a.requires_grad else None,
+            _reduce_to_shape(g * a.data, b.shape) if b.requires_grad else None,
         )
 
     return _make(data, (a, b), grad_fn)
@@ -324,14 +331,14 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ShapeError(f"cross_entropy: {t.shape[0]} targets for {n} rows")
     if t.size and (t.min() < 0 or t.max() >= v):
         raise IndexError(f"cross_entropy: target out of range [0, {v})")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.data.max(axis=1)
+    row_max = logits.data.max(axis=1, keepdims=True)
+    e = np.exp(logits.data - row_max)
+    lse = np.log(e.sum(axis=1)) + row_max[:, 0]
     nll = lse - logits.data[np.arange(n), t]
     out = np.asarray(nll.mean())
 
     def grad_fn(g: np.ndarray):
-        p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
+        p = e / e.sum(axis=1, keepdims=True)  # a fresh array: e is reused by every call
         p[np.arange(n), t] -= 1.0
         return (float(g) * p / n,)
 

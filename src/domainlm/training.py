@@ -115,12 +115,15 @@ class AdamState:
     (``arena``, ``arena_m``, ``arena_v``) in parameter order. Every
     parameter's ``data`` and every ``m[name]``/``v[name]`` is a reshaped
     view into its buffer, so parameters are updated in place and their
-    ``data`` must never be rebound.
+    ``data`` must never be rebound. ``grad`` and ``scratch`` are two more
+    arena-sized buffers that each step overwrites.
     """
 
     arena: np.ndarray
     arena_m: np.ndarray
     arena_v: np.ndarray
+    grad: np.ndarray
+    scratch: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
@@ -135,14 +138,17 @@ class AdamState:
         for k, view in _views(arena, data).items():
             view[...] = data[k]
             params[k].data = view
-        return cls(arena, arena_m, arena_v, _views(arena_m, data), _views(arena_v, data))
+        return cls(arena, arena_m, arena_v, np.empty(size), np.empty(size),
+                   _views(arena_m, data), _views(arena_v, data))
 
 
 def adam_step(params: dict[str, Tensor], adam: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of the arena ``adam`` was built on from
     ``params``. A parameter without a gradient keeps its data and moments;
-    a non-finite gradient aborts the step before anything changes."""
-    grad = np.empty_like(adam.arena)
+    a non-finite gradient aborts the step before anything changes. The
+    arithmetic is the textbook update's, operation for operation, written
+    into ``adam``'s buffers instead of temporaries."""
+    grad = adam.grad
     runs: list[slice] = []  # contiguous spans of parameters that have a gradient
     start = 0
     for p in params.values():
@@ -161,12 +167,16 @@ def adam_step(params: dict[str, Tensor], adam: AdamState, lr: float) -> None:
     bc1 = 1.0 - ADAM_BETA1 ** adam.t
     bc2 = 1.0 - ADAM_BETA2 ** adam.t
     for run in runs:
-        g, m, v = grad[run], adam.arena_m[run], adam.arena_v[run]
+        g, m, v, s = grad[run], adam.arena_m[run], adam.arena_v[run], adam.scratch[run]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        adam.arena[run] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        np.multiply(1.0 - ADAM_BETA2, g, out=s)
+        v += np.multiply(s, g, out=s)
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps); g is spent, so it holds the denominator
+        np.multiply(lr, np.divide(m, bc1, out=s), out=s)
+        np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), ADAM_EPS, out=g)
+        adam.arena[run] -= np.divide(s, g, out=s)
 
 
 @dataclass

@@ -295,6 +295,9 @@ NAMED_SETTING = {"seed-negative": "seed must be >= 0",
                  "build-vocab-min-freq-0": "min_freq must be >= 1",
                  "build-vocab-min-freq-negative": "min_freq must be >= 1"}
 
+# Cases also run through `python -m domainlm.cli`, whose stderr must show no traceback.
+ENTRY_POINT_CASES = {"seed-negative", "align-no-meta"}
+
 DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
                             for command in ("align", "eval", "pretrain-resume")
                             for damage in CHECKPOINT_DAMAGE]
@@ -354,7 +357,7 @@ DAMAGED_CHECKPOINT_CASES = [(command, damage, [])
         "align-pairs-naming-one-file", "pretrain-pool-not-utf8", "align-file-name-too-long",
         "build-vocab-min-freq-0", "build-vocab-min-freq-negative"])
 def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
-                                                       one_epoch, tmp_path, request,
+                                                       one_epoch, tmp_path, request, capsys,
                                                        command, damage, extra):
     ckpt = one_epoch
     if damage == "no-meta":
@@ -406,16 +409,25 @@ def test_out_of_range_input_exits_2_without_traceback(workspace, pair_workspace,
         "pretrain-repeated-vocab": [*stage1, "--vocab", str(tmp_path / "vocab.tsv"),
                                     *flags({**DESK_FLAGS, "stage2_epochs": 0})],
     }[command]
-    src = str(Path(domainlm.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     sub = "build-vocab" if command == "build-vocab" else command.split("-")[0]
-    proc = subprocess.run([sys.executable, "-m", "domainlm.cli", sub, *argv, *extra],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 2, proc.stderr
-    assert "error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert NAMED_SETTING.get(request.node.callspec.id, "") in proc.stderr
+    argv = [sub, *argv, *extra]
+    try:  # any exception other than an argparse exit fails the case
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    outcomes = [(rc, capsys.readouterr().err)]
+    if request.node.callspec.id in ENTRY_POINT_CASES:
+        src = str(Path(domainlm.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "domainlm.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert "Traceback" not in proc.stderr
+        outcomes.append((proc.returncode, proc.stderr))
+    for rc, err in outcomes:
+        assert rc == 2, err
+        assert "error:" in err
+        assert NAMED_SETTING.get(request.node.callspec.id, "") in err
     # rejected before --out-dir was made: no checkpoint, report or alignment
     assert not out.exists()
 

@@ -122,6 +122,22 @@ class TestCrossEntropy:
         with pytest.raises(IndexError):
             T.cross_entropy(T.Tensor(np.zeros((1, 4))), [4])
 
+    def test_backward_repeats_bytes_and_matches_the_two_pass_formula(self):
+        x = np.random.default_rng(3).standard_normal((6, 9)) * 4
+        t = np.array([0, 8, 3, 3, 1, 5])
+        # reference: the row max taken twice, exp recomputed in the backward
+        shifted = x - x.max(axis=1, keepdims=True)
+        want_loss = (np.log(np.exp(shifted).sum(axis=1)) + x.max(axis=1)
+                     - x[np.arange(6), t]).mean()
+        want = np.exp(shifted)
+        want /= want.sum(axis=1, keepdims=True)
+        want[np.arange(6), t] -= 1.0
+        want = 0.5 * want / 6
+        out = T.cross_entropy(T.Tensor(x, requires_grad=True), t)
+        assert out.data.tobytes() == np.asarray(want_loss).tobytes()
+        for _ in range(2):  # the closure must not write into what it keeps
+            assert out._grad_fn(np.asarray(0.5))[0].tobytes() == want.tobytes()
+
 
 class TestCosine:
     def test_identical(self):
@@ -162,6 +178,69 @@ def _cosine_2d_reference(a, b, g, eps):
     gbh = g.T @ ah
     proj_b = (gbh * bh).sum(axis=1, keepdims=True) * (nb > eps)
     return ah @ bh.T, (gah - proj_a * ah) / ca, (gbh - proj_b * bh) / cb
+
+
+def _matmul_batched_reference(a, b, g):
+    """matmul's output and gradients for output gradient ``g``, with the weight
+    gradient as one product per leading index of ``a``, summed afterwards."""
+    gb = np.swapaxes(a, -1, -2) @ g
+    while gb.ndim > b.ndim:
+        gb = gb.sum(axis=0)
+    return a @ b, g @ np.swapaxes(b, -1, -2), gb
+
+
+class TestMatmulWeightGradient:
+    @pytest.mark.parametrize("shape_a, shape_b", [((16, 12, 32), (32, 32)),
+                                                  ((16, 12, 32), (32, 64)),
+                                                  ((16, 12, 64), (64, 32)),
+                                                  ((2, 3, 4, 5), (5, 6))])
+    def test_one_gemm_matches_the_batched_products(self, shape_a, shape_b):
+        a, b = rand(shape_a, 50), rand(shape_b, 51)
+        g = np.random.default_rng(52).standard_normal(shape_a[:-1] + shape_b[-1:])
+        out = T.matmul(a, b)
+        ga, gb = out._grad_fn(g)
+        want_out, want_ga, want_gb = _matmul_batched_reference(a.data, b.data, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert ga.tobytes() == want_ga.tobytes()
+        assert gb.shape == b.shape
+        assert np.linalg.norm(gb - want_gb) <= 1e-12 * np.linalg.norm(want_gb)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_2d_products_stay_bitwise(self, transposed):
+        rng = np.random.default_rng(53)
+        a_data = rng.standard_normal((32, 12)).T if transposed else rng.standard_normal((12, 32))
+        a, b = T.Tensor(a_data, requires_grad=True), rand((32, 64), 54)
+        g = rng.standard_normal((12, 64))
+        out = T.matmul(a, b)
+        for got, want in zip((out.data, *out._grad_fn(g)),
+                             _matmul_batched_reference(a.data, b.data, g)):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestConstantOperands:
+    """An operand that needs no gradient gets none; its partner's is unchanged."""
+
+    @pytest.mark.parametrize("op, shape_a, shape_b", [
+        (T.matmul, (4, 3, 5), (5, 6)),           # rows x weight
+        (T.matmul, (2, 3, 4, 5), (2, 3, 5, 4)),  # stacked, as q @ k^T
+        (T.add, (2, 3, 4, 4), (2, 1, 1, 4)),     # attention scores + key mask
+        (T.mul, (3, 5), (3, 5)),
+        (T.mul, (3, 4, 5), (5,)),
+    ])
+    @pytest.mark.parametrize("const", [0, 1])
+    def test_constant_operand_gets_no_gradient(self, op, shape_a, shape_b, const):
+        rng = np.random.default_rng(60)
+        values = [rng.standard_normal(shape_a), rng.standard_normal(shape_b)]
+        both = [T.Tensor(v, requires_grad=True) for v in values]
+        mixed = [T.Tensor(v, requires_grad=i != const) for i, v in enumerate(values)]
+        out_both, out_mixed = op(*both), op(*mixed)
+        g = rng.standard_normal(out_both.shape)
+        grads_both, grads_mixed = out_both._grad_fn(g), out_mixed._grad_fn(g)
+        assert grads_mixed[const] is None
+        assert grads_mixed[1 - const].tobytes() == grads_both[1 - const].tobytes()
+        T.backward((out_mixed * T.Tensor(g)).sum())
+        assert mixed[const].grad is None
+        assert mixed[1 - const].grad.tobytes() == grads_both[1 - const].tobytes()
 
 
 class TestBackward:
@@ -232,6 +311,11 @@ class TestGradOracle:
     def test_matmul_broadcast_2d_rhs(self):
         a, w = rand((2, 3, 4), 15), rand((4, 6), 16)
         check_grads(lambda: T.matmul(a, w).sum(), [a, w])
+
+    def test_matmul_4d_lhs_2d_rhs(self):
+        a, w = rand((2, 3, 4, 5), 44), rand((5, 6), 45)
+        probe = T.Tensor(np.random.default_rng(46).standard_normal((2, 3, 4, 6)))
+        check_grads(lambda: (T.matmul(a, w) * probe).sum(), [a, w])
 
     def test_add_bias_broadcast(self):
         x, b = rand((3, 4, 5), 17), rand((5,), 18)
