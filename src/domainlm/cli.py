@@ -180,7 +180,7 @@ def _check_resume(state, vocab: Vocab, pool, given: dict) -> None:
         if key in given and given[key] != fixed[key]:
             raise CorpusError(f"--resume: {key}={given[key]!r} differs from the "
                               f"checkpoint's {fixed[key]!r}, which a resumed run keeps")
-    if state.phrases is not None and pool.by_id() != state.phrases:
+    if pool.by_id() != state.phrases:
         raise CorpusError("--resume: the --phrase-pool phrases differ from the checkpoint's")
 
 
@@ -222,7 +222,7 @@ def cmd_pretrain(args) -> int:
     if args.resume:
         state = load_checkpoint(args.resume)
         _check_resume(state, vocab, pool, given)
-        base = asdict(state.config)
+        base = {**asdict(state.config), "max_seq_len": state.enc_config.max_seq_len}
     config = TrainConfig(**{**base, **_only(TrainConfig, given)})
     config.validate()
     if config.stage2_epochs > 0 and not (args.pairs and args.content):
@@ -230,7 +230,6 @@ def cmd_pretrain(args) -> int:
 
     if state is not None:
         state.config = config
-        state.phrases = pool.by_id()  # checkpoints that predate the list gain it
     else:
         shape = {k: v for k, v in _only(EncoderConfig, given).items() if k != "max_seq_len"}
         state = init_train_state(vocab, pool, config, **shape)  # max_seq_len: from config

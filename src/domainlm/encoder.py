@@ -45,43 +45,31 @@ class EncoderConfig:
         return self.dim // self.heads
 
 
-def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """BERT-convention init: N(0, 0.02) matrices, zero biases, unit LN gains."""
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in parameter order."""
     d, f = config.dim, config.ffn_dim
-
-    def normal(*shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape), requires_grad=True)
-
-    params: dict[str, Tensor] = {
-        "tok_emb": normal(config.vocab_size, d),
-        "pos_emb": normal(config.max_seq_len, d),
-        "emb_ln.gain": ones(d),
-        "emb_ln.bias": zeros(d),
-    }
+    shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_seq_len, d),
+              "emb_ln.gain": (d,), "emb_ln.bias": (d,)}
     for i in range(config.layers):
         p = f"layer{i}."
-        for mat in ("wq", "wk", "wv", "wo"):
-            params[p + f"attn.{mat}"] = normal(d, d)
-        for vec in ("bq", "bk", "bv", "bo"):
-            params[p + f"attn.{vec}"] = zeros(d)
-        params[p + "ln1.gain"] = ones(d)
-        params[p + "ln1.bias"] = zeros(d)
-        params[p + "ffn.w1"] = normal(d, f)
-        params[p + "ffn.b1"] = zeros(f)
-        params[p + "ffn.w2"] = normal(f, d)
-        params[p + "ffn.b2"] = zeros(d)
-        params[p + "ln2.gain"] = ones(d)
-        params[p + "ln2.bias"] = zeros(d)
-    params["token_head"] = normal(d, config.vocab_size)
+        shapes.update({p + f"attn.{mat}": (d, d) for mat in ("wq", "wk", "wv", "wo")})
+        shapes.update({p + f"attn.{vec}": (d,) for vec in ("bq", "bk", "bv", "bo")})
+        shapes.update({p + "ln1.gain": (d,), p + "ln1.bias": (d,), p + "ffn.w1": (d, f),
+                       p + "ffn.b1": (f,), p + "ffn.w2": (f, d), p + "ffn.b2": (d,),
+                       p + "ln2.gain": (d,), p + "ln2.bias": (d,)})
+    shapes["token_head"] = (d, config.vocab_size)
     if config.phrase_vocab_size > 0:
-        params["phrase_head"] = normal(d, config.phrase_vocab_size)
-    return params
+        shapes["phrase_head"] = (d, config.phrase_vocab_size)
+    return shapes
+
+
+def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """BERT-convention init: N(0, 0.02) matrices, unit LN gains, zero biases,
+    drawn in parameter order."""
+    return {name: Tensor(rng.normal(0.0, 0.02, size=shape) if len(shape) == 2
+                         else np.ones(shape) if name.endswith(".gain") else np.zeros(shape),
+                         requires_grad=True)
+            for name, shape in param_shapes(config).items()}
 
 
 def _split_heads(x: Tensor, batch: int, length: int, heads: int, head_dim: int) -> Tensor:

@@ -116,6 +116,8 @@ class SchedulerState:
     @classmethod
     def from_dict(cls, d: dict) -> "SchedulerState":
         values = {k: math.nan if v is None else v for k, v in d.items()}
+        if not all(isinstance(v, (int, float)) for v in values.values()):
+            raise ValueError(f"scheduler fields must be numbers or null, got {d}")
         state = cls(**{f.name: values[f.name] for f in fields(cls) if f.init})
         state.alpha = values["alpha"]  # not an init field; restore it after __post_init__
         return state

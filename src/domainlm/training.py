@@ -29,14 +29,14 @@ import numpy as np
 from . import crossattn, transport
 from . import tensor as T
 from .corpus import Document, EntityPairSet, MASK_ID, Vocab
-from .encoder import EncoderConfig, forward, gather_positions, init_params
+from .encoder import EncoderConfig, forward, gather_positions, init_params, param_shapes
 from .hybrid import (SchedulerState, masked_token_logits, phrase_loss, scheduled_mode,
                      select_mode, update_alpha, word_loss)
 from .masking import MaskedBatch, MaskedExample, collate, mask_phrases, mask_words, pad
 from .phrases import PhrasePool, detect
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -98,25 +98,21 @@ class TrainConfig:
                 raise ValueError(f"{key} must lie in [0, 1]")
 
 
-def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """One reshaped view of ``flat`` per array of ``like``, laid end to end."""
-    out, start = {}, 0
-    for name, a in like.items():
-        out[name] = flat[start:start + a.size].reshape(a.shape)
-        start += a.size
-    return out
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """One reshaped view of ``flat`` per shape, laid end to end."""
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
 
 
 @dataclass
 class AdamState:
     """Adam's moments and step count over a flat arena.
 
-    The parameters, ``m`` and ``v`` each live in one float64 buffer
+    The parameters and both moments each live in one float64 buffer
     (``arena``, ``arena_m``, ``arena_v``) in parameter order. Every
-    parameter's ``data`` and every ``m[name]``/``v[name]`` is a reshaped
-    view into its buffer, so parameters are updated in place and their
-    ``data`` must never be rebound. ``grad`` and ``scratch`` are two more
-    arena-sized buffers that each step overwrites.
+    parameter's ``data`` is a reshaped view into ``arena``, so parameters are
+    updated in place and their ``data`` must never be rebound. ``grad`` and
+    ``scratch`` are two more arena-sized buffers that each step overwrites.
     """
 
     arena: np.ndarray
@@ -124,22 +120,19 @@ class AdamState:
     arena_v: np.ndarray
     grad: np.ndarray
     scratch: np.ndarray
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
     t: int = 0
 
     @classmethod
     def fresh(cls, params: dict[str, Tensor]) -> "AdamState":
         """Zero moments; moves ``params`` into the arena, rebinding each
         parameter's ``data`` to its view."""
-        data = {k: p.data for k, p in params.items()}
-        size = sum(a.size for a in data.values())
-        arena, arena_m, arena_v = np.empty(size), np.zeros(size), np.zeros(size)
-        for k, view in _views(arena, data).items():
-            view[...] = data[k]
-            params[k].data = view
-        return cls(arena, arena_m, arena_v, np.empty(size), np.empty(size),
-                   _views(arena_m, data), _views(arena_v, data))
+        size = sum(p.data.size for p in params.values())
+        arena = np.empty(size)
+        views = _views(arena, {k: p.data.shape for k, p in params.items()})
+        for k, p in params.items():
+            views[k][...] = p.data
+            p.data = views[k]
+        return cls(arena, np.zeros(size), np.zeros(size), np.empty(size), np.empty(size))
 
 
 def adam_step(params: dict[str, Tensor], adam: AdamState, lr: float) -> None:
@@ -190,8 +183,7 @@ class TrainState:
     scheduler: SchedulerState
     mask_rng: np.random.Generator
     vocab: Vocab
-    # phrase-pool token ids in phrase-id order; None from checkpoints that predate it
-    phrases: Optional[list[tuple[int, ...]]]
+    phrases: list[tuple[int, ...]]  # phrase-pool token ids in phrase-id order
     stage1_iters_done: int = 0
     stage2_iters_done: int = 0
 
@@ -499,7 +491,7 @@ def _epoch_eval(state: TrainState, docs: list[Document], pool: PhrasePool
 
 
 def save_checkpoint(path, state: TrainState) -> None:
-    """Single-file container: arrays bit-exact in npz, metadata as JSON.
+    """Single-file container: the three arenas bit-exact in npz, metadata as JSON.
 
     Written to a temporary file beside ``path``, then renamed over it, so
     a failed save leaves the previous checkpoint in place.
@@ -515,18 +507,13 @@ def save_checkpoint(path, state: TrainState) -> None:
         "stage2_iters_done": state.stage2_iters_done,
         "vocab": state.vocab.id_to_token,
         "phrases": state.phrases,
-        "param_order": list(state.params.keys()),
     }
-    arrays: dict[str, np.ndarray] = {}
-    for name, p in state.params.items():
-        arrays[f"param/{name}"] = p.data
-        arrays[f"adam_m/{name}"] = state.adam.m[name]
-        arrays[f"adam_v/{name}"] = state.adam.v[name]
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:  # a file object keeps the caller's exact filename
-            np.savez(fh, **arrays)
+            np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+                     arena=state.adam.arena, adam_m=state.adam.arena_m,
+                     adam_v=state.adam.arena_v)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -535,8 +522,9 @@ def save_checkpoint(path, state: TrainState) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
-    """Inverse of save_checkpoint; a file that cannot be read as one (missing,
-    truncated, corrupt, incomplete metadata) raises ValueError naming ``path``."""
+    """Inverse of save_checkpoint: the arenas, laid out by ``param_shapes`` of the
+    stored encoder config. A file that is unreadable, of another version, or at
+    odds with that config or its own settings raises ValueError naming ``path``."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:  # np.load(path) leaks on a bad zip
             def array(key: str) -> np.ndarray:
@@ -546,26 +534,39 @@ def load_checkpoint(path) -> TrainState:
 
             meta = json.loads(bytes(array("meta")).decode("utf-8"))
             if meta["version"] != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {meta['version']}")
-            order = meta["param_order"]
-            params = {name: Tensor(array(f"param/{name}"), requires_grad=True) for name in order}
-            adam = AdamState.fresh(params)
-            adam.t = meta["adam_t"]
-            for name in order:
-                adam.m[name][...] = array(f"adam_m/{name}")
-                adam.v[name][...] = array(f"adam_v/{name}")
-        meta["train_config"].pop("ipot_inner_k", None)  # removed knob; older v1 files carry it
+                raise ValueError(f"version {meta['version']!r} checkpoints are no longer "
+                                 f"read; this release reads version {CHECKPOINT_VERSION}")
+            enc_config = EncoderConfig(**meta["enc_config"])
+            shapes = param_shapes(enc_config)
+            size = sum(math.prod(shape) for shape in shapes.values())
+            arenas = {key: array(key) for key in ("arena", "adam_m", "adam_v")}
+        for key, a in arenas.items():
+            if a.dtype != np.float64 or a.shape != (size,):
+                raise ValueError(f"{key!r} is {a.dtype} {a.shape}; enc_config needs "
+                                 f"float64 ({size},)")
+        for key, size_key in (("vocab", "vocab_size"), ("phrases", "phrase_vocab_size")):
+            if len(meta[key]) != (n := getattr(enc_config, size_key)):
+                raise ValueError(f"{len(meta[key])} {key} entries for enc_config {size_key} {n}")
+        counters = {key: meta[key] for key in ("adam_t", "stage1_iters_done", "stage2_iters_done")}
+        if not all(type(n) is int and n >= 0 for n in counters.values()):
+            raise ValueError(f"counters must be integers >= 0, got {counters}")
+        config = TrainConfig(**meta["train_config"])
+        scheduler = SchedulerState.from_dict(meta["scheduler"])
+        config.validate()
+        replace(config, **{k: getattr(scheduler, k) for k in SCHEDULER_KEYS}).validate()
         mask_rng = np.random.default_rng()
         mask_rng.bit_generator.state = meta["mask_rng"]
         return TrainState(
-            config=TrainConfig(**meta["train_config"]),
-            enc_config=EncoderConfig(**meta["enc_config"]),
-            params=params,
-            adam=adam,
-            scheduler=SchedulerState.from_dict(meta["scheduler"]),
+            config=config,
+            enc_config=enc_config,
+            params={name: Tensor(view, requires_grad=True)
+                    for name, view in _views(arenas["arena"], shapes).items()},
+            adam=AdamState(arenas["arena"], arenas["adam_m"], arenas["adam_v"],
+                           np.empty(size), np.empty(size), meta["adam_t"]),
+            scheduler=scheduler,
             mask_rng=mask_rng,
             vocab=Vocab({tok: i for i, tok in enumerate(meta["vocab"])}, meta["vocab"]),
-            phrases=[tuple(p) for p in meta["phrases"]] if "phrases" in meta else None,
+            phrases=[tuple(p) for p in meta["phrases"]],
             stage1_iters_done=meta["stage1_iters_done"],
             stage2_iters_done=meta["stage2_iters_done"],
         )

@@ -8,7 +8,8 @@ Pair world: associated document pairs that are identical except for one
 planted synonym slot, giving ground-truth word alignments.
 
 Damaged checkpoints: copies of a saved checkpoint cut short, with bytes
-overwritten, or with a metadata key dropped.
+overwritten, with a metadata key dropped, or still readable but at odds
+with its own encoder config or version.
 """
 from __future__ import annotations
 
@@ -163,16 +164,57 @@ def write_pair_world(tmp_path, world: PairWorld):
     return corpus, content, pairs
 
 
-CHECKPOINT_DAMAGE = ("truncated", "bytes-overwritten", "no-adam_t")
+ARENAS = ("arena", "adam_m", "adam_v")
+READABLE_DAMAGE = ("no-adam_t", "version-1",
+                   *[f"{key}-{how}" for key in ARENAS for how in ("short", "long")],
+                   "tok_emb-10-rows", "vocab_size-changed", "vocab-3-longer",
+                   "phrases-1-shorter", "stage1_iters_done-float", "batch_size-string",
+                   "warm_alpha-2", "scheduler-iteration-string", "scheduler-bootstrap_every-0")
+CHECKPOINT_DAMAGE = ("truncated", "bytes-overwritten", *READABLE_DAMAGE)
 
 
-def drop_meta_key(src, dst, key: str) -> None:
-    """Copy checkpoint ``src`` to ``dst`` without ``key`` in its metadata."""
+def _damage(arrays: dict, damage: str) -> None:
+    """Apply one of ``READABLE_DAMAGE`` to a checkpoint's arrays and metadata."""
+    meta = json.loads(arrays["meta"])
+    enc = meta["enc_config"]
+    key, _, how = damage.rpartition("-")
+    if damage == "no-adam_t":
+        del meta["adam_t"]
+    elif damage == "version-1":
+        meta["version"] = 1
+    elif key in ARENAS:  # one float short or long
+        arrays[key] = arrays[key][:-1] if how == "short" else np.append(arrays[key], 0.0)
+    elif damage == "tok_emb-10-rows":  # the arena of a model whose tok_emb has 10 rows
+        arrays["arena"] = np.delete(arrays["arena"],
+                                    np.s_[10 * enc["dim"]:enc["vocab_size"] * enc["dim"]])
+    elif damage == "vocab_size-changed":
+        enc["vocab_size"] += 1
+    elif damage == "vocab-3-longer":  # three tokens the corpus uses, again past vocab_size
+        meta["vocab"] += meta["vocab"][4:7]
+    elif damage == "phrases-1-shorter":
+        meta["phrases"].pop()
+    elif damage == "stage1_iters_done-float":
+        meta["stage1_iters_done"] = float(meta["stage1_iters_done"])
+    elif damage == "batch_size-string":
+        meta["train_config"]["batch_size"] = str(meta["train_config"]["batch_size"])
+    elif damage == "warm_alpha-2":  # the scheduler keeps its own, valid, warm_alpha
+        meta["train_config"]["warm_alpha"] = 2.0
+    elif damage == "scheduler-iteration-string":
+        meta["scheduler"]["iteration"] = str(meta["scheduler"]["iteration"])
+    else:
+        assert damage == "scheduler-bootstrap_every-0", damage
+        meta["scheduler"]["bootstrap_every"] = 0
+    arrays["meta"] = json.dumps(meta).encode("utf-8")
+
+
+def rewrite_checkpoint(src, dst, edit) -> None:
+    """Copy checkpoint ``src`` to ``dst`` as a valid zip, after ``edit(arrays)``
+    has changed its arrays in place; ``arrays["meta"]`` is the metadata JSON's bytes."""
     with np.load(src) as npz:
         arrays = {name: npz[name] for name in npz.files}
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    del meta[key]
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    arrays["meta"] = arrays["meta"].tobytes()
+    edit(arrays)
+    arrays["meta"] = np.frombuffer(arrays["meta"], dtype=np.uint8)
     with open(dst, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -180,9 +222,9 @@ def drop_meta_key(src, dst, key: str) -> None:
 def corrupt_checkpoint(src, dst, damage: str) -> None:
     """Write a damaged copy of checkpoint ``src`` to ``dst`` (which may be
     ``src``): the first half of its bytes, 64 bytes inverted mid-file, or
-    the metadata without ``adam_t``."""
-    if damage == "no-adam_t":
-        return drop_meta_key(src, dst, "adam_t")
+    one of the readable damages of ``CHECKPOINT_DAMAGE``."""
+    if damage in READABLE_DAMAGE:
+        return rewrite_checkpoint(src, dst, lambda arrays: _damage(arrays, damage))
     data = bytearray(Path(src).read_bytes())
     if damage == "truncated":
         data = data[:len(data) // 2]

@@ -21,7 +21,7 @@ from domainlm.encoder import EncoderConfig
 from domainlm.phrases import load_pool
 
 from synthetic import (CHECKPOINT_DAMAGE, build_pair_world, build_phrase_world,
-                       corrupt_checkpoint, drop_meta_key, write_pair_world,
+                       corrupt_checkpoint, rewrite_checkpoint, write_pair_world,
                        write_phrase_world)
 
 DESK_FLAGS = {"batch_size": 8, "learning_rate": 3e-3, "dim": 16, "ffn_dim": 32,
@@ -157,6 +157,26 @@ def test_resume_accepts_fixed_keys_at_checkpoint_values(workspace, one_epoch, tm
     assert rc == 0
 
 
+def test_resume_takes_max_seq_len_from_the_encoder(workspace, tmp_path):
+    # a checkpoint whose train_config max_seq_len (32) disagrees with its
+    # encoder's (8) on a corpus with longer lines
+    short = {**DESK_FLAGS, "max_seq_len": 8, "stage1_epochs": 1, "stage2_epochs": 0}
+    assert pretrain(workspace, tmp_path / "short", short) == 0
+
+    def edit(arrays):
+        meta = json.loads(arrays["meta"])
+        meta["train_config"]["max_seq_len"] = 32
+        arrays["meta"] = json.dumps(meta).encode("utf-8")
+
+    ckpt = tmp_path / "odd.npz"
+    rewrite_checkpoint(tmp_path / "short" / "checkpoint.npz", ckpt, edit)
+    assert TR.load_checkpoint(ckpt).config.max_seq_len == 32
+    assert pretrain(workspace, tmp_path / "out", {"stage1_epochs": 2},
+                    "--resume", str(ckpt)) == 0
+    resumed = TR.load_checkpoint(tmp_path / "out" / "checkpoint.npz")
+    assert resumed.config.max_seq_len == resumed.enc_config.max_seq_len == 8
+
+
 @pytest.mark.parametrize("key, value", [
     ("dim", 64), ("heads", 4), ("layers", 3), ("ffn_dim", 16), ("max_seq_len", 64),
     ("warm_iters", 7), ("warm_alpha", 0.4), ("ema_decay", 0.5), ("bootstrap_every", 3),
@@ -233,23 +253,6 @@ def test_resume_rejects_same_size_pool_with_other_phrases(workspace, one_epoch,
     assert rc == 2
     assert "--phrase-pool" in capsys.readouterr().err
     assert not (tmp_path / "out" / "checkpoint.npz").exists()
-
-
-def test_checkpoint_without_phrases_falls_back_to_size_check(workspace, one_epoch,
-                                                             tmp_path):
-    old = tmp_path / "old.npz"
-    drop_meta_key(one_epoch, old, "phrases")
-    assert TR.load_checkpoint(old).phrases is None
-    lines = workspace["pool"].read_text().splitlines()
-    smaller = tmp_path / "smaller.tsv"
-    smaller.write_text("\n".join(lines[:3]) + "\n")
-    assert pretrain(workspace, tmp_path / "bad", None, "--resume", str(old),
-                    pool=smaller) == 2
-    assert pretrain(workspace, tmp_path / "ok", {"stage1_epochs": 2},
-                    "--resume", str(old)) == 0
-    vocab = Vocab.load(workspace["vocab"])
-    resumed = TR.load_checkpoint(tmp_path / "ok" / "checkpoint.npz")
-    assert resumed.phrases == load_pool(workspace["pool"], vocab).by_id()
 
 
 @pytest.fixture(scope="module")

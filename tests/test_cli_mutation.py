@@ -1,0 +1,117 @@
+"""Seeded byte mutations of the CLI's inputs: every run exits 0 or 2.
+
+Each case damages one input with a few byte edits (replace, insert,
+delete) drawn from numpy's RNG at a fixed seed, then runs the command
+in-process through ``cli.main``. An argparse exit counts as 2. No other
+exception may escape, and a run that exits 2 must leave no --out-dir.
+The checkpoint is damaged two ways: its file bytes, and the bytes of its
+metadata JSON re-saved as a valid zip, which reach the loader's checks.
+"""
+import numpy as np
+import pytest
+
+from domainlm import cli
+
+from synthetic import (build_pair_world, build_phrase_world, rewrite_checkpoint,
+                       write_pair_world, write_phrase_world)
+
+SEED = 20261019
+CASES = {"input": 8, "file": 8, "meta": 40}  # per pretrain input, checkpoint bytes, meta JSON
+PRETRAIN_INPUTS = ("corpus", "vocab", "pool", "pairs", "content")
+SHAPE = ["--batch-size", "16", "--learning-rate", "3e-3", "--dim", "8", "--heads", "2",
+         "--ffn-dim", "16", "--max-seq-len", "32", "--warm-iters", "2",
+         "--ipot-outer-iters", "5", "--log-every", "0"]
+
+
+def mutate(data: bytes, rng: np.random.Generator) -> bytes:
+    """One to four edits at random offsets. A new byte is random or, half the
+    time, copied from elsewhere in ``data``, so text stays mostly text."""
+    data = bytearray(data)
+    for _ in range(int(rng.integers(1, 5))):
+        at = int(rng.integers(len(data) + 1))
+        byte = int(rng.integers(256)) if rng.random() < 0.5 or not data \
+            else data[int(rng.integers(len(data)))]
+        edit = int(rng.integers(3))
+        if edit == 1 or at == len(data):
+            data.insert(at, byte)
+        elif edit == 0:
+            data[at] = byte
+        else:
+            del data[at]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    """A 48-sentence phrase world and an 8-pair world under one vocab, and a
+    checkpoint trained one epoch on each."""
+    tmp = tmp_path_factory.mktemp("mutation")
+    corpus, pool = write_phrase_world(tmp, build_phrase_world(seed=5, n_sentences=48))
+    pair_corpus, content, pairs = write_pair_world(tmp, build_pair_world(seed=5, n_pairs=8))
+    merged = tmp / "all.txt"
+    merged.write_text(corpus.read_text() + pair_corpus.read_text())
+    vocab = tmp / "vocab.tsv"
+    assert cli.main(["build-vocab", "--corpus", str(merged), "--out", str(vocab)]) == 0
+    files = {"corpus": merged, "vocab": vocab, "pool": pool, "pairs": pairs,
+             "content": content}
+    assert run(pretrain_argv(files, tmp / "trained")) == 0
+    return {**files, "checkpoint": tmp / "trained" / "checkpoint.npz"}
+
+
+def pretrain_argv(files: dict, out) -> list[str]:
+    return ["pretrain", "--corpus", str(files["corpus"]), "--vocab", str(files["vocab"]),
+            "--phrase-pool", str(files["pool"]), "--pairs", str(files["pairs"]),
+            "--content", str(files["content"]), "--out-dir", str(out),
+            "--stage1-epochs", "1", "--stage2-epochs", "1", *SHAPE]
+
+
+def run(argv: list[str]) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit:  # argparse rejected the arguments
+        return 2
+
+
+def assert_exits_0_or_2(argv: list[str], out) -> None:
+    rc = run(argv)
+    assert rc in (0, 2), argv
+    if rc == 2:
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("case", range(CASES["input"]))
+@pytest.mark.parametrize("name", PRETRAIN_INPUTS)
+def test_pretrain_on_a_mutated_input(world, tmp_path, capsys, name, case):
+    rng = np.random.default_rng([SEED, PRETRAIN_INPUTS.index(name), case])
+    damaged = tmp_path / world[name].name
+    damaged.write_bytes(mutate(world[name].read_bytes(), rng))
+    out = tmp_path / "out"
+    assert_exits_0_or_2(pretrain_argv({**world, name: damaged}, out), out)
+
+
+@pytest.mark.parametrize("part, case", [(part, case) for part in ("file", "meta")
+                                        for case in range(CASES[part])])
+def test_commands_on_a_mutated_checkpoint(world, tmp_path, capsys, part, case):
+    rng = np.random.default_rng([SEED, len(PRETRAIN_INPUTS) + (part == "meta"), case])
+    ckpt = tmp_path / "checkpoint.npz"
+    if part == "file":
+        ckpt.write_bytes(mutate(world["checkpoint"].read_bytes(), rng))
+    else:
+        rewrite_checkpoint(world["checkpoint"], ckpt,
+                           lambda arrays: arrays.update(meta=mutate(arrays["meta"], rng)))
+    text = world["corpus"].read_text().splitlines()[0]
+    outs = {command: tmp_path / command for command in ("resume", "align", "eval")}
+    assert_exits_0_or_2(
+        ["pretrain", "--corpus", str(world["corpus"]), "--vocab", str(world["vocab"]),
+         "--phrase-pool", str(world["pool"]), "--out-dir", str(outs["resume"]),
+         "--resume", str(ckpt), "--stage1-epochs", "2", "--stage2-epochs", "0",
+         "--log-every", "0"], outs["resume"])
+    assert_exits_0_or_2(["align", "--checkpoint", str(ckpt), "--text-a", text,
+                         "--text-b", text, "--outer-iters", "20",
+                         "--out-dir", str(outs["align"])], outs["align"])
+    outs["eval"].mkdir()
+    eval_out = outs["eval"] / "eval.csv"
+    rc = run(["eval", "--checkpoint", str(ckpt), "--eval-corpus", str(world["corpus"]),
+              "--phrase-pool", str(world["pool"]), "--out", str(eval_out)])
+    assert rc in (0, 2)
+    assert eval_out.exists() == (rc == 0)

@@ -37,6 +37,59 @@ class TestConfig:
             E.EncoderConfig(vocab_size=0, phrase_vocab_size=1)
 
 
+def _init_params_reference(config, rng):
+    """The closure-based init that ``param_shapes`` replaced."""
+    d, f = config.dim, config.ffn_dim
+
+    def normal(*shape):
+        return T.Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True)
+
+    def zeros(*shape):
+        return T.Tensor(np.zeros(shape), requires_grad=True)
+
+    def ones(*shape):
+        return T.Tensor(np.ones(shape), requires_grad=True)
+
+    params = {"tok_emb": normal(config.vocab_size, d), "pos_emb": normal(config.max_seq_len, d),
+              "emb_ln.gain": ones(d), "emb_ln.bias": zeros(d)}
+    for i in range(config.layers):
+        p = f"layer{i}."
+        for mat in ("wq", "wk", "wv", "wo"):
+            params[p + f"attn.{mat}"] = normal(d, d)
+        for vec in ("bq", "bk", "bv", "bo"):
+            params[p + f"attn.{vec}"] = zeros(d)
+        params[p + "ln1.gain"] = ones(d)
+        params[p + "ln1.bias"] = zeros(d)
+        params[p + "ffn.w1"] = normal(d, f)
+        params[p + "ffn.b1"] = zeros(f)
+        params[p + "ffn.w2"] = normal(f, d)
+        params[p + "ffn.b2"] = zeros(d)
+        params[p + "ln2.gain"] = ones(d)
+        params[p + "ln2.bias"] = zeros(d)
+    params["token_head"] = normal(d, config.vocab_size)
+    if config.phrase_vocab_size > 0:
+        params["phrase_head"] = normal(d, config.phrase_vocab_size)
+    return params
+
+
+class TestInit:
+    @pytest.mark.parametrize("config", [
+        CFG,
+        E.EncoderConfig(vocab_size=148, phrase_vocab_size=0, layers=1, dim=12, heads=3,
+                        ffn_dim=20, max_seq_len=9),
+        E.EncoderConfig(vocab_size=31, phrase_vocab_size=7, layers=3, dim=8, heads=4,
+                        ffn_dim=24, max_seq_len=16),
+    ], ids=["default-shape", "no-phrase-head-1-layer", "3-layers"])
+    def test_bit_for_bit_the_reference_init(self, config):
+        got = E.init_params(config, np.random.default_rng(5))
+        want = _init_params_reference(config, np.random.default_rng(5))
+        assert list(got) == list(want) == list(E.param_shapes(config))
+        for name, p in got.items():
+            assert p.data.shape == want[name].data.shape == E.param_shapes(config)[name], name
+            assert p.requires_grad and want[name].requires_grad, name
+            assert p.data.tobytes() == want[name].data.tobytes(), name
+
+
 class TestForward:
     def test_output_shape(self, params):
         ids, mask = batch()

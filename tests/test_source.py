@@ -34,6 +34,22 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def found_in(source: str, hit) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each node of ``source`` for which ``hit`` holds."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if hit(node):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 # The one text reader, and the alignment CSV reader kept for round-trip checks.
 TEXT_READERS = {("corpus.py", "numbered_lines"), ("transport.py", "read_alignment_csv")}
 
@@ -43,9 +59,9 @@ def text_reads(source: str) -> list[tuple[str, int]]:
 
     A mode that is not a string literal counts as a read; so does read_text().
     """
-    found = []
-
-    def is_text_read(call: ast.Call) -> bool:
+    def is_text_read(call: ast.AST) -> bool:
+        if not isinstance(call, ast.Call):
+            return False
         if isinstance(call.func, ast.Attribute):
             return call.func.attr == "read_text"
         if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
@@ -57,16 +73,7 @@ def text_reads(source: str) -> list[tuple[str, int]]:
         writes_only = any(c in mode.value for c in "wax") and "+" not in mode.value
         return "b" not in mode.value and not writes_only
 
-    def visit(node: ast.AST, where: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Call) and is_text_read(node):
-            found.append((where, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), "<module>")
-    return found
+    return found_in(source, is_text_read)
 
 
 def test_checker_sees_a_text_read():
@@ -92,19 +99,8 @@ ROW_READERS = {("encoder.py", "forward"), ("encoder.py", "gather_positions"),
 
 def embedding_calls(source: str) -> list[tuple[str, int]]:
     """(enclosing function, line) of each call of ``embedding``, bare or as an attribute."""
-    found = []
-
-    def visit(node: ast.AST, where: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Call) and "embedding" in (getattr(node.func, "attr", None),
-                                                          getattr(node.func, "id", None)):
-            found.append((where, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), "<module>")
-    return found
+    return found_in(source, lambda node: isinstance(node, ast.Call) and "embedding" in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None)))
 
 
 def test_checker_sees_an_embedding_call():
@@ -119,6 +115,40 @@ def test_checker_sees_an_embedding_call():
 def test_rows_are_read_in_one_place(path):
     calls = [f"{where} (line {line})" for where, line in embedding_calls(path.read_text("utf-8"))
              if (path.name, where) not in ROW_READERS]
+    assert calls == []
+
+
+# The checkpoint file is the only array file, written and read in one place each.
+ARRAY_FILE_FUNCTIONS = {"save", "savez", "savez_compressed", "load"}
+ARRAY_FILE_USERS = {("training.py", "save_checkpoint"), ("training.py", "load_checkpoint")}
+
+
+def array_file_calls(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each np.save/np.savez/np.load call, with
+    numpy spelled ``np`` or ``numpy``, and of each import of one from numpy."""
+    def is_array_file_call(node: ast.AST) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "numpy" and \
+                any(alias.name in ARRAY_FILE_FUNCTIONS for alias in node.names)
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in ARRAY_FILE_FUNCTIONS \
+            and getattr(node.func.value, "id", None) in ("np", "numpy")
+
+    return found_in(source, is_array_file_call)
+
+
+def test_checker_sees_an_array_file_call():
+    source = ("import numpy as np\nfrom numpy import savez\n"
+              "def save(p, a):\n    np.savez(p, a=a)\n    numpy.save(p, a)\n"
+              "def load(p):\n    with np.load(p) as f:\n        return Vocab.load(p), f\n"
+              "x = np.loadtxt('f')\n")
+    assert array_file_calls(source) == [("<module>", 2), ("save", 4), ("save", 5), ("load", 7)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_array_files_are_written_and_read_in_one_place(path):
+    calls = [f"{where} (line {line})" for where, line in array_file_calls(path.read_text("utf-8"))
+             if (path.name, where) not in ARRAY_FILE_USERS]
     assert calls == []
 
 

@@ -13,7 +13,7 @@ from domainlm import training as TR
 from domainlm import transport as OT
 from domainlm.masking import MaskedExample, collate, pad
 
-from synthetic import (CHECKPOINT_DAMAGE, build_pair_world, build_phrase_world,
+from synthetic import (ARENAS, CHECKPOINT_DAMAGE, build_pair_world, build_phrase_world,
                        corrupt_checkpoint, load_phrase_world, write_pair_world)
 
 
@@ -69,15 +69,14 @@ class TestAdam:
         params["b"].grad = np.array([0.5])
         TR.adam_step(params, adam, lr=0.1)
         before = ({k: p.data.copy() for k, p in params.items()},
-                  {k: m.copy() for k, m in adam.m.items()},
-                  {k: v.copy() for k, v in adam.v.items()}, adam.t)
+                  adam.arena_m.tobytes(), adam.arena_v.tobytes(), adam.t)
         params["b"].grad = np.array([np.nan])
         with pytest.raises(TR.NanGradientError, match="'b'"):
             TR.adam_step(params, adam, lr=0.1)
         for name in params:
             assert params[name].data.tobytes() == before[0][name].tobytes()
-            assert adam.m[name].tobytes() == before[1][name].tobytes()
-            assert adam.v[name].tobytes() == before[2][name].tobytes()
+        assert adam.arena_m.tobytes() == before[1]
+        assert adam.arena_v.tobytes() == before[2]
         assert adam.t == before[3] == 1
 
     def test_missing_gradient_skipped(self):
@@ -123,20 +122,21 @@ class TestAdam:
             assert adam.t == t
             for k in shapes:
                 assert params[k].data.tobytes() == ref[k].data.tobytes(), k
-                assert adam.m[k].tobytes() == m[k].tobytes(), k
-                assert adam.v[k].tobytes() == v[k].tobytes(), k
+            for arena, moments in ((adam.arena_m, m), (adam.arena_v, v)):
+                flat = np.concatenate([a.ravel() for a in moments.values()])
+                assert arena.tobytes() == flat.tobytes()
         assert all(np.shares_memory(p.data, adam.arena) for p in params.values())
 
 
 def assert_params_in_arena(state):
-    """Every parameter and moment is a view into its arena, in parameter order."""
+    """Every parameter is a view into the arena, in parameter order, and each
+    moment arena is as long as the parameter arena."""
     adam = state.adam
     for name, p in state.params.items():
         assert np.shares_memory(p.data, adam.arena), name
-        assert np.shares_memory(adam.m[name], adam.arena_m), name
-        assert np.shares_memory(adam.v[name], adam.arena_v), name
     flat = np.concatenate([p.data.ravel() for p in state.params.values()])
     assert flat.tobytes() == adam.arena.tobytes()
+    assert adam.arena_m.shape == adam.arena_v.shape == adam.arena.shape
 
 
 class TestArena:
@@ -707,6 +707,20 @@ class TestEvalReconstruction:
             TR.eval_reconstruction(state, docs, pool, eval_batch=eval_batch)
 
 
+# What the error names for a file that is readable but damaged.
+DAMAGE_NAMED = {
+    "no-adam_t": "'adam_t'", "version-1": "version 1 checkpoints",
+    **{f"{key}-{how}": f"{key!r} is float64" for key in ARENAS for how in ("short", "long")},
+    "tok_emb-10-rows": "'arena' is float64", "vocab_size-changed": "'arena'",
+    "vocab-3-longer": "vocab entries for enc_config vocab_size",
+    "phrases-1-shorter": "phrases entries for enc_config phrase_vocab_size",
+    "stage1_iters_done-float": "counters must be integers",
+    "batch_size-string": "'<' not supported", "warm_alpha-2": "warm_alpha must lie in [0, 1]",
+    "scheduler-iteration-string": "scheduler fields must be numbers",
+    "scheduler-bootstrap_every-0": "bootstrap_every must be >= 1",
+}
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, small_world, tmp_path):
         vocab, docs, pool, _, _ = small_world
@@ -718,8 +732,8 @@ class TestCheckpoint:
         assert params_bytes(loaded) == params_bytes(state)
         assert list(loaded.params.keys()) == list(state.params.keys())
         assert loaded.adam.t == state.adam.t
-        for name in state.adam.m:
-            assert loaded.adam.m[name].tobytes() == state.adam.m[name].tobytes()
+        assert loaded.adam.arena_m.tobytes() == state.adam.arena_m.tobytes()
+        assert loaded.adam.arena_v.tobytes() == state.adam.arena_v.tobytes()
         assert loaded.scheduler.to_dict() == state.scheduler.to_dict()
         assert loaded.mask_rng.bit_generator.state == state.mask_rng.bit_generator.state
         assert loaded.vocab.id_to_token == vocab.id_to_token
@@ -740,39 +754,6 @@ class TestCheckpoint:
         resumed = TR.load_checkpoint(path)
         TR.run_stage1(docs, pool, resumed)
         assert params_bytes(resumed) == params_bytes(full)
-
-    def test_checkpoint_carrying_ipot_inner_k_loads_and_resumes(self, small_world, tmp_path):
-        # v1 checkpoints written before the knob was removed store it in
-        # train_config, right after ipot_outer_iters.
-        vocab, docs, pool, _, _ = small_world
-        full = TR.init_train_state(vocab, pool, desk_config(stage1_epochs=2, seed=6))
-        TR.run_stage1(docs, pool, full)
-        partial = TR.init_train_state(vocab, pool, desk_config(stage1_epochs=1, seed=6))
-        TR.run_stage1(docs, pool, partial)
-        partial.config = desk_config(stage1_epochs=2, seed=6)
-        path = tmp_path / "old.npz"
-        TR.save_checkpoint(path, partial)
-        with np.load(path) as data:
-            arrays = {key: data[key] for key in data.files}
-        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        train_config = {}
-        for key, value in meta["train_config"].items():
-            train_config[key] = value
-            if key == "ipot_outer_iters":
-                train_config["ipot_inner_k"] = 1
-        meta["train_config"] = train_config
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez(path, **arrays)
-
-        resumed = TR.load_checkpoint(path)
-        assert not hasattr(resumed.config, "ipot_inner_k")
-        TR.run_stage1(docs, pool, resumed)
-        assert params_bytes(resumed) == params_bytes(full)
-        TR.save_checkpoint(path, resumed)
-        with np.load(path) as data:
-            saved = json.loads(bytes(data["meta"]).decode("utf-8"))
-        assert "ipot_inner_k" not in saved["train_config"]
-
 
     def test_failed_save_keeps_previous_checkpoint(self, small_world, tmp_path,
                                                    monkeypatch):
@@ -803,7 +784,19 @@ class TestCheckpoint:
         phrases = TR.load_checkpoint(path).phrases
         assert phrases and [pool.phrase_ids[p] for p in phrases] == list(range(len(pool)))
 
-    @pytest.mark.parametrize("drop", ["meta", "adam_v/tok_emb"])
+    def test_holds_exactly_the_arenas_and_meta(self, small_world, tmp_path):
+        vocab, _, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config())
+        path = tmp_path / "model.npz"
+        TR.save_checkpoint(path, state)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["adam_m", "adam_v", "arena", "meta"]
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            assert data["arena"].tobytes() == state.adam.arena.tobytes()
+        assert meta["version"] == TR.CHECKPOINT_VERSION == 2
+        assert "param_order" not in meta
+
+    @pytest.mark.parametrize("drop", ["meta", "arena", "adam_v"])
     def test_missing_array_raises_value_error_naming_path(self, small_world, tmp_path,
                                                           drop):
         vocab, _, pool, _, _ = small_world
@@ -824,5 +817,6 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         TR.save_checkpoint(path, TR.init_train_state(vocab, pool, desk_config()))
         corrupt_checkpoint(path, path, damage)
-        with pytest.raises(ValueError, match=str(path)):
+        with pytest.raises(ValueError, match=str(path)) as exc:
             TR.load_checkpoint(path)
+        assert DAMAGE_NAMED.get(damage, "") in str(exc.value)
