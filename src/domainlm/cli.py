@@ -22,8 +22,8 @@ from .corpus import (CorpusError, Vocab, load_corpus, load_content, load_entity_
                      numbered_lines, token_counts, tokenize, vocab_from_counts)
 from .encoder import EncoderConfig
 from .phrases import load_pool
-from .training import (CeaVariant, NanGradientError, TrainConfig, align_pairs,
-                       eval_reconstruction, init_train_state, load_checkpoint,
+from .training import (DERIVED_ENCODER_KEYS, CeaVariant, NanGradientError, TrainConfig,
+                       align_pairs, eval_reconstruction, init_train_state, load_checkpoint,
                        run_stage1, run_stage2, save_checkpoint)
 
 EXIT_OK = 0
@@ -31,9 +31,8 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 # Pretrain settings come from the config dataclasses: every TrainConfig field,
-# then the encoder shape (max_seq_len feeds both configs). The vocab and
-# phrase-pool sizes come from the data; log_every only paces progress lines.
-DATA_KEYS = ("vocab_size", "phrase_vocab_size")
+# then the encoder's shape (its other fields a run derives from the data and
+# max_seq_len). log_every only paces progress lines.
 LOG_EVERY = 50
 BOOLEANS = {"true": True, "1": True, "yes": True,
             "false": False, "0": False, "no": False}
@@ -42,11 +41,10 @@ BOOLEANS = {"true": True, "1": True, "yes": True,
 def _settings() -> dict[str, tuple[object, object]]:
     """Setting name -> (type annotation, default), TrainConfig fields first."""
     out = {}
-    for cls in (TrainConfig, EncoderConfig):
+    for cls, derived in ((TrainConfig, ()), (EncoderConfig, DERIVED_ENCODER_KEYS)):
         hints = get_type_hints(cls)
-        for f in fields(cls):
-            if f.name not in DATA_KEYS:
-                out.setdefault(f.name, (hints[f.name], f.default))
+        out.update((f.name, (hints[f.name], f.default)) for f in fields(cls)
+                   if f.name not in derived)
     out["log_every"] = (int, LOG_EVERY)
     return out
 
@@ -222,7 +220,7 @@ def cmd_pretrain(args) -> int:
     if args.resume:
         state = load_checkpoint(args.resume)
         _check_resume(state, vocab, pool, given)
-        base = {**asdict(state.config), "max_seq_len": state.enc_config.max_seq_len}
+        base = asdict(state.config)
     config = TrainConfig(**{**base, **_only(TrainConfig, given)})
     config.validate()
     if config.stage2_epochs > 0 and not (args.pairs and args.content):
@@ -231,7 +229,8 @@ def cmd_pretrain(args) -> int:
     if state is not None:
         state.config = config
     else:
-        shape = {k: v for k, v in _only(EncoderConfig, given).items() if k != "max_seq_len"}
+        shape = {k: v for k, v in _only(EncoderConfig, given).items()
+                 if k not in DERIVED_ENCODER_KEYS}
         state = init_train_state(vocab, pool, config, **shape)  # max_seq_len: from config
     docs = load_corpus(args.corpus, vocab, max_seq_len=config.max_seq_len)
     pair_set = load_entity_pairs(args.pairs, args.content, vocab, config.max_seq_len) \

@@ -7,7 +7,7 @@ name -> Tensor dict so optimizer traversal order is deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +30,9 @@ class EncoderConfig:
     max_seq_len: int = 128
 
     def __post_init__(self):
+        for f in fields(self):
+            if not isinstance(value := getattr(self, f.name), int) or isinstance(value, bool):
+                raise ValueError(f"EncoderConfig.{f.name} must be an int, got {value!r}")
         for name in ("vocab_size", "layers", "dim", "heads", "ffn_dim", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"EncoderConfig.{name} must be >= 1")

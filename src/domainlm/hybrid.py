@@ -114,11 +114,15 @@ class SchedulerState:
                 for k, v in asdict(self).items()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SchedulerState":
+    def from_dict(cls, d: dict, **settings) -> "SchedulerState":
+        """Inverse of ``to_dict``; ``d`` holds exactly the fields ``settings`` does not."""
         values = {k: math.nan if v is None else v for k, v in d.items()}
-        if not all(isinstance(v, (int, float)) for v in values.values()):
-            raise ValueError(f"scheduler fields must be numbers or null, got {d}")
-        state = cls(**{f.name: values[f.name] for f in fields(cls) if f.init})
+        if values.keys() != (names := {f.name for f in fields(cls)} - settings.keys()):
+            raise ValueError(f"scheduler fields must be {sorted(names)}, got {sorted(d)}")
+        if type(values["iteration"]) is not int or \
+                not all(type(v) in (int, float) for v in values.values()):
+            raise ValueError(f"scheduler fields must be numbers or null, iteration an int; got {d}")
+        state = cls(**settings, **{k: v for k, v in values.items() if k != "alpha"})
         state.alpha = values["alpha"]  # not an init field; restore it after __post_init__
         return state
 

@@ -22,7 +22,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Literal, Optional, get_args
+from typing import Callable, Literal, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .masking import MaskedBatch, MaskedExample, collate, mask_phrases, mask_wor
 from .phrases import PhrasePool, detect
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -79,7 +79,11 @@ class TrainConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, kinds = getattr(self, f.name), FIELD_KINDS[f.name]
+            if kinds and not any(isinstance(value, VALUE_TYPES[k])
+                                 and isinstance(value, bool) == (k is bool) for k in kinds):
+                raise ValueError(f"{f.name} must be of type "
+                                 f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         minimum = {"stage1_epochs": 0, "stage2_epochs": 0, "batch_size": 1,
@@ -96,6 +100,13 @@ class TrainConfig:
             value = getattr(self, key)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{key} must lie in [0, 1]")
+
+
+# The values a field of each annotated type takes: a float field takes an int, and no
+# number field a bool. A Literal field is checked against its values instead.
+VALUE_TYPES = {int: int, float: (int, float), bool: bool, type(None): type(None)}
+FIELD_KINDS = {name: [k for k in get_args(hint) or (hint,) if k in VALUE_TYPES]
+               for name, hint in get_type_hints(TrainConfig).items()}
 
 
 def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
@@ -191,6 +202,8 @@ class TrainState:
 # TrainConfig fields that parameterise the scheduler, in SchedulerState order.
 SCHEDULER_KEYS = tuple(f.name for f in fields(SchedulerState)
                        if f.name in TrainConfig.__dataclass_fields__)
+# EncoderConfig fields a run derives from its data and TrainConfig; the rest are its shape.
+DERIVED_ENCODER_KEYS = ("vocab_size", "phrase_vocab_size", "max_seq_len")
 
 
 def _new_scheduler(config: TrainConfig) -> SchedulerState:
@@ -498,11 +511,12 @@ def save_checkpoint(path, state: TrainState) -> None:
     """
     meta = {
         "version": CHECKPOINT_VERSION,
-        "enc_config": asdict(state.enc_config),
         "train_config": asdict(state.config),
-        "scheduler": state.scheduler.to_dict(),
+        "shape": {k: v for k, v in asdict(state.enc_config).items()
+                  if k not in DERIVED_ENCODER_KEYS},
+        "scheduler": {k: v for k, v in state.scheduler.to_dict().items()
+                      if k not in SCHEDULER_KEYS},
         "mask_rng": state.mask_rng.bit_generator.state,
-        "adam_t": state.adam.t,
         "stage1_iters_done": state.stage1_iters_done,
         "stage2_iters_done": state.stage2_iters_done,
         "vocab": state.vocab.id_to_token,
@@ -522,9 +536,9 @@ def save_checkpoint(path, state: TrainState) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
-    """Inverse of save_checkpoint: the arenas, laid out by ``param_shapes`` of the
-    stored encoder config. A file that is unreadable, of another version, or at
-    odds with that config or its own settings raises ValueError naming ``path``."""
+    """Inverse of save_checkpoint, deriving the encoder config, scheduler settings and
+    Adam's step count as a fresh run does; the arenas are laid out by that config. A file
+    unreadable, of another version or at odds with itself raises ValueError naming ``path``."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:  # np.load(path) leaks on a bad zip
             def array(key: str) -> np.ndarray:
@@ -536,24 +550,21 @@ def load_checkpoint(path) -> TrainState:
             if meta["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"version {meta['version']!r} checkpoints are no longer "
                                  f"read; this release reads version {CHECKPOINT_VERSION}")
-            enc_config = EncoderConfig(**meta["enc_config"])
+            config = TrainConfig(**meta["train_config"])
+            config.validate()
+            enc_config = EncoderConfig(vocab_size=len(meta["vocab"]),
+                                       phrase_vocab_size=len(meta["phrases"]),
+                                       max_seq_len=config.max_seq_len, **meta["shape"])
             shapes = param_shapes(enc_config)
             size = sum(math.prod(shape) for shape in shapes.values())
             arenas = {key: array(key) for key in ("arena", "adam_m", "adam_v")}
         for key, a in arenas.items():
             if a.dtype != np.float64 or a.shape != (size,):
-                raise ValueError(f"{key!r} is {a.dtype} {a.shape}; enc_config needs "
+                raise ValueError(f"{key!r} is {a.dtype} {a.shape}; the model needs "
                                  f"float64 ({size},)")
-        for key, size_key in (("vocab", "vocab_size"), ("phrases", "phrase_vocab_size")):
-            if len(meta[key]) != (n := getattr(enc_config, size_key)):
-                raise ValueError(f"{len(meta[key])} {key} entries for enc_config {size_key} {n}")
-        counters = {key: meta[key] for key in ("adam_t", "stage1_iters_done", "stage2_iters_done")}
+        counters = {key: meta[key] for key in ("stage1_iters_done", "stage2_iters_done")}
         if not all(type(n) is int and n >= 0 for n in counters.values()):
             raise ValueError(f"counters must be integers >= 0, got {counters}")
-        config = TrainConfig(**meta["train_config"])
-        scheduler = SchedulerState.from_dict(meta["scheduler"])
-        config.validate()
-        replace(config, **{k: getattr(scheduler, k) for k in SCHEDULER_KEYS}).validate()
         mask_rng = np.random.default_rng()
         mask_rng.bit_generator.state = meta["mask_rng"]
         return TrainState(
@@ -562,8 +573,9 @@ def load_checkpoint(path) -> TrainState:
             params={name: Tensor(view, requires_grad=True)
                     for name, view in _views(arenas["arena"], shapes).items()},
             adam=AdamState(arenas["arena"], arenas["adam_m"], arenas["adam_v"],
-                           np.empty(size), np.empty(size), meta["adam_t"]),
-            scheduler=scheduler,
+                           np.empty(size), np.empty(size), sum(counters.values())),
+            scheduler=SchedulerState.from_dict(meta["scheduler"], **{
+                k: getattr(config, k) for k in SCHEDULER_KEYS}),
             mask_rng=mask_rng,
             vocab=Vocab({tok: i for i, tok in enumerate(meta["vocab"])}, meta["vocab"]),
             phrases=[tuple(p) for p in meta["phrases"]],

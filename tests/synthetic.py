@@ -8,8 +8,8 @@ Pair world: associated document pairs that are identical except for one
 planted synonym slot, giving ground-truth word alignments.
 
 Damaged checkpoints: copies of a saved checkpoint cut short, with bytes
-overwritten, with a metadata key dropped, or still readable but at odds
-with its own encoder config or version.
+overwritten, with a metadata key dropped, or still readable but of another
+version, with a value of the wrong type, or storing a fact the file derives.
 """
 from __future__ import annotations
 
@@ -165,43 +165,54 @@ def write_pair_world(tmp_path, world: PairWorld):
 
 
 ARENAS = ("arena", "adam_m", "adam_v")
-READABLE_DAMAGE = ("no-adam_t", "version-1",
+# Readable damages that set one train_config value.
+CONFIG_DAMAGE = {"batch_size-string": ("batch_size", "8"), "batch_size-float": ("batch_size", 8.0),
+                 "seed-float": ("seed", 0.5), "eval_docs-float": ("eval_docs", 2.0),
+                 "stage1_epochs-true": ("stage1_epochs", True), "warm_alpha-2": ("warm_alpha", 2.0),
+                 "bootstrap_every-0": ("bootstrap_every", 0)}
+READABLE_DAMAGE = ("no-stage2_iters_done", "version-1", "version-2",
                    *[f"{key}-{how}" for key in ARENAS for how in ("short", "long")],
-                   "tok_emb-10-rows", "vocab_size-changed", "vocab-3-longer",
-                   "phrases-1-shorter", "stage1_iters_done-float", "batch_size-string",
-                   "warm_alpha-2", "scheduler-iteration-string", "scheduler-bootstrap_every-0")
+                   "tok_emb-10-rows", "vocab_size-changed", "shape-carries-max_seq_len",
+                   "dim-float", "vocab-3-longer", "phrases-1-shorter", "stage1_iters_done-float",
+                   *CONFIG_DAMAGE, "scheduler-iteration-string", "scheduler-iteration-null",
+                   "scheduler-bootstrap_every-0")
 CHECKPOINT_DAMAGE = ("truncated", "bytes-overwritten", *READABLE_DAMAGE)
 
 
 def _damage(arrays: dict, damage: str) -> None:
     """Apply one of ``READABLE_DAMAGE`` to a checkpoint's arrays and metadata."""
     meta = json.loads(arrays["meta"])
-    enc = meta["enc_config"]
+    shape = meta["shape"]
     key, _, how = damage.rpartition("-")
-    if damage == "no-adam_t":
-        del meta["adam_t"]
-    elif damage == "version-1":
-        meta["version"] = 1
+    if damage in CONFIG_DAMAGE:
+        key, value = CONFIG_DAMAGE[damage]
+        meta["train_config"][key] = value
+    elif damage == "no-stage2_iters_done":
+        del meta["stage2_iters_done"]
+    elif damage.startswith("version-"):
+        meta["version"] = int(how)
     elif key in ARENAS:  # one float short or long
         arrays[key] = arrays[key][:-1] if how == "short" else np.append(arrays[key], 0.0)
     elif damage == "tok_emb-10-rows":  # the arena of a model whose tok_emb has 10 rows
         arrays["arena"] = np.delete(arrays["arena"],
-                                    np.s_[10 * enc["dim"]:enc["vocab_size"] * enc["dim"]])
-    elif damage == "vocab_size-changed":
-        enc["vocab_size"] += 1
-    elif damage == "vocab-3-longer":  # three tokens the corpus uses, again past vocab_size
+                                    np.s_[10 * shape["dim"]:len(meta["vocab"]) * shape["dim"]])
+    elif damage == "vocab_size-changed":  # the vocab size is derived, never stored
+        shape["vocab_size"] = len(meta["vocab"]) + 1
+    elif damage == "shape-carries-max_seq_len":  # the train_config's is the only one
+        shape["max_seq_len"] = meta["train_config"]["max_seq_len"]
+    elif damage == "dim-float":
+        shape["dim"] = float(shape["dim"])
+    elif damage == "vocab-3-longer":  # three tokens the corpus uses, again at the end
         meta["vocab"] += meta["vocab"][4:7]
     elif damage == "phrases-1-shorter":
         meta["phrases"].pop()
     elif damage == "stage1_iters_done-float":
         meta["stage1_iters_done"] = float(meta["stage1_iters_done"])
-    elif damage == "batch_size-string":
-        meta["train_config"]["batch_size"] = str(meta["train_config"]["batch_size"])
-    elif damage == "warm_alpha-2":  # the scheduler keeps its own, valid, warm_alpha
-        meta["train_config"]["warm_alpha"] = 2.0
     elif damage == "scheduler-iteration-string":
         meta["scheduler"]["iteration"] = str(meta["scheduler"]["iteration"])
-    else:
+    elif damage == "scheduler-iteration-null":  # null is a float history's NaN, no count
+        meta["scheduler"]["iteration"] = None
+    else:  # the train_config holds the scheduler's settings
         assert damage == "scheduler-bootstrap_every-0", damage
         meta["scheduler"]["bootstrap_every"] = 0
     arrays["meta"] = json.dumps(meta).encode("utf-8")

@@ -82,6 +82,7 @@ def one_epoch(workspace, tmp_path_factory):
 def test_settings_are_the_config_fields():
     names = {f.name for cls in (TR.TrainConfig, EncoderConfig) for f in fields(cls)}
     expected = names - {"vocab_size", "phrase_vocab_size"} | {"log_every"}
+    assert set(TR.DERIVED_ENCODER_KEYS) == {"vocab_size", "phrase_vocab_size", "max_seq_len"}
     assert set(cli.SETTINGS) == set(EVERY_SETTING) == expected
     assert len(cli.SETTINGS) == 23
 
@@ -157,24 +158,24 @@ def test_resume_accepts_fixed_keys_at_checkpoint_values(workspace, one_epoch, tm
     assert rc == 0
 
 
-def test_resume_takes_max_seq_len_from_the_encoder(workspace, tmp_path):
-    # a checkpoint whose train_config max_seq_len (32) disagrees with its
-    # encoder's (8) on a corpus with longer lines
-    short = {**DESK_FLAGS, "max_seq_len": 8, "stage1_epochs": 1, "stage2_epochs": 0}
-    assert pretrain(workspace, tmp_path / "short", short) == 0
+def test_resume_rejects_a_second_copy_of_a_setting(workspace, one_epoch, tmp_path, capsys):
+    # train_config is the one home of max_seq_len (32) and the scheduler's settings
+    # (warm_iters 5); a file that also stores a disagreeing copy is not read
+    for part, key, value in (("shape", "max_seq_len", 8), ("scheduler", "warm_iters", 7)):
+        def edit(arrays):
+            meta = json.loads(arrays["meta"])
+            meta[part][key] = value
+            arrays["meta"] = json.dumps(meta).encode("utf-8")
 
-    def edit(arrays):
-        meta = json.loads(arrays["meta"])
-        meta["train_config"]["max_seq_len"] = 32
-        arrays["meta"] = json.dumps(meta).encode("utf-8")
-
-    ckpt = tmp_path / "odd.npz"
-    rewrite_checkpoint(tmp_path / "short" / "checkpoint.npz", ckpt, edit)
-    assert TR.load_checkpoint(ckpt).config.max_seq_len == 32
-    assert pretrain(workspace, tmp_path / "out", {"stage1_epochs": 2},
-                    "--resume", str(ckpt)) == 0
-    resumed = TR.load_checkpoint(tmp_path / "out" / "checkpoint.npz")
-    assert resumed.config.max_seq_len == resumed.enc_config.max_seq_len == 8
+        ckpt, out = tmp_path / f"two_{key}.npz", tmp_path / f"out_{key}"
+        rewrite_checkpoint(one_epoch, ckpt, edit)
+        with pytest.raises(ValueError, match=key):
+            TR.load_checkpoint(ckpt)
+        for given in (DESK_FLAGS[key], value):
+            assert pretrain(workspace, out, {"stage1_epochs": 2, key: given},
+                            "--resume", str(ckpt)) == 2
+            assert key in capsys.readouterr().err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,23 +1,31 @@
-"""Seeded byte mutations of the CLI's inputs: every run exits 0 or 2.
+"""Seeded mutations of the CLI's inputs: every run exits 0 or 2.
 
 Each case damages one input with a few byte edits (replace, insert,
 delete) drawn from numpy's RNG at a fixed seed, then runs the command
 in-process through ``cli.main``. An argparse exit counts as 2. No other
 exception may escape, and a run that exits 2 must leave no --out-dir.
-The checkpoint is damaged two ways: its file bytes, and the bytes of its
-metadata JSON re-saved as a valid zip, which reach the loader's checks.
+The checkpoint is damaged three ways: its file bytes; the bytes of its
+metadata JSON, re-saved as a valid zip, which reach the loader's checks;
+and the type of one metadata value, which keeps the JSON valid and its
+keys intact. A damaged checkpoint that still loads must hold each fact
+once: what a run derives agrees with what the file stores.
 """
+import json
+
 import numpy as np
 import pytest
 
 from domainlm import cli
+from domainlm import training as TR
 
 from synthetic import (build_pair_world, build_phrase_world, rewrite_checkpoint,
                        write_pair_world, write_phrase_world)
 
 SEED = 20261019
-CASES = {"input": 8, "file": 8, "meta": 40}  # per pretrain input, checkpoint bytes, meta JSON
+# per pretrain input; checkpoint bytes, meta JSON bytes, meta value types
+CASES = {"input": 8, "file": 8, "meta": 40, "typed": 40}
 PRETRAIN_INPUTS = ("corpus", "vocab", "pool", "pairs", "content")
+CHECKPOINT_PARTS = ("file", "meta", "typed")
 SHAPE = ["--batch-size", "16", "--learning-rate", "3e-3", "--dim", "8", "--heads", "2",
          "--ffn-dim", "16", "--max-seq-len", "32", "--warm-iters", "2",
          "--ipot-outer-iters", "5", "--log-every", "0"]
@@ -39,6 +47,41 @@ def mutate(data: bytes, rng: np.random.Generator) -> bytes:
         else:
             del data[at]
     return bytes(data)
+
+
+def swap_a_type(meta: bytes, rng: np.random.Generator) -> bytes:
+    """The metadata JSON ``meta`` with one value, found by walking down through random
+    keys and items, replaced by one of another type: a number by null, true or a string;
+    a string, null or bool by a number; a list by {}. A walk stops at a list half the time."""
+    node = decoded = json.loads(meta)
+    while True:
+        key = list(node)[int(rng.integers(len(node)))] if isinstance(node, dict) \
+            else int(rng.integers(len(node)))
+        value = node[key]
+        if value and (isinstance(value, dict) or isinstance(value, list) and rng.random() < 0.5):
+            node = value
+            continue
+        if isinstance(value, list):
+            node[key] = {}
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            node[key] = [None, True, str(value)][int(rng.integers(3))]
+        else:
+            node[key] = [0, 1, 2.5][int(rng.integers(3))]
+        return json.dumps(decoded).encode("utf-8")
+
+
+def assert_holds_each_fact_once(path) -> None:
+    """Nothing a loaded run derives differs from what its file stores."""
+    try:
+        state = TR.load_checkpoint(path)
+    except ValueError:
+        return
+    assert state.config.max_seq_len == state.enc_config.max_seq_len
+    assert all(getattr(state.scheduler, k) == getattr(state.config, k)
+               for k in TR.SCHEDULER_KEYS)
+    assert state.adam.t == state.stage1_iters_done + state.stage2_iters_done
+    assert state.enc_config.vocab_size == len(state.vocab)
+    assert state.enc_config.phrase_vocab_size == len(state.phrases)
 
 
 @pytest.fixture(scope="module")
@@ -89,16 +132,18 @@ def test_pretrain_on_a_mutated_input(world, tmp_path, capsys, name, case):
     assert_exits_0_or_2(pretrain_argv({**world, name: damaged}, out), out)
 
 
-@pytest.mark.parametrize("part, case", [(part, case) for part in ("file", "meta")
+@pytest.mark.parametrize("part, case", [(part, case) for part in CHECKPOINT_PARTS
                                         for case in range(CASES[part])])
 def test_commands_on_a_mutated_checkpoint(world, tmp_path, capsys, part, case):
-    rng = np.random.default_rng([SEED, len(PRETRAIN_INPUTS) + (part == "meta"), case])
+    rng = np.random.default_rng([SEED, len(PRETRAIN_INPUTS) + CHECKPOINT_PARTS.index(part), case])
     ckpt = tmp_path / "checkpoint.npz"
     if part == "file":
         ckpt.write_bytes(mutate(world["checkpoint"].read_bytes(), rng))
     else:
+        edit = {"meta": mutate, "typed": swap_a_type}[part]
         rewrite_checkpoint(world["checkpoint"], ckpt,
-                           lambda arrays: arrays.update(meta=mutate(arrays["meta"], rng)))
+                           lambda arrays: arrays.update(meta=edit(arrays["meta"], rng)))
+    assert_holds_each_fact_once(ckpt)
     text = world["corpus"].read_text().splitlines()[0]
     outs = {command: tmp_path / command for command in ("resume", "align", "eval")}
     assert_exits_0_or_2(

@@ -36,6 +36,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             E.EncoderConfig(vocab_size=0, phrase_vocab_size=1)
 
+    @pytest.mark.parametrize("key, value", [("dim", 32.0), ("layers", True), ("heads", "2"),
+                                            ("vocab_size", 10.0), ("max_seq_len", None)])
+    def test_every_field_is_an_int(self, key, value):
+        with pytest.raises(ValueError, match=f"EncoderConfig.{key} must be an int"):
+            E.EncoderConfig(**{"vocab_size": 10, "phrase_vocab_size": 1, key: value})
+
 
 def _init_params_reference(config, rng):
     """The closure-based init that ``param_shapes`` replaced."""

@@ -97,9 +97,9 @@ ROW_READERS = {("encoder.py", "forward"), ("encoder.py", "gather_positions"),
                ("training.py", "_embed_docs")}
 
 
-def embedding_calls(source: str) -> list[tuple[str, int]]:
-    """(enclosing function, line) of each call of ``embedding``, bare or as an attribute."""
-    return found_in(source, lambda node: isinstance(node, ast.Call) and "embedding" in (
+def calls_of(source: str, name: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call of ``name``, bare or as an attribute."""
+    return found_in(source, lambda node: isinstance(node, ast.Call) and name in (
         getattr(node.func, "attr", None), getattr(node.func, "id", None)))
 
 
@@ -108,13 +108,37 @@ def test_checker_sees_an_embedding_call():
               "def rows(h):\n    def inner(i):\n        return embedding(h, i)\n"
               "    return inner\ntable = tensor.embedding(w, [0])\n"
               "def other(x):\n    return x.embedding_dim, embed(x)\n")
-    assert embedding_calls(source) == [("pool", 2), ("inner", 5), ("<module>", 7)]
+    assert calls_of(source, "embedding") == [("pool", 2), ("inner", 5), ("<module>", 7)]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_rows_are_read_in_one_place(path):
-    calls = [f"{where} (line {line})" for where, line in embedding_calls(path.read_text("utf-8"))
+    calls = [f"{where} (line {line})" for where, line in calls_of(path.read_text("utf-8"),
+                                                                 "embedding")
              if (path.name, where) not in ROW_READERS]
+    assert calls == []
+
+
+# A run's encoder config and scheduler are built where a fresh run and a loaded
+# one derive them, by the same rules.
+BUILDERS = {"EncoderConfig": {("training.py", "init_train_state"),
+                              ("training.py", "load_checkpoint")},
+            "SchedulerState": {("training.py", "_new_scheduler"), ("hybrid.py", "from_dict")}}
+
+
+def test_checker_sees_a_config_construction():
+    source = ("def fresh(v):\n    return EncoderConfig(vocab_size=v)\n"
+              "def other(c):\n    def inner():\n        return E.EncoderConfig(**c)\n"
+              "    return inner, EncoderConfig.head_dim, SchedulerState.from_dict(c)\n")
+    assert calls_of(source, "EncoderConfig") == [("fresh", 2), ("inner", 5)]
+    assert calls_of(source, "SchedulerState") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_configs_are_built_in_one_place(path):
+    calls = [f"{name} in {where} (line {line})" for name, allowed in BUILDERS.items()
+             for where, line in calls_of(path.read_text("utf-8"), name)
+             if (path.name, where) not in allowed]
     assert calls == []
 
 

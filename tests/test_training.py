@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from domainlm import transport as OT
 from domainlm.masking import MaskedExample, collate, pad
 
 from synthetic import (ARENAS, CHECKPOINT_DAMAGE, build_pair_world, build_phrase_world,
-                       corrupt_checkpoint, load_phrase_world, write_pair_world)
+                       corrupt_checkpoint, load_phrase_world, rewrite_checkpoint,
+                       write_pair_world)
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +168,18 @@ class TestConfig:
             TR.TrainConfig(cea_weight=-0.5).validate()
         with pytest.raises(ValueError):
             TR.TrainConfig(cea_variant="nope").validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 8.0), ("seed", 0.5), ("eval_docs", 2.0), ("stage1_epochs", True),
+        ("learning_rate", True), ("learning_rate", "1e-3"), ("shuffle", 1),
+        ("force_alpha", "0.5"), ("force_alpha", False)])
+    def test_each_value_has_its_fields_type(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be of type"):
+            TR.TrainConfig(**{key: value}).validate()
+
+    def test_a_float_field_takes_an_int(self):
+        TR.TrainConfig(learning_rate=1, warm_alpha=0, force_alpha=1).validate()
+        TR.TrainConfig(force_alpha=None).validate()
 
 
 class TestStage1:
@@ -709,15 +723,25 @@ class TestEvalReconstruction:
 
 # What the error names for a file that is readable but damaged.
 DAMAGE_NAMED = {
-    "no-adam_t": "'adam_t'", "version-1": "version 1 checkpoints",
+    "no-stage2_iters_done": "'stage2_iters_done'", "version-1": "version 1 checkpoints",
+    "version-2": "version 2 checkpoints",
     **{f"{key}-{how}": f"{key!r} is float64" for key in ARENAS for how in ("short", "long")},
-    "tok_emb-10-rows": "'arena' is float64", "vocab_size-changed": "'arena'",
-    "vocab-3-longer": "vocab entries for enc_config vocab_size",
-    "phrases-1-shorter": "phrases entries for enc_config phrase_vocab_size",
+    "tok_emb-10-rows": "'arena' is float64",
+    "vocab_size-changed": "multiple values for keyword argument 'vocab_size'",
+    "shape-carries-max_seq_len": "multiple values for keyword argument 'max_seq_len'",
+    "dim-float": "EncoderConfig.dim must be an int, got 32.0",
+    "vocab-3-longer": "'arena' is float64", "phrases-1-shorter": "'arena' is float64",
     "stage1_iters_done-float": "counters must be integers",
-    "batch_size-string": "'<' not supported", "warm_alpha-2": "warm_alpha must lie in [0, 1]",
+    "batch_size-string": "batch_size must be of type int, got '8'",
+    "batch_size-float": "batch_size must be of type int, got 8.0",
+    "seed-float": "seed must be of type int, got 0.5",
+    "eval_docs-float": "eval_docs must be of type int, got 2.0",
+    "stage1_epochs-true": "stage1_epochs must be of type int, got True",
+    "warm_alpha-2": "warm_alpha must lie in [0, 1]",
+    "bootstrap_every-0": "bootstrap_every must be >= 1",
     "scheduler-iteration-string": "scheduler fields must be numbers",
-    "scheduler-bootstrap_every-0": "bootstrap_every must be >= 1",
+    "scheduler-iteration-null": "iteration an int",
+    "scheduler-bootstrap_every-0": "scheduler fields must be ['alpha', 'iteration', ",
 }
 
 
@@ -793,8 +817,48 @@ class TestCheckpoint:
             assert sorted(data.files) == ["adam_m", "adam_v", "arena", "meta"]
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             assert data["arena"].tobytes() == state.adam.arena.tobytes()
-        assert meta["version"] == TR.CHECKPOINT_VERSION == 2
-        assert "param_order" not in meta
+        assert meta["version"] == TR.CHECKPOINT_VERSION == 3
+        # each fact once: what a run derives from these is not stored
+        assert sorted(meta) == ["mask_rng", "phrases", "scheduler", "shape",
+                                "stage1_iters_done", "stage2_iters_done", "train_config",
+                                "version", "vocab"]
+        assert sorted(meta["shape"]) == ["dim", "ffn_dim", "heads", "layers"]
+        assert sorted(meta["scheduler"]) == sorted([
+            "alpha", "iteration", "word_first", "word_prev", "word_curr",
+            "phrase_first", "phrase_prev", "phrase_curr"])
+        assert sorted(meta["train_config"]) == sorted(f.name for f in fields(TR.TrainConfig))
+
+    def test_a_loaded_run_derives_what_a_fresh_run_derives(self, small_world, tmp_path):
+        vocab, docs, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config(warm_iters=3, ema_decay=0.5,
+                                                             bootstrap_every=2, max_seq_len=24))
+        TR.run_stage1(docs, pool, state)
+        path = tmp_path / "model.npz"
+        TR.save_checkpoint(path, state)
+        loaded = TR.load_checkpoint(path)
+        assert loaded.enc_config == state.enc_config
+        assert loaded.config.max_seq_len == loaded.enc_config.max_seq_len == 24
+        assert (loaded.enc_config.vocab_size, loaded.enc_config.phrase_vocab_size) == \
+            (len(loaded.vocab), len(loaded.phrases))
+        assert [getattr(loaded.scheduler, k) for k in TR.SCHEDULER_KEYS] == [3, 0.6, 0.5, 2]
+        assert loaded.adam.t == loaded.stage1_iters_done + loaded.stage2_iters_done == \
+            state.adam.t > 0
+
+    def test_a_stored_step_count_is_not_read(self, small_world, tmp_path):
+        # Adam's step count is the sum of the stage counters; a stray copy cannot drift
+        vocab, docs, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config())
+        TR.run_stage1(docs, pool, state)
+        path = tmp_path / "model.npz"
+        TR.save_checkpoint(path, state)
+
+        def edit(arrays):
+            meta = json.loads(arrays["meta"])
+            meta["adam_t"] = state.adam.t + 100
+            arrays["meta"] = json.dumps(meta).encode("utf-8")
+
+        rewrite_checkpoint(path, path, edit)
+        assert TR.load_checkpoint(path).adam.t == state.adam.t
 
     @pytest.mark.parametrize("drop", ["meta", "arena", "adam_v"])
     def test_missing_array_raises_value_error_naming_path(self, small_world, tmp_path,
