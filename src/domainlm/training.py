@@ -538,7 +538,8 @@ def save_checkpoint(path, state: TrainState) -> None:
 def load_checkpoint(path) -> TrainState:
     """Inverse of save_checkpoint, deriving the encoder config, scheduler settings and
     Adam's step count as a fresh run does; the arenas are laid out by that config. A file
-    unreadable, of another version or at odds with itself raises ValueError naming ``path``."""
+    unreadable, incomplete, of another version or at odds with itself raises ValueError
+    naming ``path``."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:  # np.load(path) leaks on a bad zip
             def array(key: str) -> np.ndarray:
@@ -547,9 +548,19 @@ def load_checkpoint(path) -> TrainState:
                 return data[key]
 
             meta = json.loads(bytes(array("meta")).decode("utf-8"))
+            if type(meta["version"]) is not int:
+                raise ValueError(f"version must be an int, got {meta['version']!r}")
             if meta["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"version {meta['version']!r} checkpoints are no longer "
                                  f"read; this release reads version {CHECKPOINT_VERSION}")
+            # a key left to its dataclass default would load a run the file never held
+            for part, names in (("train_config", {f.name for f in fields(TrainConfig)}),
+                                ("shape", {f.name for f in fields(EncoderConfig)}
+                                 - set(DERIVED_ENCODER_KEYS))):
+                if missing := sorted(names - meta[part].keys()):
+                    raise ValueError(f"{part} has no {', '.join(map(repr, missing))}")
+            if not all(type(tok) is str for tok in meta["vocab"]):
+                raise ValueError("vocab entries must be strings")
             config = TrainConfig(**meta["train_config"])
             config.validate()
             enc_config = EncoderConfig(vocab_size=len(meta["vocab"]),

@@ -5,6 +5,9 @@ columns the second (n tokens, marginal 1/n). The proximal-point solver
 alternates diagonal scalings of Q = A .* T, where A = exp(-C / beta)
 keeps the plan close to its previous iterate under a KL penalty; unlike
 entropic regularization the fixed point is the unregularized optimum.
+Each iteration is a deterministic map of the state (T, sigma), so once
+that state repeats bit for bit the solver skips the whole periods left
+and returns the plan the full loop would, bit for bit.
 
 The exact solver is a validation oracle for small instances only; it is
 never part of training.
@@ -23,6 +26,10 @@ from .tensor import Tensor
 
 NORM_EPS = 1e-8
 ORACLE_MAX_SIDE = 8
+# ipot runs its outer loop in chunks of this many iterations, checking
+# whether a chunk left its state as it found it; that finds any period that
+# divides it, which includes 1 and 2, the periods long solves fall into
+PERIOD_CHECK = 64
 
 
 class DegenerateInputWarning(UserWarning):
@@ -79,6 +86,12 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
     The loop reuses buffers made once per solve: each step writes in place,
     in the order the formulas above are written, and allocates nothing
     unless ``track_costs`` is set. The returned plan is a fresh array.
+
+    The loop runs in chunks of ``PERIOD_CHECK`` iterations. When a chunk
+    ends on the bytes of (T, sigma) it started from, every later chunk
+    would repeat it, so the solve skips each whole chunk left and runs only
+    the remainder; ``cost_history`` repeats the last chunk's costs for each
+    skipped one. Plan, cost and history are bit for bit the full loop's.
     """
     cv = np.asarray(c, dtype=np.float64)
     if cv.ndim != 2:
@@ -109,19 +122,31 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
     # less per-call dispatch than those on arrays this small
     rows, cols, one = np.array(float(m)), np.array(float(n)), np.array(1.0)
     history: list[float] = []
-    for _ in range(outer_iters):
-        np.multiply(a, t, q)
-        for _ in range(inner_k):
-            q.dot(sigma, delta)
-            np.multiply(rows, delta, delta)
-            np.divide(one, delta, delta)
-            q_t.dot(delta, sigma)
-            np.multiply(cols, sigma, sigma)
-            np.divide(one, sigma, sigma)
-        np.multiply(delta_col, q, t)
-        np.multiply(t, sigma, t)
-        if track_costs:
-            history.append(float((t * cv).sum()))
+    left = outer_iters
+    while left:
+        # check a chunk only if a whole chunk would be left to skip after it;
+        # bytes, not ==, since NaN != NaN and -0.0 == 0.0
+        check = left >= 2 * PERIOD_CHECK
+        if check:
+            before = t.tobytes() + sigma.tobytes()
+        chunk = PERIOD_CHECK if check else left
+        for _ in range(chunk):
+            np.multiply(a, t, q)
+            for _ in range(inner_k):
+                q.dot(sigma, delta)
+                np.multiply(rows, delta, delta)
+                np.divide(one, delta, delta)
+                q_t.dot(delta, sigma)
+                np.multiply(cols, sigma, sigma)
+                np.divide(one, sigma, sigma)
+            np.multiply(delta_col, q, t)
+            np.multiply(t, sigma, t)
+            if track_costs:
+                history.append(float((t * cv).sum()))
+        left -= chunk
+        if check and t.tobytes() + sigma.tobytes() == before:
+            skipped, left = divmod(left, PERIOD_CHECK)
+            history.extend(history[-PERIOD_CHECK:] * skipped)
     return TransportPlan(values=t, cost=float((t * cv).sum()), cost_history=history)
 
 

@@ -170,7 +170,8 @@ CONFIG_DAMAGE = {"batch_size-string": ("batch_size", "8"), "batch_size-float": (
                  "seed-float": ("seed", 0.5), "eval_docs-float": ("eval_docs", 2.0),
                  "stage1_epochs-true": ("stage1_epochs", True), "warm_alpha-2": ("warm_alpha", 2.0),
                  "bootstrap_every-0": ("bootstrap_every", 0)}
-READABLE_DAMAGE = ("no-stage2_iters_done", "version-1", "version-2",
+READABLE_DAMAGE = ("no-stage2_iters_done", "no-warm_iters", "no-heads", "version-1",
+                   "version-2", "version-3.0", "version-true", "vocab-5-int",
                    *[f"{key}-{how}" for key in ARENAS for how in ("short", "long")],
                    "tok_emb-10-rows", "vocab_size-changed", "shape-carries-max_seq_len",
                    "dim-float", "vocab-3-longer", "phrases-1-shorter", "stage1_iters_done-float",
@@ -189,8 +190,14 @@ def _damage(arrays: dict, damage: str) -> None:
         meta["train_config"][key] = value
     elif damage == "no-stage2_iters_done":
         del meta["stage2_iters_done"]
+    elif damage == "no-warm_iters":  # a key with a default must still be stored
+        del meta["train_config"]["warm_iters"]
+    elif damage == "no-heads":  # heads sizes no parameter, so no arena check sees it
+        del shape["heads"]
     elif damage.startswith("version-"):
-        meta["version"] = int(how)
+        meta["version"] = json.loads(how)
+    elif damage == "vocab-5-int":
+        meta["vocab"][5] = 7
     elif key in ARENAS:  # one float short or long
         arrays[key] = arrays[key][:-1] if how == "short" else np.append(arrays[key], 0.0)
     elif damage == "tok_emb-10-rows":  # the arena of a model whose tok_emb has 10 rows

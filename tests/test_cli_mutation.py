@@ -8,7 +8,8 @@ The checkpoint is damaged three ways: its file bytes; the bytes of its
 metadata JSON, re-saved as a valid zip, which reach the loader's checks;
 and the type of one metadata value, which keeps the JSON valid and its
 keys intact. A damaged checkpoint that still loads must hold each fact
-once: what a run derives agrees with what the file stores.
+once: what a run derives agrees with what the file stores. Its vocab
+must hold only strings.
 """
 import json
 
@@ -82,6 +83,7 @@ def assert_holds_each_fact_once(path) -> None:
     assert state.adam.t == state.stage1_iters_done + state.stage2_iters_done
     assert state.enc_config.vocab_size == len(state.vocab)
     assert state.enc_config.phrase_vocab_size == len(state.phrases)
+    assert all(type(tok) is str for tok in state.vocab.id_to_token)
 
 
 @pytest.fixture(scope="module")

@@ -724,7 +724,10 @@ class TestEvalReconstruction:
 # What the error names for a file that is readable but damaged.
 DAMAGE_NAMED = {
     "no-stage2_iters_done": "'stage2_iters_done'", "version-1": "version 1 checkpoints",
-    "version-2": "version 2 checkpoints",
+    "version-2": "version 2 checkpoints", "version-3.0": "version must be an int, got 3.0",
+    "version-true": "version must be an int, got True",
+    "no-warm_iters": "train_config has no 'warm_iters'", "no-heads": "shape has no 'heads'",
+    "vocab-5-int": "vocab entries must be strings",
     **{f"{key}-{how}": f"{key!r} is float64" for key in ARENAS for how in ("short", "long")},
     "tok_emb-10-rows": "'arena' is float64",
     "vocab_size-changed": "multiple values for keyword argument 'vocab_size'",

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -150,7 +152,7 @@ class TestIpot:
             OT.ipot(np.zeros(shape))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (7, 7), (20, 29), (64, 128)])
-    @pytest.mark.parametrize("outer_iters", [1, 50, 2000])
+    @pytest.mark.parametrize("outer_iters", [1, 50, 63, 64, 65, 128, 129, 2000, 2001])
     @pytest.mark.parametrize("inner_k", [1, 3])
     def test_bitwise_the_expression_loop(self, shape, outer_iters, inner_k):
         c = np.random.default_rng(sum(shape)).uniform(0.0, 2.0, size=shape)
@@ -159,6 +161,31 @@ class TestIpot:
         want, history = _ipot_reference(c, 0.5, outer_iters, inner_k)
         assert plan.values.tobytes() == want.tobytes()
         assert plan.cost_history == history
+        assert plan.cost == history[-1]
+
+    @pytest.mark.parametrize("seed, shape, period", [(35, (2, 3), 1), (43, (2, 2), 2)])
+    @pytest.mark.parametrize("outer_iters", [63, 64, 65, 128, 129, 2001])
+    def test_bitwise_the_expression_loop_once_the_state_repeats(self, seed, shape, period,
+                                                                outer_iters):
+        # these plans stop changing (period 1) or alternate (period 2) within
+        # 600 iterations, so a long solve skips whole chunks of its loop
+        c = np.random.default_rng(seed).uniform(0.0, 2.0, size=shape)
+        plans = [_ipot_reference(c, 0.5, 1000 + i, 1)[0].tobytes() for i in range(3)]
+        assert (plans[0] == plans[1]) == (period == 1) and plans[0] == plans[2]
+        plan = OT.ipot(c, beta=0.5, outer_iters=outer_iters, track_costs=True)
+        want, history = _ipot_reference(c, 0.5, outer_iters, 1)
+        assert plan.values.tobytes() == want.tobytes()
+        assert plan.cost_history == history
+        assert plan.cost == history[-1]
+
+    def test_a_fixed_solve_skips_the_rest_of_its_loop(self):
+        # a 1 x 1 plan is fixed after its first iteration: a million
+        # iterations cost about two chunks
+        start = time.perf_counter()
+        plan = OT.ipot(np.array([[0.7]]), outer_iters=10**6)
+        assert time.perf_counter() - start < 1.0
+        want, history = _ipot_reference(np.array([[0.7]]), 0.5, 1000, 1)
+        assert plan.values.tobytes() == want.tobytes()
         assert plan.cost == history[-1]
 
     def test_clamped_kernel_bitwise_the_expression_loop(self):
