@@ -59,6 +59,17 @@ class PhrasePool:
         return sorted(self.phrase_ids, key=self.phrase_ids.__getitem__)
 
 
+def phrase_fault(ids, vocab_size: int) -> str | None:
+    """What keeps ``ids`` from being a pool phrase's token ids, or None: "list" if it
+    is no list or tuple, "id" for an entry that is no int in [0, vocab_size), "oov"
+    for UNK, "short" for fewer than two ids."""
+    if type(ids) not in (list, tuple):
+        return "list"
+    if not all(type(i) is int and 0 <= i < vocab_size for i in ids):
+        return "id"
+    return "oov" if UNK_ID in ids else "short" if len(ids) < 2 else None
+
+
 def load_pool(path, vocab: Vocab) -> PhrasePool:
     """Read a "phrase<TAB>score" file, keeping entries with score >= MIN_SCORE.
 
@@ -69,8 +80,7 @@ def load_pool(path, vocab: Vocab) -> PhrasePool:
     """
     raw: dict[tuple[int, ...], float] = {}
     texts: dict[tuple[int, ...], str] = {}
-    dropped_oov = 0
-    dropped_short = 0
+    dropped = {"oov": 0, "short": 0}  # encoded ids are in range: no other fault occurs
     for lineno, line in numbered_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
@@ -86,11 +96,8 @@ def load_pool(path, vocab: Vocab) -> PhrasePool:
         if score < MIN_SCORE:
             continue
         ids = tuple(vocab.encode(split_words(text)))
-        if UNK_ID in ids:
-            dropped_oov += 1
-            continue
-        if len(ids) < 2:
-            dropped_short += 1
+        if fault := phrase_fault(ids, len(vocab)):
+            dropped[fault] += 1
             continue
         if ids not in raw or score > raw[ids]:
             raw[ids] = score
@@ -101,8 +108,8 @@ def load_pool(path, vocab: Vocab) -> PhrasePool:
         phrase_ids={ids: i for i, ids in enumerate(ordered)},
         surface=[texts[ids] for ids in ordered],
         max_phrase_len=max((len(ids) for ids in raw), default=0),
-        dropped_oov=dropped_oov,
-        dropped_short=dropped_short,
+        dropped_oov=dropped["oov"],
+        dropped_short=dropped["short"],
     )
     return pool
 

@@ -6,7 +6,8 @@ the pair documents plus a weighted alignment loss (transport-based by
 default, cross-attention triplet as the baseline variant) computed on the
 documents unmasked. For the transport loss one padded forward per step
 encodes them masked and unmasked; the triplet baseline runs its own padded
-unmasked pass with the same parameters.
+unmasked pass with the same parameters, over the documents and their
+negatives, and one batched triplet loss reads it for all the step's pairs.
 
 Determinism: parameter init, masking, data order and negative sampling
 draw from separate streams derived from the config seed. Data order and
@@ -33,7 +34,7 @@ from .encoder import EncoderConfig, forward, gather_positions, init_params, para
 from .hybrid import (SchedulerState, masked_token_logits, phrase_loss, scheduled_mode,
                      select_mode, update_alpha, word_loss)
 from .masking import MaskedBatch, MaskedExample, collate, mask_phrases, mask_words, pad
-from .phrases import PhrasePool, detect
+from .phrases import PhrasePool, detect, phrase_fault
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 3
@@ -287,18 +288,6 @@ def _hybrid_forward(state: TrainState, docs: list[Document], pool: PhrasePool,
     return loss, mode, alpha, hidden
 
 
-def _embed_docs(state: TrainState, docs: list[Document]) -> list[Tensor]:
-    """Unmasked contextual embeddings of non-empty documents from one padded
-    forward: a (len_i, dim) tensor per document, in input order."""
-    ids, pad_mask = pad([doc.tokens for doc in docs])
-    hidden = forward(ids, pad_mask, state.params, state.enc_config)
-    # One reshape shared by every document's gather: a gather_positions per document
-    # measured 6-7% slower per pretrain_pairs_attention step, in 3 of 3 alternating pairs.
-    flat = T.reshape(hidden, (ids.size, state.enc_config.dim))
-    return [T.embedding(flat, i * ids.shape[1] + np.arange(len(doc)))
-            for i, doc in enumerate(docs)]
-
-
 def _alignment_loss(state: TrainState, docs: list[Document], negatives: list[Document],
                     hidden: Tensor) -> Tensor:
     """Mean alignment loss over the step's pairs, whose documents ``docs`` lists
@@ -316,10 +305,14 @@ def _alignment_loss(state: TrainState, docs: list[Document], negatives: list[Doc
     # attention keeps its own unmasked pass: stacked, it measured slower (269 -> 306 ms
     # per stage-2 run on the benchmark's pair world), where its hinge is inactive and
     # this pass runs no backward.
-    emb = _embed_docs(state, docs + negatives)
-    parts = [crossattn.triplet_loss(emb[2 * k], emb[2 * k + 1], emb[len(docs) + k])
-             for k in range(len(docs) // 2)]
-    return T.scale(sum(parts[1:], parts[0]), 1.0 / len(parts))
+    ids, pad_mask = pad([doc.tokens for doc in docs + negatives])
+    unmasked = forward(ids, pad_mask, state.params, state.enc_config)
+    pairs = len(negatives)
+    rows = np.c_[np.arange(2 * pairs).reshape(-1, 2), 2 * pairs + np.arange(pairs)].T
+    masks = [pad_mask[side, :pad_mask[side].sum(axis=1).max()] for side in rows]  # a, b, negative
+    sides = [gather_positions(unmasked, side[:, None], np.arange(mask.shape[1]))
+             for side, mask in zip(rows, masks)]
+    return T.scale(crossattn.triplet_loss(*sides, *masks), 1.0 / pairs)
 
 
 # ----------------------------------------------------------------- stage loops
@@ -421,7 +414,9 @@ def _forward_only(state: TrainState) -> TrainState:
 
 def _doc_embeddings(state: TrainState, doc: Document) -> Tensor:
     """Forward-only unmasked contextual embeddings of one document, (len, dim)."""
-    return _embed_docs(_forward_only(state), [doc])[0]
+    ids, pad_mask = pad([doc.tokens])
+    hidden = forward(ids, pad_mask, _forward_only(state).params, state.enc_config)
+    return gather_positions(hidden, 0, np.arange(len(doc)))
 
 
 def align_pairs(state: TrainState, doc_pairs: list[tuple[Document, Document]],
@@ -561,10 +556,15 @@ def load_checkpoint(path) -> TrainState:
                     raise ValueError(f"{part} has no {', '.join(map(repr, missing))}")
             if not all(type(tok) is str for tok in meta["vocab"]):
                 raise ValueError("vocab entries must be strings")
+            for k, ids in enumerate(meta["phrases"]):  # as load_pool keeps them, sorted
+                if fault := phrase_fault(ids, len(meta["vocab"])):
+                    raise ValueError(f"phrase {k} {ids!r} is no pool phrase ({fault})")
+            if (phrases := [tuple(ids) for ids in meta["phrases"]]) != sorted(set(phrases)):
+                raise ValueError("phrases must be distinct and in phrase-id order")
             config = TrainConfig(**meta["train_config"])
             config.validate()
             enc_config = EncoderConfig(vocab_size=len(meta["vocab"]),
-                                       phrase_vocab_size=len(meta["phrases"]),
+                                       phrase_vocab_size=len(phrases),
                                        max_seq_len=config.max_seq_len, **meta["shape"])
             shapes = param_shapes(enc_config)
             size = sum(math.prod(shape) for shape in shapes.values())
@@ -589,7 +589,7 @@ def load_checkpoint(path) -> TrainState:
                 k: getattr(config, k) for k in SCHEDULER_KEYS}),
             mask_rng=mask_rng,
             vocab=Vocab({tok: i for i, tok in enumerate(meta["vocab"])}, meta["vocab"]),
-            phrases=[tuple(p) for p in meta["phrases"]],
+            phrases=phrases,
             stage1_iters_done=meta["stage1_iters_done"],
             stage2_iters_done=meta["stage2_iters_done"],
         )

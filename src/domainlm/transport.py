@@ -218,13 +218,3 @@ def write_alignment_csv(path, row_tokens: list[str], col_tokens: list[str],
         writer.writerow([""] + list(col_tokens))
         for tok, row in zip(row_tokens, matrix):
             writer.writerow([tok] + [repr(float(v)) for v in row])
-
-
-def read_alignment_csv(path) -> tuple[list[str], list[str], np.ndarray]:
-    """Inverse of write_alignment_csv, for round-trip checks and plotting."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    col_tokens = rows[0][1:]
-    row_tokens = [r[0] for r in rows[1:]]
-    matrix = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return row_tokens, col_tokens, matrix

@@ -7,12 +7,15 @@ multi-token reconstruction is learnable but not saturated.
 Pair world: associated document pairs that are identical except for one
 planted synonym slot, giving ground-truth word alignments.
 
+Alignment CSVs: the reader that inverts ``transport.write_alignment_csv``.
+
 Damaged checkpoints: copies of a saved checkpoint cut short, with bytes
 overwritten, with a metadata key dropped, or still readable but of another
 version, with a value of the wrong type, or storing a fact the file derives.
 """
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,19 +167,33 @@ def write_pair_world(tmp_path, world: PairWorld):
     return corpus, content, pairs
 
 
+def read_alignment_csv(path) -> tuple[list[str], list[str], np.ndarray]:
+    """Row tokens, column tokens and matrix of a CSV ``write_alignment_csv`` wrote."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    matrix = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+    return [r[0] for r in rows[1:]], rows[0][1:], matrix
+
+
 ARENAS = ("arena", "adam_m", "adam_v")
 # Readable damages that set one train_config value.
 CONFIG_DAMAGE = {"batch_size-string": ("batch_size", "8"), "batch_size-float": ("batch_size", 8.0),
                  "seed-float": ("seed", 0.5), "eval_docs-float": ("eval_docs", 2.0),
                  "stage1_epochs-true": ("stage1_epochs", True), "warm_alpha-2": ("warm_alpha", 2.0),
                  "bootstrap_every-0": ("bootstrap_every", 0)}
+# Readable damages that replace the first stored phrase with a value no pool holds.
+PHRASE_DAMAGE = {"float-ids": [1.5, 2.0], "string-ids": ["5", "6"], "bool-ids": [True, True],
+                 "string": "ab", "empty": [], "ids-outside-vocab": [-5, 99999],
+                 "unk": [C.UNK_ID, C.NUM_SPECIALS]}
 READABLE_DAMAGE = ("no-stage2_iters_done", "no-warm_iters", "no-heads", "version-1",
                    "version-2", "version-3.0", "version-true", "vocab-5-int",
                    *[f"{key}-{how}" for key in ARENAS for how in ("short", "long")],
                    "tok_emb-10-rows", "vocab_size-changed", "shape-carries-max_seq_len",
                    "dim-float", "vocab-3-longer", "phrases-1-shorter", "stage1_iters_done-float",
                    *CONFIG_DAMAGE, "scheduler-iteration-string", "scheduler-iteration-null",
-                   "scheduler-bootstrap_every-0")
+                   "scheduler-bootstrap_every-0", "scheduler-alpha-2",
+                   "scheduler-iteration-negative", *[f"phrases-0-{how}" for how in PHRASE_DAMAGE],
+                   "phrases-1-repeated")
 CHECKPOINT_DAMAGE = ("truncated", "bytes-overwritten", *READABLE_DAMAGE)
 
 
@@ -219,6 +236,14 @@ def _damage(arrays: dict, damage: str) -> None:
         meta["scheduler"]["iteration"] = str(meta["scheduler"]["iteration"])
     elif damage == "scheduler-iteration-null":  # null is a float history's NaN, no count
         meta["scheduler"]["iteration"] = None
+    elif damage == "scheduler-alpha-2":
+        meta["scheduler"]["alpha"] = 2.0
+    elif damage == "scheduler-iteration-negative":
+        meta["scheduler"]["iteration"] = -5
+    elif damage.startswith("phrases-0-"):
+        meta["phrases"][0] = PHRASE_DAMAGE[damage.removeprefix("phrases-0-")]
+    elif damage == "phrases-1-repeated":
+        meta["phrases"][1] = meta["phrases"][0]
     else:  # the train_config holds the scheduler's settings
         assert damage == "scheduler-bootstrap_every-0", damage
         meta["scheduler"]["bootstrap_every"] = 0

@@ -13,9 +13,9 @@ from domainlm import training as TR
 from domainlm import transport as OT
 from domainlm.corpus import Vocab
 from domainlm.phrases import load_pool
-from domainlm.transport import read_alignment_csv
 
-from synthetic import build_pair_world, build_phrase_world, write_pair_world, write_phrase_world
+from synthetic import (build_pair_world, build_phrase_world, read_alignment_csv, write_pair_world,
+                       write_phrase_world)
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,8 @@ metadata JSON, re-saved as a valid zip, which reach the loader's checks;
 and the type of one metadata value, which keeps the JSON valid and its
 keys intact. A damaged checkpoint that still loads must hold each fact
 once: what a run derives agrees with what the file stores. Its vocab
-must hold only strings.
+must hold only strings, its phrases only what a pool file can yield, and
+its scheduler an alpha and an iteration a run can reach.
 """
 import json
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from domainlm import cli
+from domainlm import corpus as C
 from domainlm import training as TR
 
 from synthetic import (build_pair_world, build_phrase_world, rewrite_checkpoint,
@@ -84,6 +86,10 @@ def assert_holds_each_fact_once(path) -> None:
     assert state.enc_config.vocab_size == len(state.vocab)
     assert state.enc_config.phrase_vocab_size == len(state.phrases)
     assert all(type(tok) is str for tok in state.vocab.id_to_token)
+    assert all(len(ids) >= 2 and all(type(i) is int and i != C.UNK_ID and 0 <= i < len(state.vocab)
+                                     for i in ids) for ids in state.phrases)
+    assert state.phrases == sorted(set(state.phrases))
+    assert 0.0 <= state.scheduler.alpha <= 1.0 and state.scheduler.iteration >= 0
 
 
 @pytest.fixture(scope="module")

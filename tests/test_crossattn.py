@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from domainlm import crossattn as CA
 from domainlm import tensor as T
@@ -155,3 +156,152 @@ class TestTripletLoss:
             b = T.Tensor(rng.standard_normal((4, 4)))
             b_neg = T.Tensor(rng.standard_normal((2, 4)))
             assert CA.triplet_loss(a, b, b_neg).item() >= 0.0
+
+
+# ------------------------------------------------- the batched path against the loop
+
+
+def _reference_cross_attention(a, b):
+    """cross_attention as it was before it took a batch axis: one pair, no masks."""
+    scores = a @ T.transpose(b, -2, -1)
+    return T.softmax(scores), T.softmax(T.transpose(scores, -2, -1))
+
+
+def _reference_distance(a, b):
+    alpha, beta_t = _reference_cross_attention(a, b)
+    da = a - alpha @ b
+    db = b - beta_t @ a
+    return (da * da).sum() + (db * db).sum()
+
+
+def _reference_triplet(a, b, b_neg):
+    z = T.Tensor(np.asarray(1.0)) + _reference_distance(a, b) - _reference_distance(a, b_neg)
+    return z if float(z.data) > 0.0 else T.Tensor(np.asarray(0.0))
+
+
+def _triples(seed, lengths, active):
+    """(a, b, b_neg) embeddings of each pair, (len_a, d), (len_b, d), (len_neg, d):
+    a hinge is active where ``active`` holds (b far from a, b_neg near a) and
+    inactive elsewhere (the roles swapped). Each pair has its own scale, so
+    the hinges span orders of magnitude and the order of their sum shows."""
+    rng = np.random.default_rng(seed)
+    triples = []
+    for (la, lb, ln), on in zip(lengths, active):
+        scale = 10.0 ** rng.uniform(-0.3, 1.5)
+        a = scale * rng.standard_normal((la, 4))
+        near_b, near_n = (a[np.arange(n) % la] + 0.01 * scale * rng.standard_normal((n, 4))
+                          for n in (lb, ln))
+        far_b, far_n = (3.0 * scale * rng.standard_normal((n, 4)) for n in (lb, ln))
+        triples.append((a, far_b, near_n) if on else (a, near_b, far_n))
+    return triples
+
+
+def _loop(triples):
+    """The per-pair loop: each pair's hinge, the loss summed in pair order, the
+    gradients of every pair's three embeddings, and each pair's two distances."""
+    leaves = [tuple(T.Tensor(x, requires_grad=True) for x in t) for t in triples]
+    parts = [_reference_triplet(*t) for t in leaves]
+    loss = sum(parts[1:], parts[0])
+    T.backward(loss)
+    grads = [[np.zeros_like(x.data) if x.grad is None else x.grad for x in t] for t in leaves]
+    dists = [(_reference_distance(a, b).item(), _reference_distance(a, n).item())
+             for a, b, n in leaves]
+    return [p.item() for p in parts], loss.item(), grads, dists
+
+
+def _batched(triples):
+    """The same through one batched call on padded (B, L, d) sides and their masks."""
+    sides, masks = [], []
+    for s in range(3):
+        longest = max(t[s].shape[0] for t in triples)
+        padded = np.full((len(triples), longest, 4), 7.0)  # padding holds junk, not zeros
+        for k, t in enumerate(triples):
+            padded[k, :len(t[s])] = t[s]
+        sides.append(T.Tensor(padded, requires_grad=True))
+        masks.append(np.arange(longest) < np.array([len(t[s]) for t in triples])[:, None])
+    loss = CA.triplet_loss(*sides, *masks)
+    T.backward(loss)
+    pos = CA.reconstruction_distance(sides[0], sides[1], masks[0], masks[1]).data
+    neg = CA.reconstruction_distance(sides[0], sides[2], masks[0], masks[2]).data
+    grads = [np.zeros_like(x.data) if x.grad is None else x.grad for x in sides]
+    return loss.item(), grads, masks, pos, neg
+
+
+class TestBatchedTripletLoss:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n_active", range(8))
+    def test_bitwise_the_loop_on_equal_lengths(self, n_active, seed):
+        pairs = 11
+        rng = np.random.default_rng([n_active, seed])
+        active = np.isin(np.arange(pairs), rng.permutation(pairs)[:n_active])
+        triples = _triples(rng, [(5, 5, 5)] * pairs, active)
+        hinges, want, want_grads, dists = _loop(triples)
+        got, grads, _, pos, neg = _batched(triples)
+        assert [h > 0 for h in hinges] == active.tolist()
+        assert pos.tolist() == [p for p, _ in dists] and neg.tolist() == [n for _, n in dists]
+        assert np.maximum(1.0 + pos - neg, 0.0).tolist() == hinges
+        assert got == want
+        for k in range(pairs):
+            for side in range(3):
+                assert grads[side][k].tobytes() == want_grads[k][side].tobytes(), (k, side)
+
+    @pytest.mark.parametrize("n_active", [8, 11])
+    def test_eight_or_more_active_hinges_within_1e_14(self, n_active):
+        # NumPy sums 8 or more terms pairwise, not in pair order: only the
+        # loss's last bits may move; each hinge and every gradient stay exact
+        triples = _triples(40 + n_active, [(5, 5, 5)] * 11, np.arange(11) < n_active)
+        hinges, want, want_grads, _ = _loop(triples)
+        got, grads, _, pos, neg = _batched(triples)
+        assert sum(h > 0 for h in hinges) == n_active
+        assert np.maximum(1.0 + pos - neg, 0.0).tolist() == hinges
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+        for k in range(11):
+            for side in range(3):
+                assert grads[side][k].tobytes() == want_grads[k][side].tobytes(), (k, side)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ragged_within_1e_12(self, seed):
+        rng = np.random.default_rng(seed)
+        lengths = [tuple(int(n) for n in rng.integers(1, 9, 3)) for _ in range(6)]
+        triples = _triples(60 + seed, lengths, rng.random(6) < 0.5)
+        hinges, want, want_grads, dists = _loop(triples)
+        got, grads, masks, pos, neg = _batched(triples)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        np.testing.assert_allclose(np.c_[pos, neg], dists, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.maximum(1.0 + pos - neg, 0.0), hinges, rtol=1e-12, atol=0)
+        for side in range(3):
+            assert not grads[side][~masks[side]].any()  # padded rows get no gradient
+            for k, t in enumerate(want_grads):
+                np.testing.assert_allclose(grads[side][k, :len(t[side])], t[side],
+                                           rtol=0, atol=1e-12 * np.abs(t[side]).max())
+
+    def test_no_active_hinge_is_the_constant_zero(self):
+        triples = _triples(80, [(4, 6, 3)] * 5, [False] * 5)
+        got, grads, *_ = _batched(triples)
+        assert got == 0.0 and not any(g.any() for g in grads)
+
+
+class TestTwoDimensionalFormsUnchanged:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_the_pre_batch_code(self, seed):
+        rng = np.random.default_rng(seed)
+        la, lb, ln = (int(n) for n in rng.integers(1, 10, 3))
+        triples = _triples(seed, [(la, lb, ln)], [bool(seed % 2)])[0]
+        got, want = ([T.Tensor(x, requires_grad=True) for x in triples] for _ in range(2))
+        align = CA.cross_attention(got[0], got[1])
+        alpha, beta_t = _reference_cross_attention(want[0], want[1])
+        assert align.alpha.data.tobytes() == alpha.data.tobytes()
+        assert align.beta_t.data.tobytes() == beta_t.data.tobytes()
+        for fn, ref in ((lambda a, b, n: CA.reconstruction_distance(a, b),
+                         lambda a, b, n: _reference_distance(a, b)),
+                        (CA.triplet_loss, _reference_triplet)):
+            for x in got + want:
+                x.zero_grad()
+            out, ref_out = fn(*got), ref(*want)
+            assert out.shape == ref_out.shape == ()
+            assert out.data.tobytes() == ref_out.data.tobytes()
+            T.backward(out)
+            T.backward(ref_out)
+            for x, y in zip(got, want):
+                assert (x.grad is None) == (y.grad is None)
+                assert x.grad is None or x.grad.tobytes() == y.grad.tobytes()

@@ -50,8 +50,8 @@ def found_in(source: str, hit) -> list[tuple[str, int]]:
     return found
 
 
-# The one text reader, and the alignment CSV reader kept for round-trip checks.
-TEXT_READERS = {("corpus.py", "numbered_lines"), ("transport.py", "read_alignment_csv")}
+# The one text reader.
+TEXT_READERS = {("corpus.py", "numbered_lines")}
 
 
 def text_reads(source: str) -> list[tuple[str, int]]:
@@ -91,10 +91,8 @@ def test_text_is_read_in_one_place(path):
     assert reads == []
 
 
-# The embedding tables, the one reader of a forward's rows, and the stacked
-# gather of the padded document pass.
-ROW_READERS = {("encoder.py", "forward"), ("encoder.py", "gather_positions"),
-               ("training.py", "_embed_docs")}
+# The embedding tables and the one reader of a forward's rows.
+ROW_READERS = {("encoder.py", "forward"), ("encoder.py", "gather_positions")}
 
 
 def calls_of(source: str, name: str) -> list[tuple[str, int]]:

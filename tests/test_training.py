@@ -13,6 +13,7 @@ from domainlm import tensor as T
 from domainlm import training as TR
 from domainlm import transport as OT
 from domainlm.masking import MaskedExample, collate, pad
+from domainlm.phrases import load_pool
 
 from synthetic import (ARENAS, CHECKPOINT_DAMAGE, build_pair_world, build_phrase_world,
                        corrupt_checkpoint, load_phrase_world, rewrite_checkpoint,
@@ -381,7 +382,7 @@ class TestStage2:
     def test_reset_scheduler_resume_mid_stage2_matches_uninterrupted(
             self, pair_world, small_world, tmp_path, stage1_epochs):
         _, vocab, pair_set = pair_world
-        _, _, pool, _, _ = small_world
+        pool = load_pool(small_world[4], vocab)  # as a run reads it: against its own vocab
         docs = [pair_set.content[e] for pair in pair_set.pairs for e in pair]
 
         def config(stage2_epochs):
@@ -443,6 +444,13 @@ def _grads_of(state, loss):
     return {k: p.grad.copy() for k, p in state.params.items() if p.grad is not None}
 
 
+def _padded_embeddings(state, docs):
+    """Each document's (len, dim) rows of one padded unmasked forward, in input order."""
+    ids, pad_mask = pad([doc.tokens for doc in docs])
+    hidden = TR.forward(ids, pad_mask, state.params, state.enc_config)
+    return [TR.gather_positions(hidden, i, np.arange(len(doc))) for i, doc in enumerate(docs)]
+
+
 def _functional(embs, weights):
     terms = [T.tensor_sum(T.mul(e, T.Tensor(w))) for e, w in zip(embs, weights)]
     return sum(terms[1:], terms[0])
@@ -452,13 +460,13 @@ class TestAlignmentPass:
     def test_padded_pass_matches_per_document_passes(self, ragged_docs):
         make_state, docs = ragged_docs
         state = make_state()
-        batched = TR._embed_docs(state, docs)
-        single = [TR._embed_docs(state, [d])[0] for d in docs]
+        batched = _padded_embeddings(state, docs)
+        single = [_padded_embeddings(state, [d])[0] for d in docs]
         for doc, got, want in zip(docs, batched, single):
             assert got.shape == (len(doc), state.enc_config.dim)
             np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
         weights = [np.random.default_rng(i).normal(size=e.shape) for i, e in enumerate(single)]
-        got = _grads_of(state, _functional(TR._embed_docs(state, docs), weights))
+        got = _grads_of(state, _functional(_padded_embeddings(state, docs), weights))
         want = _grads_of(state, _functional(single, weights))
         largest = max(np.abs(g).max() for g in want.values())
         assert got.keys() == want.keys()
@@ -507,7 +515,7 @@ class TestAlignmentPass:
         ref.scheduler.iteration += 1
         pair_docs = [content[e] for pair in pair_set.pairs for e in pair]
         hybrid_loss, mode, _, _ = TR._hybrid_forward(ref, pair_docs, pool)
-        emb = TR._embed_docs(ref, pair_docs)
+        emb = _padded_embeddings(ref, pair_docs)
         parts = []
         for k in range(len(pair_set)):
             cm = OT.cost_matrix(emb[2 * k], emb[2 * k + 1])
@@ -609,7 +617,7 @@ class TestForwardOnlyInference:
         got = TR.align_pairs(state, pairs, variant, 30, 0.5)
         assert len(got) == len(pairs)
         for (doc_a, doc_b), matrix in zip(pairs, got):
-            emb_a, emb_b = TR._embed_docs(state, [doc_a])[0], TR._embed_docs(state, [doc_b])[0]
+            emb_a, emb_b = (_padded_embeddings(state, [doc])[0] for doc in (doc_a, doc_b))
             if variant == "ot":
                 plan = OT.ipot(OT.cost_matrix(emb_a, emb_b).values.data, beta=0.5,
                                outer_iters=30)
@@ -745,6 +753,16 @@ DAMAGE_NAMED = {
     "scheduler-iteration-string": "scheduler fields must be numbers",
     "scheduler-iteration-null": "iteration an int",
     "scheduler-bootstrap_every-0": "scheduler fields must be ['alpha', 'iteration', ",
+    "scheduler-alpha-2": "alpha in [0, 1]; got {'alpha': 2.0",
+    "scheduler-iteration-negative": "iteration an int >= 0",
+    "phrases-0-float-ids": "phrase 0 [1.5, 2.0] is no pool phrase (id)",
+    "phrases-0-string-ids": "phrase 0 ['5', '6'] is no pool phrase (id)",
+    "phrases-0-bool-ids": "phrase 0 [True, True] is no pool phrase (id)",
+    "phrases-0-string": "phrase 0 'ab' is no pool phrase (list)",
+    "phrases-0-empty": "phrase 0 [] is no pool phrase (short)",
+    "phrases-0-ids-outside-vocab": "phrase 0 [-5, 99999] is no pool phrase (id)",
+    "phrases-0-unk": "is no pool phrase (oov)",
+    "phrases-1-repeated": "phrases must be distinct and in phrase-id order",
 }
 
 

@@ -7,6 +7,7 @@ from domainlm import tensor as T
 from domainlm import transport as OT
 
 from gradcheck import numeric_grad, rel_error
+from synthetic import read_alignment_csv
 
 
 class TestCostMatrix:
@@ -389,7 +390,7 @@ class TestCsv:
         mat /= mat.sum(axis=1, keepdims=True)
         path = tmp_path / "align.csv"
         OT.write_alignment_csv(path, ["a", "b", "c"], ["w", "x", "y", "z"], mat)
-        row_toks, col_toks, back = OT.read_alignment_csv(path)
+        row_toks, col_toks, back = read_alignment_csv(path)
         assert row_toks == ["a", "b", "c"]
         assert col_toks == ["w", "x", "y", "z"]
         assert np.abs(back.sum(axis=1) - 1.0).max() <= 1e-9
