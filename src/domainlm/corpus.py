@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 PAD_ID = 0
 UNK_ID = 1
@@ -78,22 +78,40 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        token_to_id: dict[str, int] = {}
-        id_to_token: list[str] = []
+        """Read a "token<TAB>id" file whose ids count up from 0, one per line."""
+        tokens: list[str] = []
+        lines: list[int] = []
         for lineno, line in numbered_lines(path):
             try:
                 tok, idx = line.split("\t")
                 idx = int(idx)
             except ValueError as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed vocab line") from exc
-            if idx != len(id_to_token):
+            if idx != len(tokens):
                 raise CorpusError(f"{path}:{lineno}: non-contiguous vocab id {idx}")
+            tokens.append(tok)
+            lines.append(lineno)
+        return cls.from_tokens(tokens, str(path), lines)
+
+    @classmethod
+    def from_tokens(cls, tokens: list[str], source: str = "vocab",
+                    lines: Optional[list[int]] = None) -> "Vocab":
+        """The vocab whose id ``i`` is ``tokens[i]``: strings, none repeated, the
+        specials first. A fault raises CorpusError naming ``source`` and the faulty
+        token's line in it, or its id when ``lines`` is not given."""
+        def where(idx: int) -> str:
+            return f"{source}:{lines[idx]}" if lines else f"{source} id {idx}"
+
+        token_to_id: dict[str, int] = {}
+        for idx, tok in enumerate(tokens):
+            if type(tok) is not str:
+                raise CorpusError(f"{where(idx)}: vocab entries must be strings, got {tok!r}")
             if token_to_id.setdefault(tok, idx) != idx:
-                raise CorpusError(f"{path}:{lineno}: repeated vocab token {tok!r}")
-            id_to_token.append(tok)
-        if id_to_token[:NUM_SPECIALS] != list(SPECIAL_TOKENS):
-            raise CorpusError(f"{path}: vocab file does not start with the special tokens")
-        return cls(token_to_id, id_to_token)
+                raise CorpusError(f"{where(idx)}: repeated vocab token {tok!r}")
+        if tokens[:NUM_SPECIALS] != list(SPECIAL_TOKENS):
+            raise CorpusError(f"{source}: does not start with the special tokens "
+                              f"{' '.join(SPECIAL_TOKENS)}")
+        return cls(token_to_id, list(tokens))
 
 
 @dataclass
@@ -137,8 +155,7 @@ def vocab_from_counts(counts: dict[str, int], min_freq: int = 1) -> Vocab:
         raise CorpusError(f"min_freq must be >= 1, got {min_freq}")
     kept = sorted((tok for tok, c in counts.items() if c >= min_freq),
                   key=lambda tok: (-counts[tok], tok))
-    id_to_token = list(SPECIAL_TOKENS) + kept
-    return Vocab({tok: i for i, tok in enumerate(id_to_token)}, id_to_token)
+    return Vocab.from_tokens(list(SPECIAL_TOKENS) + kept)
 
 
 def build_vocab(corpus_path, min_freq: int = 1) -> Vocab:

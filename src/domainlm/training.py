@@ -8,6 +8,8 @@ documents unmasked. For the transport loss one padded forward per step
 encodes them masked and unmasked; the triplet baseline runs its own padded
 unmasked pass with the same parameters, over the documents and their
 negatives, and one batched triplet loss reads it for all the step's pairs.
+That pass runs off the tape first, and again on the tape only when a
+hinge is active.
 
 Determinism: parameter init, masking, data order and negative sampling
 draw from separate streams derived from the config seed. Data order and
@@ -212,10 +214,20 @@ def _new_scheduler(config: TrainConfig) -> SchedulerState:
     return SchedulerState(**{k: getattr(config, k) for k in SCHEDULER_KEYS})
 
 
+def _check_phrases(phrases: list, vocab_size: int) -> None:
+    """Raise ValueError naming the first entry of ``phrases`` that no pool file could
+    yield over a vocab of ``vocab_size`` tokens (see ``phrases.phrase_fault``)."""
+    for k, ids in enumerate(phrases):
+        if fault := phrase_fault(ids, vocab_size):
+            raise ValueError(f"phrase {k} {ids!r} is no pool phrase ({fault})")
+
+
 def init_train_state(vocab: Vocab, pool: PhrasePool, config: TrainConfig,
                      **shape: int) -> TrainState:
-    """A fresh run whose encoder is sized by the data, ``config.max_seq_len`` and ``shape``."""
+    """A fresh run whose encoder is sized by the data, ``config.max_seq_len`` and ``shape``.
+    A pool read against another vocab raises ValueError, as its checkpoint would."""
     config.validate()
+    _check_phrases(pool.by_id(), len(vocab))
     enc_config = EncoderConfig(vocab_size=len(vocab), phrase_vocab_size=pool.phrase_vocab_size,
                                max_seq_len=config.max_seq_len, **shape)
     params = init_params(enc_config, np.random.default_rng([config.seed, 0x1A17]))
@@ -302,17 +314,26 @@ def _alignment_loss(state: TrainState, docs: list[Document], negatives: list[Doc
                         for s in (0, 1))
         return transport.cea_loss(emb_a, emb_b, lengths.tolist(), beta=cfg.ipot_beta,
                                   outer_iters=cfg.ipot_outer_iters)
-    # attention keeps its own unmasked pass: stacked, it measured slower (269 -> 306 ms
-    # per stage-2 run on the benchmark's pair world), where its hinge is inactive and
-    # this pass runs no backward.
+    # attention keeps its own unmasked pass, and runs it off the tape: stacked into the
+    # masked forward it measured slower (269 -> 306 ms per stage-2 run on the benchmark's
+    # pair world) and could not leave the tape. Only a step with an active hinge runs
+    # the pass again on the tape, which rebuilds the same values bit for bit.
     ids, pad_mask = pad([doc.tokens for doc in docs + negatives])
-    unmasked = forward(ids, pad_mask, state.params, state.enc_config)
     pairs = len(negatives)
     rows = np.c_[np.arange(2 * pairs).reshape(-1, 2), 2 * pairs + np.arange(pairs)].T
     masks = [pad_mask[side, :pad_mask[side].sum(axis=1).max()] for side in rows]  # a, b, negative
-    sides = [gather_positions(unmasked, side[:, None], np.arange(mask.shape[1]))
-             for side, mask in zip(rows, masks)]
-    return T.scale(crossattn.triplet_loss(*sides, *masks), 1.0 / pairs)
+
+    def hinge_sum(params: dict[str, Tensor]) -> Tensor:
+        unmasked = forward(ids, pad_mask, params, state.enc_config)
+        sides = [gather_positions(unmasked, side[:, None], np.arange(mask.shape[1]))
+                 for side, mask in zip(rows, masks)]
+        return crossattn.triplet_loss(*sides, *masks)
+
+    # Decide on the unscaled sum: a positive hinge could underflow once scaled.
+    total = hinge_sum(_forward_only(state).params)
+    if total.item() != 0.0:
+        total = hinge_sum(state.params)
+    return T.scale(total, 1.0 / pairs)
 
 
 # ----------------------------------------------------------------- stage loops
@@ -386,7 +407,8 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
     The masked pass covers both pair documents. For ``ot`` the same padded
     forward also encodes them unmasked, and the alignment term reads those
     rows: one encoder forward per step covers both passes. ``attention``
-    runs a second, unmasked pass with the negatives. One optimizer step per
+    runs a second, unmasked pass with the negatives, off the tape; only a
+    step with an active hinge runs it again on the tape. One optimizer step per
     iteration on the summed loss. With cea_weight = 0 the alignment pass
     is skipped entirely, reproducing stage-1 dynamics on the pair corpus.
     reset_scheduler_for_stage2 restarts the scheduler once, before the
@@ -554,16 +576,13 @@ def load_checkpoint(path) -> TrainState:
                                  - set(DERIVED_ENCODER_KEYS))):
                 if missing := sorted(names - meta[part].keys()):
                     raise ValueError(f"{part} has no {', '.join(map(repr, missing))}")
-            if not all(type(tok) is str for tok in meta["vocab"]):
-                raise ValueError("vocab entries must be strings")
-            for k, ids in enumerate(meta["phrases"]):  # as load_pool keeps them, sorted
-                if fault := phrase_fault(ids, len(meta["vocab"])):
-                    raise ValueError(f"phrase {k} {ids!r} is no pool phrase ({fault})")
+            vocab = Vocab.from_tokens(meta["vocab"])
+            _check_phrases(meta["phrases"], len(vocab))  # as load_pool keeps them, sorted
             if (phrases := [tuple(ids) for ids in meta["phrases"]]) != sorted(set(phrases)):
                 raise ValueError("phrases must be distinct and in phrase-id order")
             config = TrainConfig(**meta["train_config"])
             config.validate()
-            enc_config = EncoderConfig(vocab_size=len(meta["vocab"]),
+            enc_config = EncoderConfig(vocab_size=len(vocab),
                                        phrase_vocab_size=len(phrases),
                                        max_seq_len=config.max_seq_len, **meta["shape"])
             shapes = param_shapes(enc_config)
@@ -588,7 +607,7 @@ def load_checkpoint(path) -> TrainState:
             scheduler=SchedulerState.from_dict(meta["scheduler"], **{
                 k: getattr(config, k) for k in SCHEDULER_KEYS}),
             mask_rng=mask_rng,
-            vocab=Vocab({tok: i for i, tok in enumerate(meta["vocab"])}, meta["vocab"]),
+            vocab=vocab,
             phrases=phrases,
             stage1_iters_done=meta["stage1_iters_done"],
             stage2_iters_done=meta["stage2_iters_done"],

@@ -189,7 +189,8 @@ READABLE_DAMAGE = ("no-stage2_iters_done", "no-warm_iters", "no-heads", "version
                    "version-2", "version-3.0", "version-true", "vocab-5-int",
                    *[f"{key}-{how}" for key in ARENAS for how in ("short", "long")],
                    "tok_emb-10-rows", "vocab_size-changed", "shape-carries-max_seq_len",
-                   "dim-float", "vocab-3-longer", "phrases-1-shorter", "stage1_iters_done-float",
+                   "dim-float", "vocab-3-longer", "vocab-repeated-token", "vocab-specials-swapped",
+                   "phrases-1-shorter", "stage1_iters_done-float",
                    *CONFIG_DAMAGE, "scheduler-iteration-string", "scheduler-iteration-null",
                    "scheduler-bootstrap_every-0", "scheduler-alpha-2",
                    "scheduler-iteration-negative", *[f"phrases-0-{how}" for how in PHRASE_DAMAGE],
@@ -226,8 +227,12 @@ def _damage(arrays: dict, damage: str) -> None:
         shape["max_seq_len"] = meta["train_config"]["max_seq_len"]
     elif damage == "dim-float":
         shape["dim"] = float(shape["dim"])
-    elif damage == "vocab-3-longer":  # three tokens the corpus uses, again at the end
-        meta["vocab"] += meta["vocab"][4:7]
+    elif damage == "vocab-3-longer":  # three new tokens at the end: only the arena is short
+        meta["vocab"] += [f"{tok}-new" for tok in meta["vocab"][4:7]]
+    elif damage == "vocab-repeated-token":  # same size, so only the vocab rule sees it
+        meta["vocab"][5] = meta["vocab"][4]
+    elif damage == "vocab-specials-swapped":
+        meta["vocab"][:2] = meta["vocab"][1::-1]
     elif damage == "phrases-1-shorter":
         meta["phrases"].pop()
     elif damage == "stage1_iters_done-float":

@@ -9,8 +9,9 @@ metadata JSON, re-saved as a valid zip, which reach the loader's checks;
 and the type of one metadata value, which keeps the JSON valid and its
 keys intact. A damaged checkpoint that still loads must hold each fact
 once: what a run derives agrees with what the file stores. Its vocab
-must hold only strings, its phrases only what a pool file can yield, and
-its scheduler an alpha and an iteration a run can reach.
+must hold what a vocab file can (strings, none repeated, the specials
+first), its phrases only what a pool file can yield, and its scheduler
+an alpha and an iteration a run can reach.
 """
 import json
 
@@ -85,7 +86,11 @@ def assert_holds_each_fact_once(path) -> None:
     assert state.adam.t == state.stage1_iters_done + state.stage2_iters_done
     assert state.enc_config.vocab_size == len(state.vocab)
     assert state.enc_config.phrase_vocab_size == len(state.phrases)
-    assert all(type(tok) is str for tok in state.vocab.id_to_token)
+    tokens = state.vocab.id_to_token
+    assert all(type(tok) is str for tok in tokens)
+    assert tokens[:C.NUM_SPECIALS] == list(C.SPECIAL_TOKENS)
+    assert state.vocab.token_to_id == {tok: i for i, tok in enumerate(tokens)}
+    assert len(state.vocab.token_to_id) == len(tokens)  # no token repeats
     assert all(len(ids) >= 2 and all(type(i) is int and i != C.UNK_ID and 0 <= i < len(state.vocab)
                                      for i in ids) for ids in state.phrases)
     assert state.phrases == sorted(set(state.phrases))

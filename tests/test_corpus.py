@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,26 @@ class TestVocabFile:
         out.write_text(out.read_text() + "red\t6\n")  # "red" is already id 4
         with pytest.raises(C.CorpusError, match=f"{out}:7: repeated vocab token 'red'"):
             C.Vocab.load(out)
+
+    def test_specials_out_of_place_rejected_naming_file(self, tiny_corpus, tmp_path):
+        out = tmp_path / "vocab.tsv"
+        tokens = C.build_vocab(tiny_corpus).id_to_token
+        tokens[:2] = tokens[1::-1]
+        out.write_text("".join(f"{tok}\t{i}\n" for i, tok in enumerate(tokens)))
+        with pytest.raises(C.CorpusError, match=rf"{out}: does not start with the special "
+                                                r"tokens \[PAD\] \[UNK\]"):
+            C.Vocab.load(out)
+
+    @pytest.mark.parametrize("tokens, named", [
+        (["[PAD]", "[UNK]", "[MASK]", "[CLS]", "red", 7], "vocab id 5: vocab entries must be "
+                                                          "strings, got 7"),
+        (["[PAD]", "[UNK]", "[MASK]", "[CLS]", "red", "red"], "vocab id 5: repeated vocab "
+                                                              "token 'red'"),
+        (["[PAD]", "[UNK]", "[MASK]"], "vocab: does not start with the special tokens"),
+    ], ids=["non-string", "repeated", "short"])
+    def test_from_tokens_names_the_faulty_id(self, tokens, named):
+        with pytest.raises(C.CorpusError, match=re.escape(named)):
+            C.Vocab.from_tokens(tokens)
 
 
 @pytest.fixture

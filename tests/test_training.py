@@ -268,10 +268,33 @@ def pair_world(tmp_path_factory):
     return world, vocab, pair_set
 
 
+@pytest.fixture(scope="module")
+def pair_pool(pair_world, tmp_path_factory):
+    """A pool read against the pair world's vocab: the first two words of each of
+    its first eight documents, so phrase steps find phrases in pair documents."""
+    world, vocab, _ = pair_world
+    path = tmp_path_factory.mktemp("pair_pool") / "pool.tsv"
+    path.write_text("".join(f"{' '.join(line.split()[:2])}\t0.9\n"
+                            for line in world.corpus_lines[:8]))
+    return load_pool(path, vocab)
+
+
+@pytest.fixture(scope="module")
+def random_pairs(pair_world):
+    """Six pairs of random-token documents over the pair vocab: their triplet
+    hinges are active, where the pair world's margin holds from the first step."""
+    _, vocab, _ = pair_world
+    rng = np.random.default_rng(0)
+    content = {f"e{i}": C.Document(tokens=rng.integers(C.NUM_SPECIALS, len(vocab), n).tolist())
+               for i, n in enumerate(rng.integers(2, 13, 12))}
+    return C.EntityPairSet(pairs=[(f"e{i}", f"e{i + 1}") for i in range(0, 12, 2)],
+                           content=content)
+
+
 class TestStage2:
-    def test_lambda_zero_matches_stage1_on_pair_corpus(self, pair_world, small_world):
+    def test_lambda_zero_matches_stage1_on_pair_corpus(self, pair_world, pair_pool):
         world, vocab, pair_set = pair_world
-        _, _, pool, _, _ = small_world  # no pool phrases occur in pair docs
+        pool = pair_pool
         cfg2 = TR.TrainConfig(stage1_epochs=0, stage2_epochs=2, batch_size=4,
                               learning_rate=3e-3, seed=3, warm_iters=5,
                               cea_weight=0.0, shuffle=False, eval_docs=0,
@@ -290,9 +313,9 @@ class TestStage2:
         TR.run_stage1(flat_docs, pool, s1)
         assert params_bytes(s1) == params_bytes(s2)
 
-    def test_cea_records_present_with_ot(self, pair_world, small_world):
+    def test_cea_records_present_with_ot(self, pair_world, pair_pool):
         world, vocab, pair_set = pair_world
-        _, _, pool, _, _ = small_world
+        pool = pair_pool
         cfg = TR.TrainConfig(stage1_epochs=0, stage2_epochs=1, batch_size=8,
                              learning_rate=3e-3, seed=0, warm_iters=2,
                              cea_weight=1.0, ipot_outer_iters=20, eval_docs=0,
@@ -304,9 +327,9 @@ class TestStage2:
         assert all(rec["L_cea"] is not None for rec in records)
         assert all(rec["stage"] == 2 for rec in records)
 
-    def test_attention_variant_produces_triplet_records(self, pair_world, small_world):
+    def test_attention_variant_produces_triplet_records(self, pair_world, pair_pool):
         world, vocab, pair_set = pair_world
-        _, _, pool, _, _ = small_world
+        pool = pair_pool
         cfg = TR.TrainConfig(stage1_epochs=0, stage2_epochs=1, batch_size=8,
                              learning_rate=3e-3, seed=0, warm_iters=2,
                              cea_weight=1.0, cea_variant="attention", eval_docs=0,
@@ -318,16 +341,12 @@ class TestStage2:
         assert all(rec["L_cea"] is not None for rec in records)
         assert all(rec["L_cea"] >= 0.0 for rec in records)
 
-    def test_attention_variant_trains_through_an_active_hinge(self, pair_world, small_world):
+    def test_attention_variant_trains_through_an_active_hinge(self, pair_world, pair_pool,
+                                                              random_pairs):
         # In the pair world the triplet margin holds from the first step, so
         # L_cea is 0 there; random-token pairs leave the hinge active.
         _, vocab, _ = pair_world
-        _, _, pool, _, _ = small_world
-        rng = np.random.default_rng(0)
-        content = {f"e{i}": C.Document(tokens=rng.integers(C.NUM_SPECIALS, len(vocab), n).tolist())
-                   for i, n in enumerate(rng.integers(2, 13, 12))}
-        pair_set = C.EntityPairSet(pairs=[(f"e{i}", f"e{i + 1}") for i in range(0, 12, 2)],
-                                   content=content)
+        pool, pair_set = pair_pool, random_pairs
 
         def run(cea_weight):
             state = TR.init_train_state(vocab, pool, desk_config(
@@ -341,9 +360,9 @@ class TestStage2:
         assert any(rec["L_cea"] > 0.0 for rec in records)
         assert trained != run(0.0)[1]
 
-    def test_cea_loss_mean_drops_from_first_epoch(self, pair_world, small_world):
+    def test_cea_loss_mean_drops_from_first_epoch(self, pair_world, pair_pool):
         world, vocab, pair_set = pair_world
-        _, _, pool, _, _ = small_world
+        pool = pair_pool
         cfg = TR.TrainConfig(stage1_epochs=1, stage2_epochs=4, batch_size=8,
                              learning_rate=3e-3, seed=1, warm_iters=10,
                              cea_weight=1.0, ipot_outer_iters=30, eval_docs=0,
@@ -360,9 +379,9 @@ class TestStage2:
         last = sum(cea[-per_epoch:]) / per_epoch
         assert last <= 0.9 * first
 
-    def test_reset_scheduler_takes_config_hyperparameters(self, pair_world, small_world):
+    def test_reset_scheduler_takes_config_hyperparameters(self, pair_world, pair_pool):
         _, vocab, pair_set = pair_world
-        _, _, pool, _, _ = small_world
+        pool = pair_pool
         cfg = TR.TrainConfig(stage1_epochs=0, stage2_epochs=1, batch_size=8,
                              learning_rate=3e-3, warm_iters=3, warm_alpha=0.7,
                              ema_decay=0.5, bootstrap_every=2, cea_weight=0.0,
@@ -412,9 +431,17 @@ class TestStage2:
         steps = [r["iter"] for r in records]
         assert steps == list(range(1, full.stage1_iters_done + full.stage2_iters_done + 1))
 
-    def test_empty_pair_set_rejected(self, pair_world, small_world):
-        world, vocab, pair_set = pair_world
+    def test_a_pool_read_against_another_vocab_is_rejected(self, pair_world, small_world):
+        # the phrase world's pool holds ids past the pair vocab's 111 tokens
+        _, vocab, _ = pair_world
         _, _, pool, _, _ = small_world
+        with pytest.raises(ValueError, match=r"phrase 16 \(110, 111, 112, 113\) is no pool "
+                                             r"phrase \(id\)"):
+            TR.init_train_state(vocab, pool, desk_config(stage2_epochs=1))
+
+    def test_empty_pair_set_rejected(self, pair_world, pair_pool):
+        world, vocab, pair_set = pair_world
+        pool = pair_pool
         state = TR.init_train_state(vocab, pool, desk_config(stage2_epochs=1))
         empty = C.EntityPairSet(pairs=[], content={})
         with pytest.raises(ValueError):
@@ -422,10 +449,10 @@ class TestStage2:
 
 
 @pytest.fixture(scope="module")
-def ragged_docs(pair_world, small_world):
+def ragged_docs(pair_world, pair_pool):
     """A state factory and six documents of different lengths, so a batch pads."""
     _, vocab, _ = pair_world
-    _, _, pool, _, _ = small_world
+    pool = pair_pool
 
     def state(variant="ot"):
         return TR.init_train_state(vocab, pool, desk_config(
@@ -475,10 +502,10 @@ class TestAlignmentPass:
                                        atol=1e-12 * largest, err_msg=name)
 
     @pytest.mark.parametrize("force_alpha", [1.0, 0.0])  # a word step, then a phrase step
-    def test_stacked_step_matches_the_two_pass_path(self, ragged_docs, small_world,
+    def test_stacked_step_matches_the_two_pass_path(self, ragged_docs, pair_pool,
                                                     monkeypatch, force_alpha):
         make_state, docs = ragged_docs
-        _, _, pool, _, _ = small_world
+        pool = pair_pool
         if not force_alpha:  # a pool phrase in every document, so phrase_loss reads groups
             docs = [C.Document(tokens=d.tokens + list(pool.by_id()[0])) for d in docs]
         content = {f"e{i}": d for i, d in enumerate(docs)}
@@ -576,10 +603,10 @@ class TestAlignmentPass:
                              [(1.0, 1, "ot"), (1.0, 2, "attention"),
                               (0.0, 1, "ot"), (0.0, 1, "attention")])
     def test_stage2_step_runs_one_masked_and_one_alignment_pass(
-            self, pair_world, small_world, monkeypatch, cea_weight, passes, variant):
+            self, pair_world, pair_pool, monkeypatch, cea_weight, passes, variant):
         # ot stacks its unmasked pass into the masked forward; attention runs its own.
         _, vocab, pair_set = pair_world
-        _, _, pool, _, _ = small_world
+        pool = pair_pool
         calls = []
         forward = TR.forward
         monkeypatch.setattr(TR, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
@@ -590,6 +617,70 @@ class TestAlignmentPass:
         TR.run_stage2(pair_set, pool, state, progress=records.append)
         assert len(records) == state.stage2_iters_done > 1
         assert len(calls) == passes * state.stage2_iters_done
+
+
+def _always_taped_attention_loss(state, docs, negatives, hidden):
+    """The attention alignment loss with its one unmasked pass always on the tape."""
+    ids, pad_mask = pad([doc.tokens for doc in docs + negatives])
+    unmasked = TR.forward(ids, pad_mask, state.params, state.enc_config)
+    pairs = len(negatives)
+    rows = np.c_[np.arange(2 * pairs).reshape(-1, 2), 2 * pairs + np.arange(pairs)].T
+    masks = [pad_mask[side, :pad_mask[side].sum(axis=1).max()] for side in rows]
+    sides = [TR.gather_positions(unmasked, side[:, None], np.arange(mask.shape[1]))
+             for side, mask in zip(rows, masks)]
+    return T.scale(CA.triplet_loss(*sides, *masks), 1.0 / pairs)
+
+
+class TestOffTapeTripletPass:
+    """The attention step computes its loss off the tape first, and builds the
+    taped graph only when a hinge is active."""
+
+    @staticmethod
+    def train(vocab, pool, pair_set):
+        state = TR.init_train_state(vocab, pool, desk_config(
+            stage1_epochs=0, stage2_epochs=3, batch_size=4, warm_iters=2,
+            cea_variant="attention"))
+        records = []
+        TR.run_stage2(pair_set, pool, state, progress=records.append)
+        return records, state
+
+    @pytest.mark.parametrize("world", ["pair world", "random pairs"])
+    def test_matches_the_always_taped_step_bit_for_bit(self, pair_world, pair_pool,
+                                                        random_pairs, monkeypatch, world):
+        _, vocab, pair_set = pair_world
+        if world == "random pairs":
+            pair_set = random_pairs
+        records, state = self.train(vocab, pair_pool, pair_set)
+        monkeypatch.setattr(TR, "_alignment_loss", _always_taped_attention_loss)
+        want_records, want = self.train(vocab, pair_pool, pair_set)
+        hinges = [rec["L_cea"] for rec in records]
+        if world == "random pairs":
+            assert any(h > 0.0 for h in hinges)
+        else:
+            assert hinges == [0.0] * len(records)
+        assert records == want_records
+        for arena in ("arena", "arena_m", "arena_v"):
+            assert getattr(state.adam, arena).tobytes() == getattr(want.adam, arena).tobytes()
+
+    def test_an_inactive_step_tapes_only_the_masked_forward(self, pair_world, pair_pool,
+                                                             monkeypatch):
+        _, vocab, pair_set = pair_world
+        taped = []
+        forward = TR.forward
+        monkeypatch.setattr(TR, "forward", lambda ids, mask, params, config: taped.append(
+            params["tok_emb"].requires_grad) or forward(ids, mask, params, config))
+        records, state = self.train(vocab, pair_pool, pair_set)
+        assert all(rec["L_cea"] == 0.0 for rec in records)
+        assert taped == [True, False] * state.stage2_iters_done
+
+    def test_a_hinge_sum_that_underflows_once_scaled_is_taped(self, ragged_docs, monkeypatch):
+        make_state, docs = ragged_docs
+        tiny = 5e-324  # the least subnormal: a third of it rounds to 0.0
+        assert tiny > 0.0 and tiny / 3 == 0.0
+        monkeypatch.setattr(CA, "triplet_loss", lambda a, *rest: T.scale(a.sum(), 0.0)
+                            + T.Tensor(np.asarray(tiny)))
+        got = TR._alignment_loss(make_state("attention"), docs[:6], docs[3:], None)
+        assert got.item() == 0.0 and got.requires_grad
 
 
 class TestForwardOnlyInference:
@@ -735,7 +826,9 @@ DAMAGE_NAMED = {
     "version-2": "version 2 checkpoints", "version-3.0": "version must be an int, got 3.0",
     "version-true": "version must be an int, got True",
     "no-warm_iters": "train_config has no 'warm_iters'", "no-heads": "shape has no 'heads'",
-    "vocab-5-int": "vocab entries must be strings",
+    "vocab-5-int": "vocab id 5: vocab entries must be strings, got 7",
+    "vocab-repeated-token": "vocab id 5: repeated vocab token",
+    "vocab-specials-swapped": "vocab: does not start with the special tokens [PAD] [UNK]",
     **{f"{key}-{how}": f"{key!r} is float64" for key in ARENAS for how in ("short", "long")},
     "tok_emb-10-rows": "'arena' is float64",
     "vocab_size-changed": "multiple values for keyword argument 'vocab_size'",
