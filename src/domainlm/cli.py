@@ -172,7 +172,7 @@ def _check_resume(state, vocab: Vocab, pool, given: dict) -> None:
     """Reject inputs that disagree with what the checkpoint was trained on."""
     if vocab.id_to_token != state.vocab.id_to_token:
         raise CorpusError("--resume: the --vocab token list differs from the checkpoint's")
-    given = {**given, "phrase_vocab_size": pool.phrase_vocab_size}
+    given = {**given, "phrase_vocab_size": len(pool)}
     fixed = {**asdict(state.config), **asdict(state.enc_config)}
     for key in FIXED_ON_RESUME:
         if key in given and given[key] != fixed[key]:

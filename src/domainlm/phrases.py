@@ -50,10 +50,6 @@ class PhrasePool:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def phrase_vocab_size(self) -> int:
-        return len(self.entries)
-
     def by_id(self) -> list[tuple[int, ...]]:
         """The phrases' token-id tuples in phrase-id order."""
         return sorted(self.phrase_ids, key=self.phrase_ids.__getitem__)

@@ -120,13 +120,14 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count over a flat arena.
+    """Adam's moments over a flat arena.
 
     The parameters and both moments each live in one float64 buffer
     (``arena``, ``arena_m``, ``arena_v``) in parameter order. Every
     parameter's ``data`` is a reshaped view into ``arena``, so parameters are
     updated in place and their ``data`` must never be rebound. ``grad`` and
-    ``scratch`` are two more arena-sized buffers that each step overwrites.
+    ``scratch`` are two more arena-sized buffers that each step overwrites. The
+    step count is not kept here: a run derives it from its stage counters.
     """
 
     arena: np.ndarray
@@ -134,24 +135,11 @@ class AdamState:
     arena_v: np.ndarray
     grad: np.ndarray
     scratch: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def fresh(cls, params: dict[str, Tensor]) -> "AdamState":
-        """Zero moments; moves ``params`` into the arena, rebinding each
-        parameter's ``data`` to its view."""
-        size = sum(p.data.size for p in params.values())
-        arena = np.empty(size)
-        views = _views(arena, {k: p.data.shape for k, p in params.items()})
-        for k, p in params.items():
-            views[k][...] = p.data
-            p.data = views[k]
-        return cls(arena, np.zeros(size), np.zeros(size), np.empty(size), np.empty(size))
 
 
-def adam_step(params: dict[str, Tensor], adam: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update of the arena ``adam`` was built on from
-    ``params``. A parameter without a gradient keeps its data and moments;
+def adam_step(params: dict[str, Tensor], adam: AdamState, lr: float, t: int) -> None:
+    """Adam update ``t`` (counted from 1), bias-corrected, of the arena ``adam``
+    holds ``params`` in. A parameter without a gradient keeps its data and moments;
     a non-finite gradient aborts the step before anything changes. The
     arithmetic is the textbook update's, operation for operation, written
     into ``adam``'s buffers instead of temporaries."""
@@ -170,9 +158,8 @@ def adam_step(params: dict[str, Tensor], adam: AdamState, lr: float) -> None:
     if not all(np.isfinite(grad[run]).all() for run in runs):
         raise NanGradientError(next(name for name, p in params.items()
                                     if p.grad is not None and not np.isfinite(p.grad).all()))
-    adam.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** adam.t
-    bc2 = 1.0 - ADAM_BETA2 ** adam.t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for run in runs:
         g, m, v, s = grad[run], adam.arena_m[run], adam.arena_v[run], adam.scratch[run]
         m *= ADAM_BETA1
@@ -222,25 +209,58 @@ def _check_phrases(phrases: list, vocab_size: int) -> None:
             raise ValueError(f"phrase {k} {ids!r} is no pool phrase ({fault})")
 
 
+def _assemble(config: TrainConfig, vocab: Vocab, phrases: list, shape: dict,
+              saved: Optional[dict] = None) -> TrainState:
+    """The one builder of a run's state: validates ``config`` and ``phrases`` and derives
+    the encoder config from them, ``vocab`` and ``shape``. A fresh run (``saved`` None)
+    draws its arena with ``init_params`` and has zero moments, a new scheduler, the seeded
+    masking stream and no steps done; a loaded run takes each of these from ``saved``.
+    Every parameter is a view into the arena, laid out by ``param_shapes``."""
+    config.validate()
+    _check_phrases(phrases, len(vocab))  # as load_pool keeps them, sorted
+    if (phrases := [tuple(ids) for ids in phrases]) != sorted(set(phrases)):
+        raise ValueError("phrases must be distinct and in phrase-id order")
+    enc_config = EncoderConfig(vocab_size=len(vocab), phrase_vocab_size=len(phrases),
+                               max_seq_len=config.max_seq_len, **shape)
+    shapes = param_shapes(enc_config)
+    size = sum(math.prod(s) for s in shapes.values())
+    fresh = saved is None
+    if fresh:
+        params = init_params(enc_config, np.random.default_rng([config.seed, 0x1A17]))
+        saved = {"arena": np.concatenate([p.data.ravel() for p in params.values()]),
+                 "adam_m": np.zeros(size), "adam_v": np.zeros(size),
+                 "stage1_iters_done": 0, "stage2_iters_done": 0}
+    for key in ("arena", "adam_m", "adam_v"):
+        if (a := saved[key]).dtype != np.float64 or a.shape != (size,):
+            raise ValueError(f"{key!r} is {a.dtype} {a.shape}; the model needs "
+                             f"float64 ({size},)")
+    counters = {key: saved[key] for key in ("stage1_iters_done", "stage2_iters_done")}
+    if not all(type(n) is int and n >= 0 for n in counters.values()):
+        raise ValueError(f"counters must be integers >= 0, got {counters}")
+    mask_rng = np.random.default_rng([config.seed, 0x3A5C])
+    if not fresh:
+        mask_rng.bit_generator.state = saved["mask_rng"]
+    return TrainState(
+        config=config,
+        enc_config=enc_config,
+        params={name: Tensor(view, requires_grad=True)
+                for name, view in _views(saved["arena"], shapes).items()},
+        adam=AdamState(saved["arena"], saved["adam_m"], saved["adam_v"],
+                       np.empty(size), np.empty(size)),
+        scheduler=_new_scheduler(config) if fresh else SchedulerState.from_dict(
+            saved["scheduler"], **{k: getattr(config, k) for k in SCHEDULER_KEYS}),
+        mask_rng=mask_rng,
+        vocab=vocab,
+        phrases=phrases,
+        **counters,
+    )
+
+
 def init_train_state(vocab: Vocab, pool: PhrasePool, config: TrainConfig,
                      **shape: int) -> TrainState:
     """A fresh run whose encoder is sized by the data, ``config.max_seq_len`` and ``shape``.
     A pool read against another vocab raises ValueError, as its checkpoint would."""
-    config.validate()
-    _check_phrases(pool.by_id(), len(vocab))
-    enc_config = EncoderConfig(vocab_size=len(vocab), phrase_vocab_size=pool.phrase_vocab_size,
-                               max_seq_len=config.max_seq_len, **shape)
-    params = init_params(enc_config, np.random.default_rng([config.seed, 0x1A17]))
-    return TrainState(
-        config=config,
-        enc_config=enc_config,
-        params=params,
-        adam=AdamState.fresh(params),
-        scheduler=_new_scheduler(config),
-        mask_rng=np.random.default_rng([config.seed, 0x3A5C]),
-        vocab=vocab,
-        phrases=pool.by_id(),
-    )
+    return _assemble(config, vocab, pool.by_id(), shape)
 
 
 # ------------------------------------------------------------------ data order
@@ -376,12 +396,12 @@ def _run_stage(stage: int, groups: list[list[Document]], pool: PhrasePool,
             for p in state.params.values():
                 p.zero_grad()
             T.backward(loss)
-            adam_step(state.params, state.adam, cfg.learning_rate)
+            step = state.stage1_iters_done + state.stage2_iters_done + 1
+            adam_step(state.params, state.adam, cfg.learning_rate, step)
             state.scheduler.record(mode, l_hybrid)
             if progress is not None:
                 lw, lp = (l_hybrid, None) if mode == "word" else (None, l_hybrid)
-                progress({"iter": state.stage1_iters_done + state.stage2_iters_done + 1,
-                          "stage": stage, "mode": mode, "L_w": lw, "L_p": lp,
+                progress({"iter": step, "stage": stage, "mode": mode, "L_w": lw, "L_p": lp,
                           "L_cea": l_cea, "alpha": alpha})
             setattr(state, counter, getattr(state, counter) + 1)
         if cfg.eval_docs > 0 and progress is not None:
@@ -391,10 +411,17 @@ def _run_stage(stage: int, groups: list[list[Document]], pool: PhrasePool,
     return state
 
 
+def _check_pool(pool: PhrasePool, state: TrainState) -> None:
+    """Raise ValueError unless ``pool`` has ``state``'s phrases and phrase ids."""
+    if pool.by_id() != state.phrases:
+        raise ValueError("the pool's phrases differ from the run's, or have other phrase ids")
+
+
 def run_stage1(docs: list[Document], pool: PhrasePool, state: TrainState,
                progress: Optional[Callable[[dict], None]] = None) -> TrainState:
     """Hybrid masked training over the corpus; resumes from saved counters.
     ``progress`` gets the records ``_run_stage`` describes."""
+    _check_pool(pool, state)
     if not docs:
         raise ValueError("stage 1 requires a non-empty corpus")
     return _run_stage(1, [[doc] for doc in docs], pool, state, progress)
@@ -416,6 +443,7 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
     ``progress`` gets the records ``_run_stage`` describes.
     """
     cfg = state.config
+    _check_pool(pool, state)
     if len(pair_set) == 0:
         raise ValueError("stage 2 requires a non-empty pair set")
     if cfg.reset_scheduler_for_stage2 and state.stage2_iters_done == 0:
@@ -553,10 +581,10 @@ def save_checkpoint(path, state: TrainState) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
-    """Inverse of save_checkpoint, deriving the encoder config, scheduler settings and
-    Adam's step count as a fresh run does; the arenas are laid out by that config. A file
-    unreadable, incomplete, of another version or at odds with itself raises ValueError
-    naming ``path``."""
+    """Inverse of save_checkpoint: reads the file and builds the run as a fresh run is
+    built (see ``_assemble``), deriving the encoder config and scheduler settings by the
+    same rules; the arenas are laid out by that config. A file unreadable, incomplete, of
+    another version or at odds with itself raises ValueError naming ``path``."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:  # np.load(path) leaks on a bad zip
             def array(key: str) -> np.ndarray:
@@ -577,41 +605,10 @@ def load_checkpoint(path) -> TrainState:
                 if missing := sorted(names - meta[part].keys()):
                     raise ValueError(f"{part} has no {', '.join(map(repr, missing))}")
             vocab = Vocab.from_tokens(meta["vocab"])
-            _check_phrases(meta["phrases"], len(vocab))  # as load_pool keeps them, sorted
-            if (phrases := [tuple(ids) for ids in meta["phrases"]]) != sorted(set(phrases)):
-                raise ValueError("phrases must be distinct and in phrase-id order")
-            config = TrainConfig(**meta["train_config"])
-            config.validate()
-            enc_config = EncoderConfig(vocab_size=len(vocab),
-                                       phrase_vocab_size=len(phrases),
-                                       max_seq_len=config.max_seq_len, **meta["shape"])
-            shapes = param_shapes(enc_config)
-            size = sum(math.prod(shape) for shape in shapes.values())
-            arenas = {key: array(key) for key in ("arena", "adam_m", "adam_v")}
-        for key, a in arenas.items():
-            if a.dtype != np.float64 or a.shape != (size,):
-                raise ValueError(f"{key!r} is {a.dtype} {a.shape}; the model needs "
-                                 f"float64 ({size},)")
-        counters = {key: meta[key] for key in ("stage1_iters_done", "stage2_iters_done")}
-        if not all(type(n) is int and n >= 0 for n in counters.values()):
-            raise ValueError(f"counters must be integers >= 0, got {counters}")
-        mask_rng = np.random.default_rng()
-        mask_rng.bit_generator.state = meta["mask_rng"]
-        return TrainState(
-            config=config,
-            enc_config=enc_config,
-            params={name: Tensor(view, requires_grad=True)
-                    for name, view in _views(arenas["arena"], shapes).items()},
-            adam=AdamState(arenas["arena"], arenas["adam_m"], arenas["adam_v"],
-                           np.empty(size), np.empty(size), sum(counters.values())),
-            scheduler=SchedulerState.from_dict(meta["scheduler"], **{
-                k: getattr(config, k) for k in SCHEDULER_KEYS}),
-            mask_rng=mask_rng,
-            vocab=vocab,
-            phrases=phrases,
-            stage1_iters_done=meta["stage1_iters_done"],
-            stage2_iters_done=meta["stage2_iters_done"],
-        )
+            saved = {key: array(key) for key in ("arena", "adam_m", "adam_v")}
+        return _assemble(TrainConfig(**meta["train_config"]), vocab, meta["phrases"],
+                         meta["shape"], saved | {key: meta[key] for key in (
+                             "scheduler", "mask_rng", "stage1_iters_done", "stage2_iters_done")})
     except Exception as exc:  # zip, npy-header, JSON and metadata faults alike
         detail = f"no {exc} in meta" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: not a readable domainlm checkpoint: {detail}") from exc

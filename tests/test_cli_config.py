@@ -224,8 +224,7 @@ def test_resume_rejects_other_phrase_pool_size(workspace, one_epoch, tmp_path, c
     pool = tmp_path / "pool.tsv"
     pool.write_text("\n".join(lines[:3]) + "\n")
     vocab = Vocab.load(workspace["vocab"])
-    assert load_pool(pool, vocab).phrase_vocab_size != \
-        load_pool(workspace["pool"], vocab).phrase_vocab_size
+    assert len(load_pool(pool, vocab)) != len(load_pool(workspace["pool"], vocab))
     rc = pretrain(workspace, tmp_path / "out", None, "--resume", str(one_epoch),
                   pool=pool)
     assert rc == 2
@@ -243,7 +242,7 @@ def _swap_one_bigram(workspace, tmp_path):
     pool = tmp_path / "pool.tsv"
     pool.write_text(text)
     new = load_pool(pool, vocab)
-    assert new.phrase_vocab_size == old.phrase_vocab_size and new.by_id() != old.by_id()
+    assert len(new) == len(old) and new.by_id() != old.by_id()
     return pool
 
 

@@ -83,7 +83,6 @@ def assert_holds_each_fact_once(path) -> None:
     assert state.config.max_seq_len == state.enc_config.max_seq_len
     assert all(getattr(state.scheduler, k) == getattr(state.config, k)
                for k in TR.SCHEDULER_KEYS)
-    assert state.adam.t == state.stage1_iters_done + state.stage2_iters_done
     assert state.enc_config.vocab_size == len(state.vocab)
     assert state.enc_config.phrase_vocab_size == len(state.phrases)
     tokens = state.vocab.id_to_token

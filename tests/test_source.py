@@ -117,10 +117,11 @@ def test_rows_are_read_in_one_place(path):
     assert calls == []
 
 
-# A run's encoder config and scheduler are built where a fresh run and a loaded
-# one derive them, by the same rules.
-BUILDERS = {"EncoderConfig": {("training.py", "init_train_state"),
-                              ("training.py", "load_checkpoint")},
+# A run's state is built in one place, for a fresh run and a loaded one alike, and
+# its scheduler where a fresh run and a loaded one derive it, by the same rules.
+BUILDERS = {"EncoderConfig": {("training.py", "_assemble")},
+            "AdamState": {("training.py", "_assemble")},
+            "TrainState": {("training.py", "_assemble")},
             "SchedulerState": {("training.py", "_new_scheduler"), ("hybrid.py", "from_dict")}}
 
 
@@ -138,6 +139,43 @@ def test_configs_are_built_in_one_place(path):
              for where, line in calls_of(path.read_text("utf-8"), name)
              if (path.name, where) not in allowed]
     assert calls == []
+
+
+# A parameter's data is a view into its run's arena; only a new Tensor binds one.
+DATA_BINDERS = {("tensor.py", "__init__")}
+
+
+def data_bindings(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each assignment to an attribute named ``data``,
+    augmented or unpacked too; assigning into it (``x.data[...] = y``) binds nothing."""
+    def bound(target: ast.AST) -> list[ast.AST]:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return [t for elt in target.elts for t in bound(elt)]
+        return bound(target.value) if isinstance(target, ast.Starred) else [target]
+
+    def binds_data(node: ast.AST) -> bool:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+        return any(isinstance(t, ast.Attribute) and t.attr == "data"
+                   for target in targets for t in bound(target))
+
+    return found_in(source, binds_data)
+
+
+def test_checker_sees_a_data_binding():
+    source = ("class Tensor:\n    def __init__(self, d):\n        self.data = d\n"
+              "def rebind(p, v):\n    p.data[...] = v\n    p.data -= v\n"
+              "    q.data, r = v, 1\n    p.grad = v\n    *s.data, = v\n"
+              "def deep(p, v):\n    p.data[0].x = v\n    x = p.data\n    p.data: int = 0\n")
+    assert data_bindings(source) == [("__init__", 3), ("rebind", 6), ("rebind", 7),
+                                     ("rebind", 9), ("deep", 13)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_parameter_data_is_rebound(path):
+    bindings = [f"{where} (line {line})" for where, line in data_bindings(path.read_text("utf-8"))
+                if (path.name, where) not in DATA_BINDERS]
+    assert bindings == []
 
 
 # The checkpoint file is the only array file, written and read in one place each.

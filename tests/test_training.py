@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -38,6 +38,30 @@ def params_bytes(state):
     return b"".join(p.data.tobytes() for p in state.params.values())
 
 
+@pytest.fixture
+def adam_steps(monkeypatch):
+    """The step number each Adam update receives, in call order."""
+    steps, adam_step = [], TR.adam_step
+
+    def recording(params, adam, lr, t):
+        steps.append(t)
+        adam_step(params, adam, lr, t)
+
+    monkeypatch.setattr(TR, "adam_step", recording)
+    return steps
+
+
+def adam_over(params):
+    """A zero-moment Adam state whose arena holds ``params``, each parameter's data
+    rebound to its view of the arena as in a run's state."""
+    arena = np.concatenate([p.data.ravel() for p in params.values()])
+    views = TR._views(arena, {k: p.data.shape for k, p in params.items()})
+    for k, p in params.items():
+        p.data = views[k]
+    n = arena.size
+    return TR.AdamState(arena, np.zeros(n), np.zeros(n), np.empty(n), np.empty(n))
+
+
 class TestAdam:
     def make_params(self, values):
         return {"w": T.Tensor(np.array(values), requires_grad=True)}
@@ -45,53 +69,51 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = self.make_params([1.0, -2.0])
         params["w"].grad = np.zeros(2)
-        adam = TR.AdamState.fresh(params)
-        TR.adam_step(params, adam, lr=0.1)
+        adam = adam_over(params)
+        TR.adam_step(params, adam, lr=0.1, t=1)
         assert np.array_equal(params["w"].data, [1.0, -2.0])
 
     def test_first_step_is_signed_lr(self):
         # bias-corrected first step: -lr * g / (|g| + eps) ~ -lr * sign(g)
         params = self.make_params([0.0, 0.0, 0.0])
         params["w"].grad = np.array([0.5, -3.0, 1e-4])
-        adam = TR.AdamState.fresh(params)
-        TR.adam_step(params, adam, lr=0.01)
+        adam = adam_over(params)
+        TR.adam_step(params, adam, lr=0.01, t=1)
         assert np.allclose(params["w"].data, [-0.01, 0.01, -0.01], atol=1e-6)
 
     def test_nan_gradient_aborts_with_name(self):
         params = self.make_params([1.0])
         params["w"].grad = np.array([np.nan])
-        adam = TR.AdamState.fresh(params)
+        adam = adam_over(params)
         with pytest.raises(TR.NanGradientError, match="'w'"):
-            TR.adam_step(params, adam, lr=0.1)
+            TR.adam_step(params, adam, lr=0.1, t=1)
 
     def test_nan_in_last_parameter_leaves_state_untouched(self):
         params = {"a": T.Tensor(np.array([1.0, 2.0]), requires_grad=True),
                   "b": T.Tensor(np.array([3.0]), requires_grad=True)}
-        adam = TR.AdamState.fresh(params)
+        adam = adam_over(params)
         params["a"].grad = np.array([0.5, -0.5])
         params["b"].grad = np.array([0.5])
-        TR.adam_step(params, adam, lr=0.1)
+        TR.adam_step(params, adam, lr=0.1, t=1)
         before = ({k: p.data.copy() for k, p in params.items()},
-                  adam.arena_m.tobytes(), adam.arena_v.tobytes(), adam.t)
+                  adam.arena_m.tobytes(), adam.arena_v.tobytes())
         params["b"].grad = np.array([np.nan])
         with pytest.raises(TR.NanGradientError, match="'b'"):
-            TR.adam_step(params, adam, lr=0.1)
+            TR.adam_step(params, adam, lr=0.1, t=2)
         for name in params:
             assert params[name].data.tobytes() == before[0][name].tobytes()
         assert adam.arena_m.tobytes() == before[1]
         assert adam.arena_v.tobytes() == before[2]
-        assert adam.t == before[3] == 1
 
     def test_missing_gradient_skipped(self):
         params = self.make_params([1.0])
-        adam = TR.AdamState.fresh(params)
-        TR.adam_step(params, adam, lr=0.1)
+        adam = adam_over(params)
+        TR.adam_step(params, adam, lr=0.1, t=1)
         assert params["w"].data[0] == 1.0
 
     @staticmethod
     def reference_step(params, m, v, t, lr):
-        """The per-parameter loop the flat arena replaced; returns the new t."""
-        t += 1
+        """The per-parameter loop the flat arena replaced, as update ``t``."""
         bc1 = 1.0 - TR.ADAM_BETA1 ** t
         bc2 = 1.0 - TR.ADAM_BETA2 ** t
         for name, p in params.items():
@@ -103,7 +125,6 @@ class TestAdam:
             v[name] *= TR.ADAM_BETA2
             v[name] += (1.0 - TR.ADAM_BETA2) * g * g
             p.data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + TR.ADAM_EPS)
-        return t
 
     def test_arena_matches_per_parameter_loop_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -111,18 +132,16 @@ class TestAdam:
         init = {k: rng.standard_normal(s) for k, s in shapes.items()}
         params = {k: T.Tensor(init[k], requires_grad=True) for k in shapes}
         ref = {k: T.Tensor(init[k].copy(), requires_grad=True) for k in shapes}
-        adam = TR.AdamState.fresh(params)
+        adam = adam_over(params)
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
-        t = 0
         # no gradient: none; in the middle; at the end; both; neighbours
-        for missing in [(), ("c",), ("e",), ("b", "e"), ("c", "d")]:
+        for t, missing in enumerate([(), ("c",), ("e",), ("b", "e"), ("c", "d")], start=1):
             for k, s in shapes.items():
                 g = None if k in missing else rng.standard_normal(s) * 10.0 ** rng.integers(-4, 3)
                 params[k].grad, ref[k].grad = g, g
-            TR.adam_step(params, adam, lr=3e-3)
-            t = self.reference_step(ref, m, v, t, lr=3e-3)
-            assert adam.t == t
+            TR.adam_step(params, adam, lr=3e-3, t=t)
+            self.reference_step(ref, m, v, t, lr=3e-3)
             for k in shapes:
                 assert params[k].data.tobytes() == ref[k].data.tobytes(), k
             for arena, moments in ((adam.arena_m, m), (adam.arena_v, v)):
@@ -148,7 +167,7 @@ class TestArena:
         state = TR.init_train_state(vocab, pool, desk_config())
         assert_params_in_arena(state)
         TR.run_stage1(docs, pool, state)
-        assert state.adam.t > 0
+        assert state.stage1_iters_done > 0
         assert_params_in_arena(state)
         TR.save_checkpoint(tmp_path / "model.npz", state)
         loaded = TR.load_checkpoint(tmp_path / "model.npz")
@@ -157,7 +176,7 @@ class TestArena:
         assert loaded.adam.arena_v.tobytes() == state.adam.arena_v.tobytes()
         loaded.config.stage1_epochs = 2
         TR.run_stage1(docs, pool, loaded)
-        assert loaded.adam.t == 2 * state.adam.t
+        assert loaded.stage1_iters_done == 2 * state.stage1_iters_done
         assert_params_in_arena(loaded)
 
 
@@ -446,6 +465,64 @@ class TestStage2:
         empty = C.EntityPairSet(pairs=[], content={})
         with pytest.raises(ValueError):
             TR.run_stage2(empty, pool, state)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_a_pool_with_other_phrase_ids_is_rejected_before_any_change(
+            self, pair_world, pair_pool, stage):
+        # the phrase head has one row per phrase id: another order trains each row
+        # for another phrase
+        _, vocab, pair_set = pair_world
+        state = TR.init_train_state(vocab, pair_pool, desk_config(
+            stage2_epochs=1, reset_scheduler_for_stage2=True))
+        n = len(pair_pool)
+        reversed_pool = replace(pair_pool, phrase_ids={
+            phrase: n - 1 - i for phrase, i in pair_pool.phrase_ids.items()})
+        assert reversed_pool.by_id() == state.phrases[::-1] != state.phrases
+        scheduler = state.scheduler
+        before = (params_bytes(state), state.adam.arena_m.tobytes(), scheduler.to_dict(),
+                  state.mask_rng.bit_generator.state)
+        with pytest.raises(ValueError, match="phrase ids"):
+            if stage == 1:
+                TR.run_stage1([pair_set.content[a] for a, _ in pair_set.pairs], reversed_pool,
+                              state)
+            else:
+                TR.run_stage2(pair_set, reversed_pool, state)
+        assert state.scheduler is scheduler  # not even the stage-2 reset ran
+        assert (params_bytes(state), state.adam.arena_m.tobytes(), state.scheduler.to_dict(),
+                state.mask_rng.bit_generator.state) == before
+        assert state.stage1_iters_done == state.stage2_iters_done == 0
+
+
+class TestStepCount:
+    """Adam's step number is the run's: the sum of the stage counters, plus one."""
+
+    def test_a_fresh_run_counts_from_one_through_both_stages(self, pair_world, pair_pool,
+                                                             adam_steps):
+        _, vocab, pair_set = pair_world
+        docs = [pair_set.content[e] for pair in pair_set.pairs for e in pair]
+        state = TR.init_train_state(vocab, pair_pool, desk_config(stage2_epochs=1,
+                                                                  ipot_outer_iters=5))
+        TR.run_stage1(docs, pair_pool, state)
+        TR.run_stage2(pair_set, pair_pool, state)
+        assert state.stage1_iters_done > 0 and state.stage2_iters_done > 0
+        assert adam_steps == list(range(1, state.stage1_iters_done
+                                        + state.stage2_iters_done + 1))
+
+    def test_a_resumed_run_continues_the_count_bit_for_bit(self, small_world, tmp_path,
+                                                           adam_steps):
+        vocab, docs, pool, _, _ = small_world
+        full = TR.init_train_state(vocab, pool, desk_config(stage1_epochs=3, seed=5))
+        TR.run_stage1(docs, pool, full)
+        partial = TR.init_train_state(vocab, pool, desk_config(stage1_epochs=1, seed=5))
+        TR.run_stage1(docs, pool, partial)
+        k = partial.stage1_iters_done
+        TR.save_checkpoint(tmp_path / "partial.npz", partial)
+        resumed = TR.load_checkpoint(tmp_path / "partial.npz")
+        resumed.config.stage1_epochs = 3
+        adam_steps.clear()
+        TR.run_stage1(docs, pool, resumed)
+        assert adam_steps == list(range(k + 1, full.stage1_iters_done + 1))
+        assert resumed.adam.arena.tobytes() == full.adam.arena.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -869,7 +946,8 @@ class TestCheckpoint:
         loaded = TR.load_checkpoint(path)
         assert params_bytes(loaded) == params_bytes(state)
         assert list(loaded.params.keys()) == list(state.params.keys())
-        assert loaded.adam.t == state.adam.t
+        assert (loaded.stage1_iters_done, loaded.stage2_iters_done) == \
+            (state.stage1_iters_done, state.stage2_iters_done)
         assert loaded.adam.arena_m.tobytes() == state.adam.arena_m.tobytes()
         assert loaded.adam.arena_v.tobytes() == state.adam.arena_v.tobytes()
         assert loaded.scheduler.to_dict() == state.scheduler.to_dict()
@@ -955,10 +1033,10 @@ class TestCheckpoint:
         assert (loaded.enc_config.vocab_size, loaded.enc_config.phrase_vocab_size) == \
             (len(loaded.vocab), len(loaded.phrases))
         assert [getattr(loaded.scheduler, k) for k in TR.SCHEDULER_KEYS] == [3, 0.6, 0.5, 2]
-        assert loaded.adam.t == loaded.stage1_iters_done + loaded.stage2_iters_done == \
-            state.adam.t > 0
+        assert (loaded.stage1_iters_done, loaded.stage2_iters_done) == \
+            (state.stage1_iters_done, 0) != (0, 0)
 
-    def test_a_stored_step_count_is_not_read(self, small_world, tmp_path):
+    def test_a_stored_step_count_is_not_read(self, small_world, tmp_path, adam_steps):
         # Adam's step count is the sum of the stage counters; a stray copy cannot drift
         vocab, docs, pool, _, _ = small_world
         state = TR.init_train_state(vocab, pool, desk_config())
@@ -968,11 +1046,15 @@ class TestCheckpoint:
 
         def edit(arrays):
             meta = json.loads(arrays["meta"])
-            meta["adam_t"] = state.adam.t + 100
+            meta["adam_t"] = state.stage1_iters_done + 100
             arrays["meta"] = json.dumps(meta).encode("utf-8")
 
         rewrite_checkpoint(path, path, edit)
-        assert TR.load_checkpoint(path).adam.t == state.adam.t
+        loaded = TR.load_checkpoint(path)
+        loaded.config.stage1_epochs = 2
+        adam_steps.clear()
+        TR.run_stage1(docs, pool, loaded)
+        assert adam_steps[0] == state.stage1_iters_done + 1
 
     @pytest.mark.parametrize("drop", ["meta", "arena", "adam_v"])
     def test_missing_array_raises_value_error_naming_path(self, small_world, tmp_path,
