@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 from domainlm import tensor as T
 
@@ -101,6 +104,34 @@ class TestLayerNorm:
         T.backward((out * T.Tensor(up)).sum())  # delivers exactly `up` to layer_norm
         for got, want in zip([out.data, x.grad, g.grad, b.grad], expected):
             assert got.tobytes() == want.tobytes()
+
+
+def _erf_samples(kind):
+    rng = np.random.default_rng(61)
+    if kind == "near":  # |x| <= 1, with the branch edge, signed zeros and subnormals
+        return np.concatenate([rng.uniform(-1.0, 1.0, 20_000),
+                               [1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324]])
+    if kind == "far":  # 1 < |x| <= 30, across both Cephes tables and the exp underflow
+        return rng.uniform(np.nextafter(1.0, 2.0), 30.0, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+    return np.array([np.inf, -np.inf, np.nan, 8.0, -8.0, 26.6, -26.6, 1e300, -1e300])
+
+
+class TestErf:
+    @pytest.mark.parametrize("kind", ["near", "far", "special"])
+    def test_bitwise_scipy_without_warnings(self, kind):
+        # The far branch calls libm's exp as Cephes does; np.exp would move
+        # some far samples by 1 ulp (1.1e-16).
+        x = _erf_samples(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = T._erf(x)
+        assert got.tobytes() == scipy_erf(x).tobytes()
+
+    def test_keeps_the_shape(self):
+        x = _erf_samples("special")
+        assert T._erf(x.reshape(3, 3)).tobytes() == scipy_erf(x).tobytes()
+        assert T._erf(np.float64(-2.0)).shape == ()
+        assert T._erf(np.zeros((2, 0))).shape == (2, 0)
 
 
 class TestCrossEntropy:
@@ -349,6 +380,11 @@ class TestGradOracle:
 
     def test_gelu(self):
         x = rand((5, 5), 30)
+        check_grads(lambda: T.gelu(x).sum(), [x])
+
+    def test_gelu_across_both_erf_branches(self):
+        # |x| / sqrt(2) > 1 past |x| = 1.414: the far branch meets the analytic pdf
+        x = T.Tensor(np.linspace(-6.0, 6.0, 30).reshape(5, 6), requires_grad=True)
         check_grads(lambda: T.gelu(x).sum(), [x])
 
     def test_cross_entropy(self):
