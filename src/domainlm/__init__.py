@@ -19,7 +19,7 @@ from .training import (TrainConfig, TrainState, adam_step, align_pairs,
                        eval_reconstruction, init_train_state, load_checkpoint,
                        run_stage1, run_stage2, save_checkpoint)
 from .transport import (CostMatrix, TransportPlan, alignment_matrix, cea_loss,
-                        cost_matrix, exact_ot_oracle, ipot, write_alignment_csv)
+                        cost_matrix, ipot, write_alignment_csv)
 
 __version__ = "0.1.0"
 
@@ -37,5 +37,5 @@ __all__ = [
     "eval_reconstruction", "init_train_state", "load_checkpoint",
     "run_stage1", "run_stage2", "save_checkpoint",
     "CostMatrix", "TransportPlan", "alignment_matrix", "cea_loss",
-    "cost_matrix", "exact_ot_oracle", "ipot", "write_alignment_csv",
+    "cost_matrix", "ipot", "write_alignment_csv",
 ]

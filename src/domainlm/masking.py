@@ -89,9 +89,9 @@ def _mask(doc: Document, pool: PhrasePool | None, vocab_size: int,
     """Phrase mode with a pool, word mode without one."""
     if len(doc) < 1:
         raise ValueError("cannot mask an empty document")
-    covered, sampled = (set(), []) if pool is None else \
-        sample_phrase_tokens(doc, detect(doc, pool), MASK_RATIO, rng)
     target = _target_count(len(doc))
+    covered, sampled = (set(), []) if pool is None else \
+        sample_phrase_tokens(detect(doc, pool), target, rng)
     remaining = np.arange(len(doc))
     if covered and len(covered) < target:
         remaining = np.setdiff1d(remaining, sorted(covered))

@@ -140,25 +140,19 @@ def detect(doc: Document, pool: PhrasePool) -> list[PhraseMatch]:
 
 
 def sample_phrase_tokens(
-    doc: Document,
     matches: list[PhraseMatch],
-    budget_ratio: float,
+    budget: int,
     rng: np.random.Generator,
 ) -> tuple[set[int], list[PhraseMatch]]:
     """Sample detected phrases until their tokens meet the masking budget.
 
     Draws are without replacement, weighted by the softmax of the quality
-    scores, and stop once the covered token count reaches
-    ceil(budget_ratio * len(doc)) or the matches run out. Returns the
-    covered token indices and the sampled matches in draw order.
+    scores, and stop once the covered token count reaches ``budget`` or the
+    matches run out. Returns the covered token indices and the sampled
+    matches in draw order.
     """
-    if not 0.0 < budget_ratio < 1.0:
-        raise ValueError(f"budget_ratio must lie in (0, 1), got {budget_ratio}")
     covered: set[int] = set()
     sampled: list[PhraseMatch] = []
-    if not matches:
-        return covered, sampled
-    budget = math.ceil(budget_ratio * len(doc))
     remaining = list(matches)
     weights = np.exp(np.array([m.score for m in remaining], dtype=np.float64))
     while remaining and len(covered) < budget:

@@ -9,7 +9,7 @@ forward pass records fresh backward closures on its output tensors, and
 
 All storage is 64-bit; desk-scale sizes make the precision cheaper than
 debugging float32 gradient-check noise. GELU's erf is numpy code, bit
-for bit scipy's, so no scipy is imported.
+for bit the compiled Cephes erf, so it needs no library beyond numpy.
 """
 from __future__ import annotations
 
@@ -333,7 +333,7 @@ def _horner(x: np.ndarray, coefs: tuple) -> np.ndarray:  # Cephes' polevl (p1evl
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
-    """scipy.special.erf, bit for bit: Cephes' formulas, op for op, and libm's exp."""
+    """Cephes' erf, bit for bit: its formulas, op for op, and libm's exp."""
     flat = x.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # only where |x| > 1, replaced below
         z = flat * flat

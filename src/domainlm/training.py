@@ -234,11 +234,15 @@ def _assemble(config: TrainConfig, vocab: Vocab, phrases: list, shape: dict,
         if (a := saved[key]).dtype != np.float64 or a.shape != (size,):
             raise ValueError(f"{key!r} is {a.dtype} {a.shape}; the model needs "
                              f"float64 ({size},)")
+        if not (fresh or np.isfinite(a).all()):  # a run saves finite arenas only
+            raise ValueError(f"{key!r} holds a non-finite value")
     counters = {key: saved[key] for key in ("stage1_iters_done", "stage2_iters_done")}
     if not all(type(n) is int and n >= 0 for n in counters.values()):
         raise ValueError(f"counters must be integers >= 0, got {counters}")
     mask_rng = np.random.default_rng([config.seed, 0x3A5C])
     if not fresh:
+        if (saved["adam_v"] < 0).any():  # a sum of squares
+            raise ValueError("'adam_v' holds a negative value")
         mask_rng.bit_generator.state = saved["mask_rng"]
     return TrainState(
         config=config,

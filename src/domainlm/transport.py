@@ -8,15 +8,12 @@ entropic regularization the fixed point is the unregularized optimum.
 Each iteration is a deterministic map of the state (T, sigma), so once
 that state repeats bit for bit the solver skips the whole periods left
 and returns the plan the full loop would, bit for bit.
-
-The exact solver is a validation oracle for small instances only; it is
-never part of training.
 """
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +22,6 @@ from . import tensor as T
 from .tensor import Tensor
 
 NORM_EPS = 1e-8
-ORACLE_MAX_SIDE = 8
 # ipot runs its outer loop in chunks of this many iterations, checking
 # whether a chunk left its state as it found it; that finds any period that
 # divides it, which includes 1 and 2, the periods long solves fall into
@@ -57,7 +53,6 @@ class TransportPlan:
 
     values: np.ndarray
     cost: float
-    cost_history: list[float] = field(default_factory=list)
 
 
 def _warn_on_zero_rows(*rows: np.ndarray) -> None:
@@ -75,23 +70,21 @@ def cost_matrix(x: Tensor, y: Tensor) -> CostMatrix:
     return CostMatrix(values=ones - sim)
 
 
-def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
-         track_costs: bool = False) -> TransportPlan:
+def ipot(c, beta: float = 0.5, outer_iters: int = 50) -> TransportPlan:
     """Proximal-point transport solver with uniform marginals.
 
-    Per outer iteration: Q = A .* T, then ``inner_k`` rounds of
+    Per outer iteration: Q = A .* T, then one scaling round,
     delta = 1 / (m Q sigma), sigma = 1 / (n Q^T delta), and finally
-    T = diag(delta) Q diag(sigma). K = 1 suffices in practice.
+    T = diag(delta) Q diag(sigma).
 
     The loop reuses buffers made once per solve: each step writes in place,
-    in the order the formulas above are written, and allocates nothing
-    unless ``track_costs`` is set. The returned plan is a fresh array.
+    in the order the formulas above are written, and allocates nothing.
+    The returned plan is a fresh array.
 
     The loop runs in chunks of ``PERIOD_CHECK`` iterations. When a chunk
     ends on the bytes of (T, sigma) it started from, every later chunk
     would repeat it, so the solve skips each whole chunk left and runs only
-    the remainder; ``cost_history`` repeats the last chunk's costs for each
-    skipped one. Plan, cost and history are bit for bit the full loop's.
+    the remainder. Plan and cost are bit for bit the full loop's.
     """
     cv = np.asarray(c, dtype=np.float64)
     if cv.ndim != 2:
@@ -104,8 +97,6 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
         raise ValueError(f"beta must be finite and positive, got {beta}")
     if outer_iters < 1:
         raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
-    if inner_k < 1:
-        raise ValueError(f"inner_k must be >= 1, got {inner_k}")
     m, n = cv.shape
     a = np.exp(-cv / beta)
     if (a < 1e-300).any() or (a > 1e300).any():
@@ -121,7 +112,6 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
     # 0-d float64 operands: the same values as the Python scalars, with
     # less per-call dispatch than those on arrays this small
     rows, cols, one = np.array(float(m)), np.array(float(n)), np.array(1.0)
-    history: list[float] = []
     left = outer_iters
     while left:
         # check a chunk only if a whole chunk would be left to skip after it;
@@ -132,47 +122,18 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50, inner_k: int = 1,
         chunk = PERIOD_CHECK if check else left
         for _ in range(chunk):
             np.multiply(a, t, q)
-            for _ in range(inner_k):
-                q.dot(sigma, delta)
-                np.multiply(rows, delta, delta)
-                np.divide(one, delta, delta)
-                q_t.dot(delta, sigma)
-                np.multiply(cols, sigma, sigma)
-                np.divide(one, sigma, sigma)
+            q.dot(sigma, delta)
+            np.multiply(rows, delta, delta)
+            np.divide(one, delta, delta)
+            q_t.dot(delta, sigma)
+            np.multiply(cols, sigma, sigma)
+            np.divide(one, sigma, sigma)
             np.multiply(delta_col, q, t)
             np.multiply(t, sigma, t)
-            if track_costs:
-                history.append(float((t * cv).sum()))
         left -= chunk
         if check and t.tobytes() + sigma.tobytes() == before:
-            skipped, left = divmod(left, PERIOD_CHECK)
-            history.extend(history[-PERIOD_CHECK:] * skipped)
-    return TransportPlan(values=t, cost=float((t * cv).sum()), cost_history=history)
-
-
-def exact_ot_oracle(c) -> tuple[np.ndarray, float]:
-    """Exact optimal plan for uniform marginals via LP (simplex pivoting).
-
-    Small instances only (m, n <= 8); the returned plan is a basic
-    solution, i.e. a vertex of the transportation polytope.
-    """
-    from scipy.optimize import linprog  # imported here: it slows every CLI start
-    cv = np.asarray(c, dtype=np.float64)
-    m, n = cv.shape
-    if m > ORACLE_MAX_SIDE or n > ORACLE_MAX_SIDE:
-        raise ValueError(f"oracle capped at {ORACLE_MAX_SIDE}x{ORACLE_MAX_SIDE}, got {m}x{n}")
-    a_eq = np.zeros((m + n, m * n))
-    b_eq = np.concatenate([np.full(m, 1.0 / m), np.full(n, 1.0 / n)])
-    for i in range(m):
-        a_eq[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
-    res = linprog(cv.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = np.clip(res.x.reshape(m, n), 0.0, None)
-    return plan, float((plan * cv).sum())
+            left %= PERIOD_CHECK
+    return TransportPlan(values=t, cost=float((t * cv).sum()))
 
 
 def cea_loss(x: Tensor, y: Tensor, lengths: Sequence[tuple[int, int]],

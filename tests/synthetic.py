@@ -176,6 +176,9 @@ def read_alignment_csv(path) -> tuple[list[str], list[str], np.ndarray]:
 
 
 ARENAS = ("arena", "adam_m", "adam_v")
+# Readable damages that set an arena's first value to one no run reaches.
+ARENA_VALUE_DAMAGE = {"arena-nan": np.nan, "arena-inf": np.inf, "adam_m-nan": np.nan,
+                      "adam_v-negative": -1.0}
 # Readable damages that set one train_config value.
 CONFIG_DAMAGE = {"batch_size-string": ("batch_size", "8"), "batch_size-float": ("batch_size", 8.0),
                  "seed-float": ("seed", 0.5), "eval_docs-float": ("eval_docs", 2.0),
@@ -188,6 +191,7 @@ PHRASE_DAMAGE = {"float-ids": [1.5, 2.0], "string-ids": ["5", "6"], "bool-ids": 
 READABLE_DAMAGE = ("no-stage2_iters_done", "no-warm_iters", "no-heads", "version-1",
                    "version-2", "version-3.0", "version-true", "vocab-5-int",
                    *[f"{key}-{how}" for key in ARENAS for how in ("short", "long")],
+                   *ARENA_VALUE_DAMAGE,
                    "tok_emb-10-rows", "vocab_size-changed", "shape-carries-max_seq_len",
                    "dim-float", "vocab-3-longer", "vocab-repeated-token", "vocab-specials-swapped",
                    "phrases-1-shorter", "stage1_iters_done-float",
@@ -216,6 +220,8 @@ def _damage(arrays: dict, damage: str) -> None:
         meta["version"] = json.loads(how)
     elif damage == "vocab-5-int":
         meta["vocab"][5] = 7
+    elif damage in ARENA_VALUE_DAMAGE:
+        arrays[key][0] = ARENA_VALUE_DAMAGE[damage]
     elif key in ARENAS:  # one float short or long
         arrays[key] = arrays[key][:-1] if how == "short" else np.append(arrays[key], 0.0)
     elif damage == "tok_emb-10-rows":  # the arena of a model whose tok_emb has 10 rows

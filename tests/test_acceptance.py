@@ -21,6 +21,7 @@ from domainlm import training as TR
 from domainlm import transport as OT
 
 from gradcheck import check_grads
+from lp_oracle import exact_ot_oracle
 from synthetic import build_pair_world, build_phrase_world, write_pair_world
 
 ARTANH_HALF = 0.5 * math.log(3.0)
@@ -48,8 +49,8 @@ def test_criterion_01_ipot_oracle_agreement():
     start = time.perf_counter()
     worst = 0.0
     for c in random_instances():
-        _, lp_cost = OT.exact_ot_oracle(c)
-        plan = OT.ipot(c, beta=0.5, outer_iters=2000, inner_k=1)
+        _, lp_cost = exact_ot_oracle(c)
+        plan = OT.ipot(c, beta=0.5, outer_iters=2000)
         worst = max(worst, abs(plan.cost - lp_cost))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-3 and elapsed < 5.0
@@ -205,7 +206,7 @@ def test_criterion_05_masking_statistics():
     first = np.zeros(3)
     trials = 10_000
     for _ in range(trials):
-        _, sampled = P.sample_phrase_tokens(doc, matches, 0.15, rng)
+        _, sampled = P.sample_phrase_tokens(matches, math.ceil(0.15 * len(doc)), rng)
         first[sampled[0].phrase_id] += 1
     freq_gap = np.abs(first / trials - weights).max()
     freq_ok = freq_gap <= 0.02

@@ -10,8 +10,9 @@ and the type of one metadata value, which keeps the JSON valid and its
 keys intact. A damaged checkpoint that still loads must hold each fact
 once: what a run derives agrees with what the file stores. Its vocab
 must hold what a vocab file can (strings, none repeated, the specials
-first), its phrases only what a pool file can yield, and its scheduler
-an alpha and an iteration a run can reach.
+first), its phrases only what a pool file can yield, its scheduler
+an alpha and an iteration a run can reach, and its arenas finite values
+with no negative second moment.
 """
 import json
 
@@ -94,6 +95,9 @@ def assert_holds_each_fact_once(path) -> None:
                                      for i in ids) for ids in state.phrases)
     assert state.phrases == sorted(set(state.phrases))
     assert 0.0 <= state.scheduler.alpha <= 1.0 and state.scheduler.iteration >= 0
+    adam = state.adam
+    assert all(np.isfinite(a).all() for a in (adam.arena, adam.arena_m, adam.arena_v))
+    assert (adam.arena_v >= 0).all()
 
 
 @pytest.fixture(scope="module")

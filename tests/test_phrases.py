@@ -124,13 +124,15 @@ class TestSampling:
         doc = C.tokenize("great battery life today saver screen quality is high and", vocab)
         assert len(doc) == 10
         matches = P.detect(doc, pool)
-        covered, sampled = P.sample_phrase_tokens(doc, matches, 0.15, np.random.default_rng(0))
+        covered, sampled = P.sample_phrase_tokens(matches, math.ceil(0.15 * len(doc)),
+                                                  np.random.default_rng(0))
         assert covered == {1, 2}
         assert len(sampled) == 1
 
     def test_empty_matches_yield_empty_sets(self, vocab):
         doc = C.tokenize("screen quality", vocab)
-        covered, sampled = P.sample_phrase_tokens(doc, [], 0.15, np.random.default_rng(0))
+        covered, sampled = P.sample_phrase_tokens([], math.ceil(0.15 * len(doc)),
+                                                  np.random.default_rng(0))
         assert covered == set() and sampled == []
 
     def test_equal_scores_first_draw_monte_carlo(self, vocab):
@@ -143,7 +145,7 @@ class TestSampling:
         trials = 10_000
         hits = 0
         for _ in range(trials):
-            _, sampled = P.sample_phrase_tokens(doc, matches, 0.15, rng)
+            _, sampled = P.sample_phrase_tokens(matches, math.ceil(0.15 * len(doc)), rng)
             hits += sampled[0].start == matches[0].start
         assert abs(hits / trials - 0.5) <= 0.02
 
@@ -156,7 +158,7 @@ class TestSampling:
         trials = 10_000
         hits = 0
         for _ in range(trials):
-            _, sampled = P.sample_phrase_tokens(doc, matches, 0.15, rng)
+            _, sampled = P.sample_phrase_tokens(matches, math.ceil(0.15 * len(doc)), rng)
             hits += sampled[0].score == 0.0
         assert abs(hits / trials - 0.25) <= 0.02
 
@@ -167,7 +169,7 @@ class TestSampling:
         spans = {(m.start, m.end) for m in matches}
         rng = np.random.default_rng(5)
         for _ in range(50):
-            covered, sampled = P.sample_phrase_tokens(doc, matches, 0.5, rng)
+            covered, sampled = P.sample_phrase_tokens(matches, math.ceil(0.5 * len(doc)), rng)
             seen: set[int] = set()
             for m in sampled:
                 group = set(range(m.start, m.end))
@@ -183,10 +185,5 @@ class TestSampling:
         rng = np.random.default_rng(6)
         budget = math.ceil(0.15 * len(doc))
         for _ in range(100):
-            covered, _ = P.sample_phrase_tokens(doc, matches, 0.15, rng)
+            covered, _ = P.sample_phrase_tokens(matches, budget, rng)
             assert len(covered) <= budget + pool.max_phrase_len - 1
-
-    def test_bad_budget_rejected(self, vocab):
-        doc = C.tokenize("battery life", vocab)
-        with pytest.raises(ValueError):
-            P.sample_phrase_tokens(doc, [], 1.5, np.random.default_rng(0))

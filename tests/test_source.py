@@ -251,10 +251,35 @@ def test_no_private_name_crosses_a_module(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
+def foreign_imports(source: str) -> list[str]:
+    """Modules imported by name, not relatively, from neither numpy nor the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else \
+            [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+        found += [(node.lineno, name) for name in names
+                  if (top := name.partition(".")[0]) != "numpy"
+                  and top not in sys.stdlib_module_names]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_checker_sees_a_foreign_import():
+    source = ("from __future__ import annotations\nimport numpy as np, scipy.special\n"
+              "from . import tensor\nfrom .corpus import Vocab\nfrom numpy.linalg import norm\n"
+              "def f():\n    from scipy.optimize import linprog\n    import os.path, torch\n")
+    assert foreign_imports(source) == ["scipy.special (line 2)", "scipy.optimize (line 7)",
+                                       "torch (line 8)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_imports_numpy_and_the_standard_library_only(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
 def test_cli_import_leaves_the_lp_solver_unloaded():
-    # No scipy module at all: GELU's erf is numpy code, and scipy.optimize serves only
-    # the exact-transport oracle, which imports it when called. Importing scipy would
-    # slow every CLI start and raise every run's peak memory.
+    # No scipy module at all: GELU's erf is numpy code, and the exact-transport LP
+    # oracle lives in the test suite. Importing scipy would slow every CLI start and
+    # raise every run's peak memory.
     src = str(Path(domainlm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

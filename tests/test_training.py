@@ -907,6 +907,9 @@ DAMAGE_NAMED = {
     "vocab-repeated-token": "vocab id 5: repeated vocab token",
     "vocab-specials-swapped": "vocab: does not start with the special tokens [PAD] [UNK]",
     **{f"{key}-{how}": f"{key!r} is float64" for key in ARENAS for how in ("short", "long")},
+    **{damage: f"{damage.partition('-')[0]!r} holds a non-finite value"
+       for damage in ("arena-nan", "arena-inf", "adam_m-nan")},
+    "adam_v-negative": "'adam_v' holds a negative value",
     "tok_emb-10-rows": "'arena' is float64",
     "vocab_size-changed": "multiple values for keyword argument 'vocab_size'",
     "shape-carries-max_seq_len": "multiple values for keyword argument 'max_seq_len'",

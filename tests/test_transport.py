@@ -7,6 +7,7 @@ from domainlm import tensor as T
 from domainlm import transport as OT
 
 from gradcheck import numeric_grad, rel_error
+from lp_oracle import exact_ot_oracle
 from synthetic import read_alignment_csv
 
 
@@ -35,7 +36,7 @@ class TestCostMatrix:
         assert np.isfinite(cm.values.data).all()
 
 
-def _ipot_reference(c, beta, outer_iters, inner_k):
+def _ipot_reference(c, beta, outer_iters):
     """ipot's plan and cost history in the expression loop it ran before its
     loop became in place: a fresh array for every term of every iteration."""
     m, n = c.shape
@@ -45,9 +46,8 @@ def _ipot_reference(c, beta, outer_iters, inner_k):
     history = []
     for _ in range(outer_iters):
         q = a * t
-        for _ in range(inner_k):
-            delta = 1.0 / (m * (q @ sigma))
-            sigma = 1.0 / (n * (q.T @ delta))
+        delta = 1.0 / (m * (q @ sigma))
+        sigma = 1.0 / (n * (q.T @ delta))
         t = delta[:, None] * q * sigma[None, :]
         history.append(float((t * c).sum()))
     return t, history
@@ -99,24 +99,14 @@ class TestIpot:
         t_mid = delta[:, None] * q * sigma[None, :]
         assert np.abs(t_mid.sum(axis=1) - 1.0 / m).max() <= 1e-12
 
-    def test_monotone_cost_improvement(self):
-        # Monotone descent holds when the proximal subproblem is solved
-        # well (K=5 here); the practical K=1 shortcut can wiggle ~1e-4 on
-        # rectangular instances while still converging.
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            c = rng.uniform(size=(rng.integers(2, 7), rng.integers(2, 7)))
-            plan = OT.ipot(c, outer_iters=300, inner_k=5, track_costs=True)
-            diffs = np.diff(plan.cost_history)
-            assert (diffs <= 1e-9).all()
-
     def test_monotone_cost_improvement_square_k1(self):
         rng = np.random.default_rng(16)
         for _ in range(5):
             side = rng.integers(2, 7)
             c = rng.uniform(size=(side, side))
-            plan = OT.ipot(c, outer_iters=300, track_costs=True)
-            assert (np.diff(plan.cost_history) <= 1e-9).all()
+            # a solve of k iterations is bit for bit the first k of a longer one
+            costs = [OT.ipot(c, outer_iters=k).cost for k in range(1, 301)]
+            assert (np.diff(costs) <= 1e-9).all()
 
     def test_nonnegative_entries(self):
         rng = np.random.default_rng(7)
@@ -142,11 +132,6 @@ class TestIpot:
         with pytest.raises(ValueError, match="outer_iters"):
             OT.ipot(np.array([[0.1, 0.2]]), outer_iters=outer_iters)
 
-    def test_no_inner_round_rejected(self):
-        # the plan's scalings come from the inner rounds; with none there is no plan
-        with pytest.raises(ValueError, match="inner_k"):
-            OT.ipot(np.array([[0.1, 0.2]]), inner_k=0)
-
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty_cost_rejected(self, shape):
         with pytest.raises(ValueError, match="no cells"):
@@ -154,14 +139,11 @@ class TestIpot:
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (7, 7), (20, 29), (64, 128)])
     @pytest.mark.parametrize("outer_iters", [1, 50, 63, 64, 65, 128, 129, 2000, 2001])
-    @pytest.mark.parametrize("inner_k", [1, 3])
-    def test_bitwise_the_expression_loop(self, shape, outer_iters, inner_k):
+    def test_bitwise_the_expression_loop(self, shape, outer_iters):
         c = np.random.default_rng(sum(shape)).uniform(0.0, 2.0, size=shape)
-        plan = OT.ipot(c, beta=0.5, outer_iters=outer_iters, inner_k=inner_k,
-                       track_costs=True)
-        want, history = _ipot_reference(c, 0.5, outer_iters, inner_k)
+        plan = OT.ipot(c, beta=0.5, outer_iters=outer_iters)
+        want, history = _ipot_reference(c, 0.5, outer_iters)
         assert plan.values.tobytes() == want.tobytes()
-        assert plan.cost_history == history
         assert plan.cost == history[-1]
 
     @pytest.mark.parametrize("seed, shape, period", [(35, (2, 3), 1), (43, (2, 2), 2)])
@@ -171,12 +153,11 @@ class TestIpot:
         # these plans stop changing (period 1) or alternate (period 2) within
         # 600 iterations, so a long solve skips whole chunks of its loop
         c = np.random.default_rng(seed).uniform(0.0, 2.0, size=shape)
-        plans = [_ipot_reference(c, 0.5, 1000 + i, 1)[0].tobytes() for i in range(3)]
+        plans = [_ipot_reference(c, 0.5, 1000 + i)[0].tobytes() for i in range(3)]
         assert (plans[0] == plans[1]) == (period == 1) and plans[0] == plans[2]
-        plan = OT.ipot(c, beta=0.5, outer_iters=outer_iters, track_costs=True)
-        want, history = _ipot_reference(c, 0.5, outer_iters, 1)
+        plan = OT.ipot(c, beta=0.5, outer_iters=outer_iters)
+        want, history = _ipot_reference(c, 0.5, outer_iters)
         assert plan.values.tobytes() == want.tobytes()
-        assert plan.cost_history == history
         assert plan.cost == history[-1]
 
     def test_a_fixed_solve_skips_the_rest_of_its_loop(self):
@@ -185,17 +166,17 @@ class TestIpot:
         start = time.perf_counter()
         plan = OT.ipot(np.array([[0.7]]), outer_iters=10**6)
         assert time.perf_counter() - start < 1.0
-        want, history = _ipot_reference(np.array([[0.7]]), 0.5, 1000, 1)
+        want, history = _ipot_reference(np.array([[0.7]]), 0.5, 1000)
         assert plan.values.tobytes() == want.tobytes()
         assert plan.cost == history[-1]
 
     def test_clamped_kernel_bitwise_the_expression_loop(self):
         c = np.array([[0.0, 800.0, 3.0], [800.0, 0.0, 1.0]])
         with pytest.warns(OT.ConditioningWarning):
-            plan = OT.ipot(c, beta=0.5, outer_iters=50, track_costs=True)
-        want, history = _ipot_reference(c, 0.5, 50, 1)
+            plan = OT.ipot(c, beta=0.5, outer_iters=50)
+        want, history = _ipot_reference(c, 0.5, 50)
         assert plan.values.tobytes() == want.tobytes()
-        assert plan.cost_history == history
+        assert plan.cost == history[-1]
 
     def test_each_call_returns_a_fresh_plan(self):
         # cea_loss copies every plan and align keeps it: no buffer may outlive its call
@@ -215,13 +196,13 @@ class TestIpot:
 
 class TestOracle:
     def test_zero_cost_matrix(self):
-        plan, cost = OT.exact_ot_oracle(np.zeros((3, 4)))
+        plan, cost = exact_ot_oracle(np.zeros((3, 4)))
         assert cost == 0.0
         assert np.allclose(plan.sum(axis=1), 1.0 / 3.0, atol=1e-9)
         assert np.allclose(plan.sum(axis=0), 1.0 / 4.0, atol=1e-9)
 
     def test_two_by_two_family(self):
-        _, cost = OT.exact_ot_oracle(np.array([[0.2, 0.8], [0.6, 0.4]]))
+        _, cost = exact_ot_oracle(np.array([[0.2, 0.8], [0.6, 0.4]]))
         assert np.isclose(cost, 0.3, atol=1e-12)
 
     def test_permutation_structure(self):
@@ -229,7 +210,7 @@ class TestOracle:
         c = np.ones((4, 4))
         for i, j in enumerate(perm):
             c[i, j] = 0.0
-        plan, cost = OT.exact_ot_oracle(c)
+        plan, cost = exact_ot_oracle(c)
         assert np.isclose(cost, 0.0, atol=1e-12)
         expected = np.zeros((4, 4))
         for i, j in enumerate(perm):
@@ -238,13 +219,13 @@ class TestOracle:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            OT.exact_ot_oracle(np.zeros((9, 3)))
+            exact_ot_oracle(np.zeros((9, 3)))
 
     def test_vertex_sparsity(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             m, n = rng.integers(2, 7, size=2)
-            plan, _ = OT.exact_ot_oracle(rng.uniform(size=(m, n)))
+            plan, _ = exact_ot_oracle(rng.uniform(size=(m, n)))
             assert (plan > 1e-12).sum() <= m + n - 1
 
     def test_ipot_agrees_with_oracle(self):
@@ -252,7 +233,7 @@ class TestOracle:
         for _ in range(8):
             m, n = rng.integers(2, 7, size=2)
             c = rng.uniform(size=(m, n))
-            _, lp_cost = OT.exact_ot_oracle(c)
+            _, lp_cost = exact_ot_oracle(c)
             plan = OT.ipot(c, beta=0.5, outer_iters=2000)
             assert abs(plan.cost - lp_cost) <= 1e-3
 
@@ -271,7 +252,7 @@ class TestCeaLoss:
         assert loss.item() <= 1e-3
         # exact oracle agrees: zero-diagonal cost admits a diagonal plan
         cm = OT.cost_matrix(x, x)
-        _, lp_cost = OT.exact_ot_oracle(cm.values.data)
+        _, lp_cost = exact_ot_oracle(cm.values.data)
         assert abs(loss.item() - lp_cost) <= 1e-3
 
     def test_single_token_pair_is_cosine_distance(self):
