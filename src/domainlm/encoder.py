@@ -80,11 +80,15 @@ def _split_heads(x: Tensor, batch: int, length: int, heads: int, head_dim: int) 
 
 
 def forward(input_ids: np.ndarray, pad_mask: np.ndarray, params: dict[str, Tensor],
-            config: EncoderConfig) -> Tensor:
+            config: EncoderConfig, rows=None, positions=None) -> Tensor:
     """Contextual embeddings for a batch: (B, L) ids -> (B, L, dim).
 
     PAD columns are excluded from attention via an additive mask on the
     pre-softmax scores, so ids at PAD positions never reach a real row.
+
+    Given ``rows`` and ``positions``, it returns the (n, dim) rows that
+    ``gather_positions`` would read there from the full result: the last
+    layer runs its position-wise half (LN1, FFN, LN2) on those rows alone.
     """
     input_ids = np.asarray(input_ids, dtype=np.int64)
     b, length = input_ids.shape
@@ -103,16 +107,17 @@ def forward(input_ids: np.ndarray, pad_mask: np.ndarray, params: dict[str, Tenso
 
     for i in range(config.layers):
         p = f"layer{i}."
-        q = _split_heads(x @ params[p + "attn.wq"] + params[p + "attn.bq"], b, length, h, dh)
-        k = _split_heads(x @ params[p + "attn.wk"] + params[p + "attn.bk"], b, length, h, dh)
-        v = _split_heads(x @ params[p + "attn.wv"] + params[p + "attn.bv"], b, length, h, dh)
+        q, k, v = (_split_heads(T.matmul(x, params[p + f"attn.w{m}"], params[p + f"attn.b{m}"]),
+                                b, length, h, dh) for m in "qkv")
         scores = T.scale(q @ T.transpose(k), 1.0 / np.sqrt(dh)) + key_mask
         attn = T.softmax(scores)
         ctx = T.reshape(T.transpose(attn @ v, 1, 2), (b, length, config.dim))
-        attn_out = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
-        x = T.layer_norm(x + attn_out, params[p + "ln1.gain"], params[p + "ln1.bias"])
-        inner = T.gelu(x @ params[p + "ffn.w1"] + params[p + "ffn.b1"])
-        ffn_out = inner @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+        x = x + T.matmul(ctx, params[p + "attn.wo"], params[p + "attn.bo"])
+        if rows is not None and i == config.layers - 1:
+            x = gather_positions(x, rows, positions)
+        x = T.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
+        inner = T.gelu(T.matmul(x, params[p + "ffn.w1"], params[p + "ffn.b1"]))
+        ffn_out = T.matmul(inner, params[p + "ffn.w2"], params[p + "ffn.b2"])
         x = T.layer_norm(x + ffn_out, params[p + "ln2.gain"], params[p + "ln2.bias"])
     return x
 

@@ -24,42 +24,45 @@ ETA_EPS = 1e-12
 # ----------------------------------------------------------------------- losses
 
 
-def masked_token_logits(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]
+def masked_token_logits(batch: MaskedBatch, read: Tensor, params: dict[str, Tensor]
                         ) -> tuple[Tensor, np.ndarray]:
-    """Token logits at each example's masked positions, in order, and the gold ids there."""
-    at = [(row, pos) for row, positions in enumerate(batch.masked_positions) for pos in positions]
-    if not at:
+    """Token logits of ``read``, the (n, d) rows of a forward at ``batch.masked_at``,
+    and the gold ids there."""
+    rows, positions = batch.masked_at
+    if not rows.size:
         raise ValueError("batch has no masked positions")
-    rows, cols = np.array(at, dtype=np.int64).T
-    picked = gather_positions(hidden, rows, cols)
-    return token_logits(picked, params), batch.gold_ids[rows, cols]
+    return token_logits(read, params), batch.gold_ids[rows, positions]
 
 
 def masked_token_nll(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Mean NLL of the gold tokens at the masked positions."""
-    return T.cross_entropy(*masked_token_logits(batch, hidden, params))
+    """Mean NLL of the gold tokens at the masked positions of a (B, L, d) forward."""
+    read = gather_positions(hidden, *batch.masked_at)
+    return T.cross_entropy(*masked_token_logits(batch, read, params))
 
 
-def word_loss(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]) -> Tensor:
+def word_loss(batch: MaskedBatch, read: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """Mean NLL of the gold tokens, from the forward's rows ``read`` at ``batch.masked_at``."""
     if batch.mode != "word":
         raise ValueError(f"word_loss on a {batch.mode!r}-mode batch")
-    return masked_token_nll(batch, hidden, params)
+    return T.cross_entropy(*masked_token_logits(batch, read, params))
 
 
-def phrase_loss(batch: MaskedBatch, hidden: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Token NLL over the masked positions plus mean phrase-unit NLL.
+def phrase_loss(batch: MaskedBatch, read: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """Token NLL over the masked positions plus mean phrase-unit NLL, both from
+    ``read``, the forward's rows at ``batch.masked_at``, which hold every phrase token.
 
     Batches whose masking fell back entirely to word-style fill carry no
     phrases; the loss then reduces to the token term alone.
     """
     if batch.mode != "phrase":
         raise ValueError(f"phrase_loss on a {batch.mode!r}-mode batch")
-    token_term = masked_token_nll(batch, hidden, params)
+    token_term = T.cross_entropy(*masked_token_logits(batch, read, params))
     drawn = [(row, m) for row, matches in enumerate(batch.phrases) for m in matches]
     if not drawn:
         return token_term
-    logits = phrase_logits(hidden, [list(range(m.start, m.end)) for _, m in drawn], params,
-                           batch_index=[row for row, _ in drawn])
+    index = {at: i for i, at in enumerate(zip(*(a.tolist() for a in batch.masked_at)))}
+    groups = [[index[row, pos] for pos in range(m.start, m.end)] for row, m in drawn]
+    logits = phrase_logits(T.reshape(read, (1,) + read.shape), groups, params)
     return token_term + T.cross_entropy(logits, [m.phrase_id for _, m in drawn])
 
 

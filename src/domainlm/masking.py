@@ -43,6 +43,13 @@ class MaskedBatch:
     phrases: list[list[PhraseMatch]]
     mode: str
 
+    @property
+    def masked_at(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, positions) int64 arrays of the masked tokens, row by row, as listed."""
+        counts = [len(row) for row in self.masked_positions]
+        return (np.repeat(np.arange(len(counts)), counts),
+                np.array([pos for row in self.masked_positions for pos in row], dtype=np.int64))
+
 
 def _target_count(length: int) -> int:
     return max(1, math.ceil(MASK_RATIO * length))

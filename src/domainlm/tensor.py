@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The op set is deliberately small: matmul, add, mul, scale, transpose,
-reshape, last-axis concat, embedding gather, softmax, layer_norm, gelu,
-cross_entropy, sum and cosine_similarity. Everything the encoder
-and the losses need is composed from these. Graphs are dynamic: each
-forward pass records fresh backward closures on its output tensors, and
-``backward`` replays them in reverse construction order.
+The op set is deliberately small: matmul (with an optional bias, so an
+affine map is one node), add, mul, scale, transpose, reshape, last-axis
+concat, embedding gather, softmax, layer_norm, gelu, cross_entropy, sum
+and cosine_similarity. Everything the encoder and the losses need is
+composed from these. Graphs are dynamic: each forward pass records fresh
+backward closures on its output tensors, and ``backward`` replays them in
+reverse construction order.
 
 All storage is 64-bit; desk-scale sizes make the precision cheaper than
 debugging float32 gradient-check noise. GELU's erf is numpy code, bit
@@ -171,11 +172,17 @@ def backward(loss: Tensor) -> None:
 # ------------------------------------------------------------------ primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product on the trailing two axes; leading axes must match or be absent."""
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Matrix product on the trailing two axes; leading axes must match or be absent.
+    With ``bias``, the affine map ``a @ b + bias`` as one node, bit for bit matmul then add."""
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     data = a.data @ b.data
+    if bias is not None:
+        try:
+            data += bias.data
+        except ValueError as exc:
+            raise ShapeError(f"matmul: bias {bias.shape} does not fit {data.shape}") from exc
 
     def grad_fn(g: np.ndarray):
         ga = (_reduce_to_shape(g @ np.swapaxes(b.data, -1, -2), a.shape)
@@ -186,9 +193,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])
         else:
             gb = _reduce_to_shape(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        return ga, gb, _reduce_to_shape(g, bias.shape) if bias.requires_grad else None
 
-    return _make(data, (a, b), grad_fn)
+    return _make(data, (a, b) if bias is None else (a, b, bias), grad_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

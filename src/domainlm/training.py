@@ -300,8 +300,8 @@ def _epoch_negatives(pair_set: EntityPairSet, seed: int, epoch: int) -> list[str
 def _hybrid_forward(state: TrainState, docs: list[Document], pool: PhrasePool,
                     unmasked: bool = False) -> tuple[Tensor, str, float, Tensor]:
     """Select a mode, mask, forward and compute the selected mode's loss; also
-    returns the hidden states. With ``unmasked`` the forward also encodes
-    ``docs`` unmasked, as rows len(docs)..; the loss reads the rows before."""
+    returns the forward, only its rows at the masked positions unless ``unmasked``:
+    then all of it, with ``docs`` also encoded unmasked, as rows len(docs).."""
     cfg = state.config
     sched = state.scheduler
     if cfg.force_alpha is not None:
@@ -316,11 +316,14 @@ def _hybrid_forward(state: TrainState, docs: list[Document], pool: PhrasePool,
     else:
         examples = [mask_phrases(d, pool, vocab_size, state.mask_rng) for d in docs]
     batch = collate(examples)
-    ids, pad_mask = batch.input_ids, batch.pad_mask
     if unmasked:  # gold_ids are the documents themselves, padded to the same length
-        ids, pad_mask = np.concatenate([ids, batch.gold_ids]), np.concatenate([pad_mask] * 2)
-    hidden = forward(ids, pad_mask, state.params, state.enc_config)
-    loss = (word_loss if mode == "word" else phrase_loss)(batch, hidden, state.params)
+        hidden = forward(np.concatenate([batch.input_ids, batch.gold_ids]),
+                         np.concatenate([batch.pad_mask] * 2), state.params, state.enc_config)
+        read = gather_positions(hidden, *batch.masked_at)
+    else:
+        hidden = read = forward(batch.input_ids, batch.pad_mask, state.params,
+                                state.enc_config, *batch.masked_at)
+    loss = (word_loss if mode == "word" else phrase_loss)(batch, read, state.params)
     return loss, mode, alpha, hidden
 
 
@@ -494,8 +497,8 @@ def align_pairs(state: TrainState, doc_pairs: list[tuple[Document, Document]],
 def _predict_masked(state_params, enc_config, batch: MaskedBatch) -> list[list[int]]:
     """Arg-max token ids at each example's masked positions, read through
     ``masked_token_logits`` as the training loss reads them."""
-    hidden = forward(batch.input_ids, batch.pad_mask, state_params, enc_config)
-    ids = iter(masked_token_logits(batch, hidden, state_params)[0].data.argmax(1).tolist())
+    read = forward(batch.input_ids, batch.pad_mask, state_params, enc_config, *batch.masked_at)
+    ids = iter(masked_token_logits(batch, read, state_params)[0].data.argmax(1).tolist())
     return [[next(ids) for _ in positions] for positions in batch.masked_positions]
 
 

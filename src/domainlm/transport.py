@@ -24,8 +24,8 @@ from .tensor import Tensor
 NORM_EPS = 1e-8
 # ipot runs its outer loop in chunks of this many iterations, checking
 # whether a chunk left its state as it found it; that finds any period that
-# divides it, which includes 1 and 2, the periods long solves fall into
-PERIOD_CHECK = 64
+# divides it, which includes 1, 2, 3 and 6, the periods long solves fall into
+PERIOD_CHECK = 24
 
 
 class DegenerateInputWarning(UserWarning):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from domainlm import encoder as E
-from domainlm import hybrid as H
 from domainlm import masking as M
 from domainlm import tensor as T
 
@@ -231,9 +230,8 @@ class TestGatherPositions:
         ids, mask = batch(length=5)
         batch_ = M.MaskedBatch(input_ids=ids, gold_ids=ids, pad_mask=mask,
                                masked_positions=[[5], [1]], phrases=[[], []], mode="word")
-        hidden = E.forward(ids, mask, params, CFG)
         with pytest.raises(IndexError, match="position"):
-            H.masked_token_logits(batch_, hidden, params)
+            E.forward(ids, mask, params, CFG, *batch_.masked_at)
 
 
 class TestGradients:

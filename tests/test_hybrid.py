@@ -22,6 +22,11 @@ def zero_model(vocab_size=8, phrase_vocab_size=4, dim=6):
     return cfg, params
 
 
+def read_at(batch, hidden):
+    """The rows of a (B, L, d) forward that the losses read: those at ``batch.masked_at``."""
+    return E.gather_positions(hidden, *batch.masked_at)
+
+
 def word_batch(positions=(1, 3), length=6):
     gold = np.arange(4, 4 + length, dtype=np.int64)[None, :]
     inp = gold.copy()
@@ -53,7 +58,7 @@ class TestWordLoss:
         cfg, params = zero_model()
         batch = word_batch()
         hidden = T.Tensor(np.zeros((1, 6, cfg.dim)))
-        loss = H.word_loss(batch, hidden, params)
+        loss = H.word_loss(batch, read_at(batch, hidden), params)
         assert np.isclose(loss.item(), math.log(8.0), atol=1e-12)
 
     def test_perfect_predictor_goes_to_zero(self):
@@ -63,7 +68,7 @@ class TestWordLoss:
         w = np.zeros((cfg.dim, cfg.vocab_size))
         w[:, batch.gold_ids[0, 2]] = 50.0  # huge margin for the gold token
         params["token_head"] = T.Tensor(w, requires_grad=True)
-        assert H.word_loss(batch, hidden, params).item() < 1e-10
+        assert H.word_loss(batch, read_at(batch, hidden), params).item() < 1e-10
 
     def test_matches_direct_summation_oracle(self):
         cfg = E.EncoderConfig(vocab_size=12, phrase_vocab_size=3, layers=1, dim=8,
@@ -71,7 +76,7 @@ class TestWordLoss:
         params = E.init_params(cfg, np.random.default_rng(1))
         batch = word_batch(positions=(0, 2, 5))
         hidden = E.forward(batch.input_ids, batch.pad_mask, params, cfg)
-        loss = H.word_loss(batch, hidden, params).item()
+        loss = H.word_loss(batch, read_at(batch, hidden), params).item()
         # independent oracle: explicit per-position log-softmax sums
         w = params["token_head"].data
         total = 0.0
@@ -90,7 +95,8 @@ class TestWordLoss:
         batch = M.MaskedBatch(input_ids=ids, gold_ids=ids, pad_mask=pad_mask,
                               masked_positions=positions, phrases=[[], [], []], mode="word")
         hidden = E.forward(ids, pad_mask, params, cfg)
-        logits, gold = H.masked_token_logits(batch, hidden, params)
+        logits, gold = H.masked_token_logits(
+            batch, E.forward(ids, pad_mask, params, cfg, *batch.masked_at), params)
         full = E.token_logits(hidden, params).data
         rows = [(row, pos) for row, ps in enumerate(positions) for pos in ps]
         np.testing.assert_allclose(logits.data, np.stack([full[r, p] for r, p in rows]),
@@ -104,7 +110,7 @@ class TestWordLoss:
             H.word_loss(phrase_batch([(1, 2)], [0]), hidden, params)
         empty = word_batch(positions=())
         with pytest.raises(ValueError):
-            H.word_loss(empty, T.Tensor(np.zeros((1, 6, cfg.dim))), params)
+            H.word_loss(empty, read_at(empty, T.Tensor(np.zeros((1, 6, cfg.dim)))), params)
 
 
 def completeness_term(batch, hidden, params):
@@ -122,7 +128,7 @@ class TestPhraseLoss:
         cfg, params = zero_model()
         batch = phrase_batch([(2, 3)], [1])
         hidden = T.Tensor(np.zeros((1, 8, cfg.dim)))
-        loss = H.phrase_loss(batch, hidden, params)
+        loss = H.phrase_loss(batch, read_at(batch, hidden), params)
         assert np.isclose(H.masked_token_nll(batch, hidden, params).item(), math.log(8.0),
                           atol=1e-12)
         assert np.isclose(completeness_term(batch, hidden, params).item(), math.log(4.0),
@@ -133,7 +139,7 @@ class TestPhraseLoss:
         cfg, params = zero_model()
         batch = phrase_batch([], [], extra_positions=(1, 4))
         hidden = T.Tensor(np.zeros((1, 8, cfg.dim)))
-        loss = H.phrase_loss(batch, hidden, params).item()
+        loss = H.phrase_loss(batch, read_at(batch, hidden), params).item()
         assert loss == H.masked_token_nll(batch, hidden, params).item()
         assert np.isclose(loss, math.log(8.0), atol=1e-12)
 
@@ -141,23 +147,24 @@ class TestPhraseLoss:
         cfg, params = zero_model()
         batch = phrase_batch([(2, 3)], [1])
         hidden = T.Tensor(np.ones((1, 8, cfg.dim)))
-        base = H.phrase_loss(batch, hidden, params).item()
+        base = H.phrase_loss(batch, read_at(batch, hidden), params).item()
         assert np.isclose(base - H.masked_token_nll(batch, hidden, params).item(),
                           completeness_term(batch, hidden, params).item(), atol=1e-12)
         c = np.zeros((cfg.dim, 4))
         c[:, 1] = 1.0  # push the gold phrase's logit up
         params["phrase_head"] = T.Tensor(c, requires_grad=True)
-        better = H.phrase_loss(batch, hidden, params).item()
+        better = H.phrase_loss(batch, read_at(batch, hidden), params).item()
         assert better < base
 
     def test_stacked_forward_pools_over_the_batch_rows_only(self, monkeypatch):
         # rows past the batch's own (a stacked forward) are never read: the
-        # phrase head gathers exactly the masked phrases' tokens
+        # loss reads the masked rows, and the phrase head pools exactly the
+        # masked phrases' tokens among them
         cfg, params = zero_model()
         rng = np.random.default_rng(3)
         for head, width in (("token_head", 8), ("phrase_head", 4)):
             params[head] = T.Tensor(rng.standard_normal((cfg.dim, width)), requires_grad=True)
-        batch = phrase_batch([(2, 3), (5, 6, 7)], [1, 3])
+        batch = phrase_batch([(2, 3), (5, 6, 7)], [1, 3], extra_positions=(4,))
         own = rng.standard_normal((1, 8, cfg.dim))
         stacked = T.Tensor(np.concatenate([own, rng.standard_normal((1, 8, cfg.dim))]),
                            requires_grad=True)
@@ -167,11 +174,12 @@ class TestPhraseLoss:
         monkeypatch.setattr(E, "gather_positions", lambda hidden, rows, positions:
                             gathered.append((list(rows), list(positions)))
                             or gather(hidden, rows, positions))
-        got = H.phrase_loss(batch, stacked, params)
-        want = H.phrase_loss(batch, alone, params)
+        got = H.phrase_loss(batch, read_at(batch, stacked), params)
+        want = H.phrase_loss(batch, read_at(batch, alone), params)
         T.backward(got)
         T.backward(want)
-        assert gathered == [([0] * 5, [2, 3, 5, 6, 7])] * 2
+        # the masked rows, then the phrases' tokens as indices into them
+        assert gathered == [([0] * 6, [2, 3, 4, 5, 6, 7]), ([0] * 5, [0, 1, 3, 4, 5])] * 2
         assert got.item() == want.item()
         assert stacked.grad[:1].tobytes() == alone.grad.tobytes()
         assert not stacked.grad[1:].any()

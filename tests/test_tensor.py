@@ -38,6 +38,31 @@ class TestMatmul:
         with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             T.matmul(a, b)
 
+    def test_bias_is_bitwise_the_product_plus_the_bias(self):
+        # one affine node, the same numbers as its two-node form
+        values = [np.random.default_rng(seed).standard_normal(shape)
+                  for seed, shape in ((70, (2, 3, 4)), (71, (4, 5)), (72, (5,)))]
+        probe = T.Tensor(np.random.default_rng(73).standard_normal((2, 3, 5)))
+        fused, split = ([T.Tensor(v, requires_grad=True) for v in values] for _ in range(2))
+        got, want = T.matmul(*fused), T.matmul(*split[:2]) + split[2]
+        T.backward((got * probe).sum())
+        T.backward((want * probe).sum())
+        assert got.data.tobytes() == want.data.tobytes()
+        for a, b in zip(fused, split):
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+    def test_a_constant_bias_gets_no_gradient(self):
+        x, w = rand((2, 3, 4), 74), rand((4, 5), 75)
+        bias = rand((5,), 76, requires_grad=False)
+        out = T.matmul(x, w, bias)
+        assert out._grad_fn(np.ones(out.shape))[2] is None
+        T.backward(out.sum())
+        assert bias.grad is None and x.grad is not None and w.grad is not None
+
+    def test_bias_that_does_not_fit_the_rows_raises(self):
+        with pytest.raises(T.ShapeError, match="bias"):
+            T.matmul(rand((3, 4), 77), rand((4, 5), 78), rand((4,), 79))
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -347,6 +372,11 @@ class TestGradOracle:
         a, w = rand((2, 3, 4, 5), 44), rand((5, 6), 45)
         probe = T.Tensor(np.random.default_rng(46).standard_normal((2, 3, 4, 6)))
         check_grads(lambda: (T.matmul(a, w) * probe).sum(), [a, w])
+
+    def test_matmul_bias(self):
+        x, w, b = rand((2, 3, 4), 80), rand((4, 5), 81), rand((5,), 82)
+        probe = T.Tensor(np.random.default_rng(83).standard_normal((2, 3, 5)))
+        check_grads(lambda: (T.matmul(x, w, b) * probe).sum(), [x, w, b])
 
     def test_add_bias_broadcast(self):
         x, b = rand((3, 4, 5), 17), rand((5,), 18)

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -588,18 +589,21 @@ class TestAlignmentPass:
         content = {f"e{i}": d for i, d in enumerate(docs)}
         pair_set = C.EntityPairSet(pairs=[("e0", "e5"), ("e3", "e1"), ("e4", "e2")],
                                    content=content)
-        costs, gathered, drawn = [], [], []
+        costs, pooled, drawn, masked_at = [], [], [], []
         ipot = OT.ipot
         monkeypatch.setattr(OT, "ipot", lambda c, **kw: costs.append(np.array(c)) or ipot(c, **kw))
-        gather = E.gather_positions  # the phrase head's reader; the loss imports its own
-        monkeypatch.setattr(E, "gather_positions", lambda hidden, rows, positions:
-                            gathered.append(list(zip(rows, positions)))
-                            or gather(hidden, rows, positions))
+        pool_logits = H.phrase_logits  # the phrase head, as the loss calls it
+        monkeypatch.setattr(H, "phrase_logits", lambda read, groups, params: pooled.append(
+            [masked_at[i] for group in groups for i in group])
+            or pool_logits(read, groups, params))
         phrase_loss = TR.phrase_loss
-        monkeypatch.setattr(TR, "phrase_loss", lambda batch, *args:
-                            drawn.append([(row, pos) for row, matches in enumerate(batch.phrases)
-                                          for m in matches for pos in range(m.start, m.end)])
-                            or phrase_loss(batch, *args))
+
+        def spy_phrase_loss(batch, *args):  # the (row, position) of each row the loss reads
+            masked_at[:] = zip(*(index.tolist() for index in batch.masked_at))
+            drawn.append([(row, pos) for row, matches in enumerate(batch.phrases)
+                          for m in matches for pos in range(m.start, m.end)])
+            return phrase_loss(batch, *args)
+        monkeypatch.setattr(TR, "phrase_loss", spy_phrase_loss)
 
         def fresh():
             state = make_state()
@@ -630,8 +634,8 @@ class TestAlignmentPass:
         want = _grads_of(ref, hybrid_loss + T.scale(cea, ref.config.cea_weight))
 
         assert records[0]["mode"] == mode == ("word" if force_alpha else "phrase")
-        # the phrase head gathers exactly the masked phrases' tokens, in both paths
-        assert gathered == drawn and len(drawn) == (0 if force_alpha else 2)
+        # the phrase head pools exactly the masked phrases' tokens, in both paths
+        assert pooled == drawn and len(drawn) == (0 if force_alpha else 2)
         assert all(drawn) and drawn[:1] == drawn[1:]
         assert all(row < len(pair_docs) for tokens in drawn for row, _ in tokens)
         masked = records[0]["L_w"] if mode == "word" else records[0]["L_p"]
@@ -744,8 +748,8 @@ class TestOffTapeTripletPass:
         _, vocab, pair_set = pair_world
         taped = []
         forward = TR.forward
-        monkeypatch.setattr(TR, "forward", lambda ids, mask, params, config: taped.append(
-            params["tok_emb"].requires_grad) or forward(ids, mask, params, config))
+        monkeypatch.setattr(TR, "forward", lambda ids, mask, params, config, *read: taped.append(
+            params["tok_emb"].requires_grad) or forward(ids, mask, params, config, *read))
         records, state = self.train(vocab, pair_pool, pair_set)
         assert all(rec["L_cea"] == 0.0 for rec in records)
         assert taped == [True, False] * state.stage2_iters_done
@@ -758,6 +762,93 @@ class TestOffTapeTripletPass:
                             + T.Tensor(np.asarray(tiny)))
         got = TR._alignment_loss(make_state("attention"), docs[:6], docs[3:], None)
         assert got.item() == 0.0 and got.requires_grad
+
+
+def _full_forward(ids, mask, params, config, *at):
+    """The reference read: the whole forward, then its rows at ``at`` if given."""
+    hidden = E.forward(ids, mask, params, config)
+    return TR.gather_positions(hidden, *at) if at else hidden
+
+
+@pytest.fixture(scope="module")
+def read_path_runs(small_world):
+    """A 20-step stage-1 run through the read path and one through the full
+    forward, each with the arg-max tokens its trained state's eval predicts."""
+    vocab, docs, pool, _, _ = small_world
+    runs = []
+    for forward in (TR.forward, _full_forward):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TR, "forward", forward)
+            state, records, predicted = TR.init_train_state(vocab, pool, desk_config()), [], []
+            TR.run_stage1(docs, pool, state, progress=records.append)
+            predict = TR._predict_masked
+            patch.setattr(TR, "_predict_masked",
+                          lambda *args: predicted.append(predict(*args)) or predicted[-1])
+            TR.eval_reconstruction(state, docs, pool)
+        runs.append(([rec["L_w"] if rec["mode"] == "word" else rec["L_p"] for rec in records],
+                     predicted))
+    return runs
+
+
+class TestReadPath:
+    """The loss's forward runs its last layer's LN1, FFN and LN2 only at the
+    masked rows. That matches the full forward read there within rounding, not
+    bit for bit: BLAS's GEMM rounds a row by the row count, and the bias and
+    LN gradients sum over fewer rows."""
+
+    @pytest.mark.parametrize("force_alpha", [1.0, 0.0])  # a word step, then a phrase step
+    def test_step_matches_the_full_forward_read(self, small_world, monkeypatch, force_alpha):
+        vocab, docs, pool, _, _ = small_world
+        steps = []
+        for forward in (TR.forward, _full_forward):
+            monkeypatch.setattr(TR, "forward", forward)
+            state = TR.init_train_state(vocab, pool, desk_config(force_alpha=force_alpha))
+            loss, mode, _, read = TR._hybrid_forward(state, docs[:8], pool)
+            steps.append((mode, read.data, _grads_of(state, loss)))
+        (mode, got_read, got), (ref_mode, want_read, want) = steps
+        assert mode == ref_mode == ("word" if force_alpha else "phrase")
+        assert got_read.shape == want_read.shape == (got_read.shape[0], state.enc_config.dim)
+        assert np.abs(got_read - want_read).max() <= 1e-12 * np.abs(want_read).max()
+        assert got.keys() == want.keys() and ("phrase_head" in want) == (mode == "phrase")
+        whole = np.sqrt(sum(np.sum(g * g) for g in want.values()))
+        for name in want:
+            # a key bias's true gradient is 0: judge its rounding noise by the whole
+            norm = whole if name.endswith(".attn.bk") else np.linalg.norm(want[name])
+            assert np.linalg.norm(got[name] - want[name]) <= 1e-12 * norm, name
+
+    def test_stage1_losses_match_the_full_forward_run(self, read_path_runs):
+        (losses, _), (want, _) = read_path_runs
+        assert len(losses) == len(want) == 20
+        np.testing.assert_allclose(losses, want, rtol=1e-12, atol=0)
+
+    def test_eval_predicts_the_tokens_of_the_full_forward(self, read_path_runs):
+        (_, predicted), (_, want) = read_path_runs
+        assert predicted and predicted == want
+
+    def test_a_word_step_records_one_node_per_op(self, small_world, monkeypatch):
+        # A change of count names the op: two nodes per affine map add 6 `add`
+        # nodes a layer; a full last layer with the read after it moves the rows.
+        vocab, docs, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config(force_alpha=1.0))
+        nodes = []
+        make = T._make
+        monkeypatch.setattr(T, "_make", lambda data, parents, grad_fn: nodes.append(
+            (grad_fn.__qualname__.partition(".")[0], data.shape))
+            or make(data, parents, grad_fn))
+        _, mode, _, read = TR._hybrid_forward(state, docs[:8], pool)
+        ops = Counter(op for op, _ in nodes)
+        assert mode == "word" and state.enc_config.layers == 2
+        # embedding: tok, pos and the read; add: the embeddings' sum, and a layer's key
+        # mask and two residuals; matmul: 8 a layer and the token head; reshape: a
+        # layer's q, k, v heads and context, and the read's flat view; transpose: a
+        # layer's q, k, v heads, k^T and context
+        assert ops == {"embedding": 3, "add": 7, "layer_norm": 5, "matmul": 17,
+                       "reshape": 9, "transpose": 10, "scale": 2, "softmax": 2, "gelu": 2,
+                       "cross_entropy": 1}
+        b, length = len(docs[:8]), max(len(doc) for doc in docs[:8])
+        ffn = state.enc_config.ffn_dim
+        assert [shape for op, shape in nodes if op == "gelu"] == [(b, length, ffn),
+                                                                 (read.shape[0], ffn)]
 
 
 class TestForwardOnlyInference:

@@ -138,7 +138,7 @@ class TestIpot:
             OT.ipot(np.zeros(shape))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (7, 7), (20, 29), (64, 128)])
-    @pytest.mark.parametrize("outer_iters", [1, 50, 63, 64, 65, 128, 129, 2000, 2001])
+    @pytest.mark.parametrize("outer_iters", [1, 50, 63, 64, 65, 128, 129, 2000, 2001, 47, 48, 49])
     def test_bitwise_the_expression_loop(self, shape, outer_iters):
         c = np.random.default_rng(sum(shape)).uniform(0.0, 2.0, size=shape)
         plan = OT.ipot(c, beta=0.5, outer_iters=outer_iters)
@@ -146,15 +146,16 @@ class TestIpot:
         assert plan.values.tobytes() == want.tobytes()
         assert plan.cost == history[-1]
 
-    @pytest.mark.parametrize("seed, shape, period", [(35, (2, 3), 1), (43, (2, 2), 2)])
-    @pytest.mark.parametrize("outer_iters", [63, 64, 65, 128, 129, 2001])
+    @pytest.mark.parametrize("seed, shape, period", [(35, (2, 3), 1), (43, (2, 2), 2),
+                                                     (0, (2, 3), 3), (23, (2, 3), 6)])
+    @pytest.mark.parametrize("outer_iters", [63, 64, 65, 128, 129, 2001, 47, 48, 49])
     def test_bitwise_the_expression_loop_once_the_state_repeats(self, seed, shape, period,
                                                                 outer_iters):
-        # these plans stop changing (period 1) or alternate (period 2) within
-        # 600 iterations, so a long solve skips whole chunks of its loop
+        # these plans cycle with the given period within 1000 iterations, so a
+        # long solve skips whole chunks of its loop
         c = np.random.default_rng(seed).uniform(0.0, 2.0, size=shape)
-        plans = [_ipot_reference(c, 0.5, 1000 + i)[0].tobytes() for i in range(3)]
-        assert (plans[0] == plans[1]) == (period == 1) and plans[0] == plans[2]
+        plans = [_ipot_reference(c, 0.5, 1000 + i)[0].tobytes() for i in range(7)]
+        assert [i for i in range(1, 7) if plans[i] == plans[0]][0] == period
         plan = OT.ipot(c, beta=0.5, outer_iters=outer_iters)
         want, history = _ipot_reference(c, 0.5, outer_iters)
         assert plan.values.tobytes() == want.tobytes()
@@ -167,6 +168,18 @@ class TestIpot:
         plan = OT.ipot(np.array([[0.7]]), outer_iters=10**6)
         assert time.perf_counter() - start < 1.0
         want, history = _ipot_reference(np.array([[0.7]]), 0.5, 1000)
+        assert plan.values.tobytes() == want.tobytes()
+        assert plan.cost == history[-1]
+
+    @pytest.mark.parametrize("seed, period", [(0, 3), (23, 6)])
+    def test_a_periodic_solve_skips_the_rest_of_its_loop(self, seed, period):
+        # a 2 x 3 plan that cycles with period 3 or 6, which divide the chunk
+        # length: a million iterations cost about a thousand
+        c = np.random.default_rng(seed).uniform(0.0, 2.0, size=(2, 3))
+        start = time.perf_counter()
+        plan = OT.ipot(c, outer_iters=10**6)
+        assert time.perf_counter() - start < 1.0
+        want, history = _ipot_reference(c, 0.5, 1000 + (10**6 - 1000) % period)
         assert plan.values.tobytes() == want.tobytes()
         assert plan.cost == history[-1]
 
