@@ -66,7 +66,7 @@ def _parser_for(hint):
     if hint is bool:
         return _parse_bool
     if get_origin(hint) is Literal:
-        return str  # TrainConfig.validate names the allowed values
+        return str  # building the TrainConfig names the allowed values
     inner = [a for a in get_args(hint) if a is not type(None)]
     if get_origin(hint) is Union and len(inner) == 1:
         def optional(raw: str):
@@ -222,7 +222,6 @@ def cmd_pretrain(args) -> int:
         _check_resume(state, vocab, pool, given)
         base = asdict(state.config)
     config = TrainConfig(**{**base, **_only(TrainConfig, given)})
-    config.validate()
     if config.stage2_epochs > 0 and not (args.pairs and args.content):
         raise CorpusError("--pairs and --content are required when stage2-epochs > 0")
 

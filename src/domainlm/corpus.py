@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Optional
 PAD_ID = 0
 UNK_ID = 1
 MASK_ID = 2
-CLS_ID = 3
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[MASK]", "[CLS]")
 NUM_SPECIALS = len(SPECIAL_TOKENS)
 

@@ -141,28 +141,23 @@ def gather_positions(hidden: Tensor, rows, positions) -> Tensor:
     return T.embedding(T.reshape(hidden, (b * length, d)), rows * length + positions)
 
 
-def phrase_logits(hidden: Tensor, groups: list[list[int]], params: dict[str, Tensor],
-                  batch_index: list[int] | None = None) -> Tensor:
-    """Mean-pool each group of positions, then map onto the phrase vocabulary.
+def phrase_logits(read: Tensor, groups: list[list[int]], params: dict[str, Tensor]) -> Tensor:
+    """Mean-pool each group of rows of ``read``, then map onto the phrase vocabulary.
 
-    ``groups`` lists token positions per phrase; ``batch_index`` gives the
-    example row for each group (defaults to example 0). Only the groups'
-    tokens are gathered. Returns one logits row per group, in input order.
+    ``read`` is the (n, d) masked rows of a forward, and ``groups`` lists the
+    rows of each phrase's tokens. Only the groups' rows are gathered. Returns
+    one logits row per group, in input order.
     """
     if "phrase_head" not in params:
         raise ValueError("model has no phrase head (phrase_vocab_size was 0)")
     if not groups:
         raise ValueError("phrase_logits requires at least one group")
-    if batch_index is None:
-        batch_index = [0] * len(groups)
-    if len(batch_index) != len(groups):
-        raise ValueError(f"{len(batch_index)} batch indices for {len(groups)} groups")
     sizes = [len(group) for group in groups]
     if 0 in sizes:
         raise ValueError(f"empty phrase group at index {sizes.index(0)}")
     owner = np.repeat(np.arange(len(groups)), sizes)  # the group of each gathered token
     pool = np.zeros((len(groups), owner.size))
     pool[owner, np.arange(owner.size)] = 1.0 / np.array(sizes)[owner]
-    picked = gather_positions(hidden, np.asarray(batch_index)[owner],
-                              [pos for group in groups for pos in group])
+    picked = gather_positions(T.reshape(read, (1,) + read.shape), 0,
+                              [row for group in groups for row in group])
     return (Tensor(pool) @ picked) @ params["phrase_head"]

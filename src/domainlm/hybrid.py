@@ -62,7 +62,7 @@ def phrase_loss(batch: MaskedBatch, read: Tensor, params: dict[str, Tensor]) -> 
         return token_term
     index = {at: i for i, at in enumerate(zip(*(a.tolist() for a in batch.masked_at)))}
     groups = [[index[row, pos] for pos in range(m.start, m.end)] for row, m in drawn]
-    logits = phrase_logits(T.reshape(read, (1,) + read.shape), groups, params)
+    logits = phrase_logits(read, groups, params)
     return token_term + T.cross_entropy(logits, [m.phrase_id for _, m in drawn])
 
 

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+LN_EPS = 1e-5  # added to layer_norm's variance
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -248,9 +249,7 @@ def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
     return _make(data, (a,), grad_fn)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    if isinstance(shape, (int, np.integer)):
-        shape = (int(shape),)
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     data = a.data.reshape(shape)
 
@@ -304,7 +303,7 @@ def softmax(a: Tensor) -> Tensor:
     return _make(out, (a,), grad_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Zero-mean / unit-variance over the last axis, then affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -315,7 +314,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # bit for bit, without their per-call overhead.
     centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
     var = (centred * centred).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centred * inv
     out = xhat * gain.data + bias.data
 

@@ -47,11 +47,10 @@ ADAM_EPS = 1e-8
 
 
 class NanGradientError(RuntimeError):
-    """A parameter gradient went non-finite; carries the parameter name."""
+    """A parameter gradient went non-finite; the message names the parameter."""
 
     def __init__(self, param_name: str):
         super().__init__(f"non-finite gradient in parameter {param_name!r}")
-        self.param_name = param_name
 
 
 CeaVariant = Literal["ot", "attention"]
@@ -80,7 +79,7 @@ class TrainConfig:
     eval_docs: int = 0
     max_seq_len: int = 128
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             value, kinds = getattr(self, f.name), FIELD_KINDS[f.name]
             if kinds and not any(isinstance(value, VALUE_TYPES[k])
@@ -211,12 +210,11 @@ def _check_phrases(phrases: list, vocab_size: int) -> None:
 
 def _assemble(config: TrainConfig, vocab: Vocab, phrases: list, shape: dict,
               saved: Optional[dict] = None) -> TrainState:
-    """The one builder of a run's state: validates ``config`` and ``phrases`` and derives
-    the encoder config from them, ``vocab`` and ``shape``. A fresh run (``saved`` None)
+    """The one builder of a run's state: validates ``phrases`` and derives the
+    encoder config from them, ``config``, ``vocab`` and ``shape``. A fresh run (``saved`` None)
     draws its arena with ``init_params`` and has zero moments, a new scheduler, the seeded
     masking stream and no steps done; a loaded run takes each of these from ``saved``.
     Every parameter is a view into the arena, laid out by ``param_shapes``."""
-    config.validate()
     _check_phrases(phrases, len(vocab))  # as load_pool keeps them, sorted
     if (phrases := [tuple(ids) for ids in phrases]) != sorted(set(phrases)):
         raise ValueError("phrases must be distinct and in phrase-id order")
@@ -277,7 +275,8 @@ def _epoch_order(seed: int, stage: int, epoch: int, n: int, shuffle: bool) -> np
 
 
 def _epoch_negatives(pair_set: EntityPairSet, seed: int, epoch: int) -> list[str]:
-    """One negative entity per pair, resampled per epoch, never associated."""
+    """One negative entity per pair, resampled per epoch: one not associated with the
+    pair's first entity, or else any but the pair's own two."""
     assoc: dict[str, set[str]] = {}
     for a, b in pair_set.pairs:
         assoc.setdefault(a, set()).add(b)
@@ -289,7 +288,7 @@ def _epoch_negatives(pair_set: EntityPairSet, seed: int, epoch: int) -> list[str
         banned = assoc.get(a, set()) | {a}
         candidates = [e for e in all_ids if e not in banned]
         if not candidates:
-            candidates = [e for e in all_ids if e != a]
+            candidates = [e for e in all_ids if e not in (a, b)]
         negatives.append(candidates[int(rng.integers(len(candidates)))])
     return negatives
 
@@ -453,6 +452,8 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
     _check_pool(pool, state)
     if len(pair_set) == 0:
         raise ValueError("stage 2 requires a non-empty pair set")
+    if cfg.cea_variant == "attention" and cfg.cea_weight > 0 and len(pair_set.content) < 3:
+        raise ValueError("the attention variant needs a third entity with content")
     if cfg.reset_scheduler_for_stage2 and state.stage2_iters_done == 0:
         state.scheduler = _new_scheduler(cfg)
     groups = [[pair_set.content[a], pair_set.content[b]] for a, b in pair_set.pairs]

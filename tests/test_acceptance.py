@@ -152,8 +152,8 @@ def test_criterion_04_gradient_suite():
     def model_loss():
         hidden = E.forward(ids2, pad, params, cfg)
         tok = (E.token_logits(hidden, params) * probe_tok).sum()
-        phr = (E.phrase_logits(hidden, [[0, 1], [1, 2]], params,
-                               batch_index=[0, 1]) * probe_phr).sum()
+        read = E.gather_positions(hidden, [0, 0, 1, 1], [0, 1, 1, 2])
+        phr = (E.phrase_logits(read, [[0, 1], [2, 3]], params) * probe_phr).sum()
         return tok + phr
 
     worst_model = check_grads(model_loss, list(params.values()), tol=1e-4)

@@ -166,49 +166,44 @@ class TestTokenLogits:
 class TestPhraseLogits:
     def test_identical_vectors_match_single_readout(self, params):
         h = np.random.default_rng(4).standard_normal(CFG.dim)
-        hidden = T.Tensor(np.broadcast_to(h, (1, 4, CFG.dim)).copy())
-        group_logits = E.phrase_logits(hidden, [[0, 1, 2, 3]], params).data
+        read = T.Tensor(np.broadcast_to(h, (4, CFG.dim)).copy())
+        group_logits = E.phrase_logits(read, [[0, 1, 2, 3]], params).data
         single = h @ params["phrase_head"].data
         assert np.allclose(group_logits[0], single, atol=1e-12)
 
     def test_mean_matches_direct_summation(self, params):
         rng = np.random.default_rng(5)
-        hidden = T.Tensor(rng.standard_normal((2, 5, CFG.dim)))
+        read = T.Tensor(rng.standard_normal((5, CFG.dim)))
         group = [1, 2, 4]
-        logits = E.phrase_logits(hidden, [group], params, batch_index=[1]).data
+        logits = E.phrase_logits(read, [group], params).data
         direct = np.zeros(CFG.dim)
-        for pos in group:
-            direct += hidden.data[1, pos]
+        for row in group:
+            direct += read.data[row]
         direct /= len(group)
         assert np.allclose(logits[0], direct @ params["phrase_head"].data, atol=1e-12)
 
     def test_two_groups_order_preserving(self, params):
-        hidden = T.Tensor(np.random.default_rng(6).standard_normal((1, 6, CFG.dim)))
-        both = E.phrase_logits(hidden, [[0, 1], [3, 4, 5]], params).data
-        first = E.phrase_logits(hidden, [[0, 1]], params).data
-        second = E.phrase_logits(hidden, [[3, 4, 5]], params).data
+        read = T.Tensor(np.random.default_rng(6).standard_normal((6, CFG.dim)))
+        both = E.phrase_logits(read, [[0, 1], [3, 4, 5]], params).data
+        first = E.phrase_logits(read, [[0, 1]], params).data
+        second = E.phrase_logits(read, [[3, 4, 5]], params).data
         assert np.allclose(both[0], first[0]) and np.allclose(both[1], second[0])
 
     def test_empty_group_rejected(self, params):
-        hidden = T.Tensor(np.zeros((1, 3, CFG.dim)))
+        read = T.Tensor(np.zeros((3, CFG.dim)))
         with pytest.raises(ValueError):
-            E.phrase_logits(hidden, [[]], params)
-
-    def test_batch_index_length_mismatch_rejected(self, params):
-        # zip would drop the second group and leave its logits row at zero
-        hidden = T.Tensor(np.random.default_rng(7).standard_normal((2, 5, CFG.dim)))
-        with pytest.raises(ValueError, match="batch ind"):
-            E.phrase_logits(hidden, [[0, 1], [2, 3]], params, batch_index=[1])
+            E.phrase_logits(read, [[]], params)
 
     def test_gathers_only_the_group_tokens(self, params, monkeypatch):
-        hidden = T.Tensor(np.random.default_rng(8).standard_normal((3, 6, CFG.dim)))
+        read = T.Tensor(np.random.default_rng(8).standard_normal((6, CFG.dim)))
         gathered = []
         gather = E.gather_positions
         monkeypatch.setattr(E, "gather_positions", lambda h, rows, positions:
-                            gathered.append((list(rows), list(positions)))
+                            gathered.append((np.broadcast_to(rows, np.shape(positions)).tolist(),
+                                             list(positions)))
                             or gather(h, rows, positions))
-        E.phrase_logits(hidden, [[4, 5], [0, 1, 2], [3, 4]], params, batch_index=[2, 0, 2])
-        assert gathered == [([2, 2, 0, 0, 0, 2, 2], [4, 5, 0, 1, 2, 3, 4])]
+        E.phrase_logits(read, [[4, 5], [0, 1, 2], [3, 4]], params)
+        assert gathered == [([0] * 7, [4, 5, 0, 1, 2, 3, 4])]
 
 
 class TestGatherPositions:
@@ -246,8 +241,8 @@ class TestGradients:
         def loss_fn():
             hidden = E.forward(ids, mask, params, CFG)
             tok = (E.token_logits(hidden, params) * probe_tok).sum()
-            phr = (E.phrase_logits(hidden, [[0, 1], [2, 3]], params,
-                                   batch_index=[0, 1]) * probe_phr).sum()
+            read = E.gather_positions(hidden, [0, 0, 1, 1], [0, 1, 2, 3])
+            phr = (E.phrase_logits(read, [[0, 1], [2, 3]], params) * probe_phr).sum()
             return tok + phr
 
         leaves = list(params.values())

@@ -115,10 +115,12 @@ class TestWordLoss:
 
 def completeness_term(batch, hidden, params):
     """The phrase-unit NLL computed directly from the phrase head."""
-    groups = [list(range(m.start, m.end)) for row in batch.phrases for m in row]
-    rows = [r for r, row in enumerate(batch.phrases) for _ in row]
-    labels = [m.phrase_id for row in batch.phrases for m in row]
-    return T.cross_entropy(E.phrase_logits(hidden, groups, params, batch_index=rows), labels)
+    drawn = [(r, m) for r, row in enumerate(batch.phrases) for m in row]
+    at = [(r, p) for r, m in drawn for p in range(m.start, m.end)]  # the phrases' tokens
+    groups = [[at.index((r, p)) for p in range(m.start, m.end)] for r, m in drawn]
+    read = E.gather_positions(hidden, *zip(*at))
+    return T.cross_entropy(E.phrase_logits(read, groups, params),
+                           [m.phrase_id for _, m in drawn])
 
 
 class TestPhraseLoss:
@@ -172,7 +174,8 @@ class TestPhraseLoss:
         gathered = []
         gather = E.gather_positions
         monkeypatch.setattr(E, "gather_positions", lambda hidden, rows, positions:
-                            gathered.append((list(rows), list(positions)))
+                            gathered.append((np.broadcast_to(rows, np.shape(positions)).tolist(),
+                                             list(positions)))
                             or gather(hidden, rows, positions))
         got = H.phrase_loss(batch, read_at(batch, stacked), params)
         want = H.phrase_loss(batch, read_at(batch, alone), params)

@@ -276,6 +276,64 @@ def test_library_imports_numpy_and_the_standard_library_only(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unset_defaults(library: dict[str, str], callers: list[str]) -> list[str]:
+    """``file: function(parameter)`` for each defaulted parameter of a function in
+    ``library`` (file name -> source) that no call of its name in ``callers`` passes:
+    by keyword, by position, or through a * or ** splat. Dunder methods are skipped."""
+    calls: dict[str, list[ast.Call]] = {}
+    for node in (n for source in callers for n in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, index, param: str) -> bool:
+        if any(k.arg in (param, None) for k in call.keywords):  # None: a ** splat
+            return True
+        return index is not None and (len(call.args) > index or
+                                      any(isinstance(a, ast.Starred) for a in call.args))
+
+    unset = []
+    for file, source in library.items():
+        tree = ast.parse(source)
+        bound = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+                 if isinstance(f, ast.FunctionDef)
+                 and "staticmethod" not in [getattr(d, "id", None) for d in f.decorator_list]}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                continue
+            args = node.args
+            positional = (args.posonlyargs + args.args)[id(node) in bound:]  # a call binds self
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            unset += [f"{file}: {node.name}({param})" for index, param in defaulted
+                      if not any(passes(call, index, param) for call in calls.get(node.name, []))]
+    return unset
+
+
+def test_checker_sees_an_unset_default():
+    library = {"m.py": "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+                       "class K:\n    def m(self, x=0, y=0):\n        pass\n"
+                       "    def __init__(self, z=1):\n        pass\n"
+                       "    @staticmethod\n    def s(u=0):\n        pass\n"
+                       "def g(e=0, *, h=0):\n    pass\n"}
+    callers = ["f(1, 2)\nf(0, c=5)\nK().m(4)\nK.s(1)\ng(*args)\ng(**kw)\n", "x = f\n"]
+    assert unset_defaults(library, callers) == ["m.py: f(d)", "m.py: m(y)"]
+
+
+# The console script calls cli.main(); only tests pass it an argv.
+UNSET_ALLOWED = {"cli.py: main(argv)"}
+REPO = Path(__file__).resolve().parents[1]
+CALLERS = SOURCES + sorted((REPO / "benchmarks").glob("*.py")) + [REPO / "tests" / "synthetic.py"]
+
+
+def test_every_default_is_set_by_a_program_path():
+    # a parameter that only tests set is a knob the program never turns
+    unset = unset_defaults({p.name: p.read_text("utf-8") for p in SOURCES},
+                           [p.read_text("utf-8") for p in CALLERS])
+    assert [entry for entry in unset if entry not in UNSET_ALLOWED] == []
+
+
 def test_cli_import_leaves_the_lp_solver_unloaded():
     # No scipy module at all: GELU's erf is numpy code, and the exact-transport LP
     # oracle lives in the test suite. Importing scipy would slow every CLI start and

@@ -184,11 +184,11 @@ class TestArena:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TR.TrainConfig(stage1_epochs=-1).validate()
+            TR.TrainConfig(stage1_epochs=-1)
         with pytest.raises(ValueError):
-            TR.TrainConfig(cea_weight=-0.5).validate()
+            TR.TrainConfig(cea_weight=-0.5)
         with pytest.raises(ValueError):
-            TR.TrainConfig(cea_variant="nope").validate()
+            TR.TrainConfig(cea_variant="nope")
 
     @pytest.mark.parametrize("key, value", [
         ("batch_size", 8.0), ("seed", 0.5), ("eval_docs", 2.0), ("stage1_epochs", True),
@@ -196,11 +196,11 @@ class TestConfig:
         ("force_alpha", "0.5"), ("force_alpha", False)])
     def test_each_value_has_its_fields_type(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be of type"):
-            TR.TrainConfig(**{key: value}).validate()
+            TR.TrainConfig(**{key: value})
 
     def test_a_float_field_takes_an_int(self):
-        TR.TrainConfig(learning_rate=1, warm_alpha=0, force_alpha=1).validate()
-        TR.TrainConfig(force_alpha=None).validate()
+        TR.TrainConfig(learning_rate=1, warm_alpha=0, force_alpha=1)
+        TR.TrainConfig(force_alpha=None)
 
 
 class TestStage1:
@@ -379,6 +379,30 @@ class TestStage2:
         records, trained = run(1.0)
         assert any(rec["L_cea"] > 0.0 for rec in records)
         assert trained != run(0.0)[1]
+
+    def test_a_negative_is_never_the_pairs_own_entity(self):
+        # every entity is associated with every other, so each pair falls back; a
+        # negative equal to the partner would make the hinge 1 + d(a, b) - d(a, b)
+        content = {e: C.Document(tokens=[4, 5]) for e in "abc"}
+        pair_set = C.EntityPairSet(pairs=[("a", "b"), ("a", "c"), ("b", "c")], content=content)
+        for epoch in range(3):
+            assert TR._epoch_negatives(pair_set, seed=0, epoch=epoch) == ["c", "b", "a"]
+
+    @pytest.mark.parametrize("variant, cea_weight, raises", [
+        ("attention", 1.0, True), ("attention", 0.0, False), ("ot", 1.0, False)])
+    def test_attention_needs_a_third_entity(self, pair_world, pair_pool, variant, cea_weight,
+                                            raises):
+        _, vocab, pair_set = pair_world
+        a, b = pair_set.pairs[0]
+        two = C.EntityPairSet(pairs=[(a, b)], content={e: pair_set.content[e] for e in (a, b)})
+        state = TR.init_train_state(vocab, pair_pool, desk_config(
+            stage1_epochs=0, stage2_epochs=1, cea_weight=cea_weight, cea_variant=variant))
+        if raises:
+            with pytest.raises(ValueError, match="third entity"):
+                TR.run_stage2(two, pair_pool, state)
+            assert state.stage2_iters_done == 0
+        else:
+            assert TR.run_stage2(two, pair_pool, state).stage2_iters_done == 1
 
     def test_cea_loss_mean_drops_from_first_epoch(self, pair_world, pair_pool):
         world, vocab, pair_set = pair_world
@@ -849,6 +873,26 @@ class TestReadPath:
         ffn = state.enc_config.ffn_dim
         assert [shape for op, shape in nodes if op == "gelu"] == [(b, length, ffn),
                                                                  (read.shape[0], ffn)]
+
+    def test_a_phrase_step_records_one_node_per_op(self, small_world, monkeypatch):
+        # The word step's 58 nodes, then the phrase head's 7, which end the tape: the
+        # read's (1, n, d) view and its flat view, the gather of the phrases' tokens,
+        # the pooling and head matmuls, the phrase term and the sum of the two terms.
+        vocab, docs, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config(force_alpha=0.0))
+        nodes = []
+        make = T._make
+        monkeypatch.setattr(T, "_make", lambda data, parents, grad_fn: nodes.append(
+            (grad_fn.__qualname__.partition(".")[0], data.shape))
+            or make(data, parents, grad_fn))
+        _, mode, _, read = TR._hybrid_forward(state, docs[:8], pool)
+        assert mode == "phrase" and len(nodes) == 65
+        assert Counter(op for op, _ in nodes) == {
+            "embedding": 4, "add": 8, "layer_norm": 5, "matmul": 19, "reshape": 11,
+            "transpose": 10, "scale": 2, "softmax": 2, "gelu": 2, "cross_entropy": 2}
+        assert nodes[-7:-5] == [("reshape", (1,) + read.shape), ("reshape", read.shape)]
+        assert [op for op, _ in nodes[-5:]] == ["embedding", "matmul", "matmul",
+                                                "cross_entropy", "add"]
 
 
 class TestForwardOnlyInference:
