@@ -23,8 +23,8 @@ from .corpus import (CorpusError, Vocab, load_corpus, load_content, load_entity_
 from .encoder import EncoderConfig
 from .phrases import load_pool
 from .training import (DERIVED_ENCODER_KEYS, CeaVariant, NanGradientError, TrainConfig,
-                       align_pairs, eval_reconstruction, init_train_state, load_checkpoint,
-                       run_stage1, run_stage2, save_checkpoint)
+                       align_pairs, check_stage2_inputs, eval_reconstruction, init_train_state,
+                       load_checkpoint, run_stage1, run_stage2, save_checkpoint)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -234,8 +234,8 @@ def cmd_pretrain(args) -> int:
     docs = load_corpus(args.corpus, vocab, max_seq_len=config.max_seq_len)
     pair_set = load_entity_pairs(args.pairs, args.content, vocab, config.max_seq_len) \
         if config.stage2_epochs > 0 else None
-    if pair_set is not None and not pair_set.pairs:
-        raise CorpusError(f"{args.pairs}: no pair has content for both entities")
+    if pair_set is not None:
+        check_stage2_inputs(pair_set, config)
 
     out_dir = Path(args.out_dir)
     ckpt, report_path = out_dir / "checkpoint.npz", out_dir / "report.jsonl"

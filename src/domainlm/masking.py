@@ -51,18 +51,6 @@ class MaskedBatch:
                 np.array([pos for row in self.masked_positions for pos in row], dtype=np.int64))
 
 
-def _target_count(length: int) -> int:
-    return max(1, math.ceil(MASK_RATIO * length))
-
-
-def _sample_positions(eligible: np.ndarray, count: int, rng: np.random.Generator) -> list[int]:
-    count = min(count, eligible.size)
-    if count <= 0:
-        return []
-    picked = rng.choice(eligible, size=count, replace=False)
-    return sorted(int(p) for p in picked)
-
-
 def _perturb(tokens: list[int], positions: list[int], vocab_size: int,
              rng: np.random.Generator) -> list[int]:
     out = list(tokens)
@@ -94,16 +82,17 @@ def mask_phrases(doc: Document, pool: PhrasePool, vocab_size: int,
 def _mask(doc: Document, pool: PhrasePool | None, vocab_size: int,
           rng: np.random.Generator) -> MaskedExample:
     """Phrase mode with a pool, word mode without one."""
-    if len(doc) < 1:
+    n = len(doc)
+    if n < 1:
         raise ValueError("cannot mask an empty document")
-    target = _target_count(len(doc))
+    target = max(1, math.ceil(MASK_RATIO * n))
     covered, sampled = (set(), []) if pool is None else \
         sample_phrase_tokens(detect(doc, pool), target, rng)
-    remaining = np.arange(len(doc))
-    if covered and len(covered) < target:
-        remaining = np.setdiff1d(remaining, sorted(covered))
-    fill = _sample_positions(remaining, target - len(covered), rng)
-    positions = sorted(set(fill) | covered)
+    positions = sorted(covered)
+    if len(positions) < target:  # rng.choice(n) draws as rng.choice(np.arange(n))
+        eligible = np.setdiff1d(np.arange(n), positions) if positions else n
+        fill = rng.choice(eligible, target - len(positions), replace=False)
+        positions = sorted(positions + fill.tolist())
     return MaskedExample(
         input_ids=_perturb(doc.tokens, positions, vocab_size, rng),
         gold_ids=list(doc.tokens),

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 LN_EPS = 1e-5  # added to layer_norm's variance
+_F64 = np.dtype(np.float64)
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -61,7 +62,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_node_id")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = data if type(data) is np.ndarray and data.dtype is _F64 \
+            else np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -115,10 +117,12 @@ class Tensor:
 def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:
     """Wrap an op result; the closure is kept only if a parent needs gradients."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._grad_fn = grad_fn
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._grad_fn = grad_fn
+            break
     return out
 
 
@@ -127,10 +131,10 @@ def _reduce_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if grad.shape == shape:
         return grad
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = np.add.reduce(grad, axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad
 
 
@@ -186,14 +190,14 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             raise ShapeError(f"matmul: bias {bias.shape} does not fit {data.shape}") from exc
 
     def grad_fn(g: np.ndarray):
-        ga = (_reduce_to_shape(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        ga = (_reduce_to_shape(g @ b.data.swapaxes(-1, -2), a.shape)
               if a.requires_grad else None)
         if not b.requires_grad:
             gb = None
         elif b.ndim == 2:  # a weight shared by every row of a: one GEMM over the flat rows
             gb = a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])
         else:
-            gb = _reduce_to_shape(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            gb = _reduce_to_shape(a.data.swapaxes(-1, -2) @ g, b.shape)
         if bias is None:
             return ga, gb
         return ga, gb, _reduce_to_shape(g, bias.shape) if bias.requires_grad else None
@@ -241,10 +245,10 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
-    data = np.swapaxes(a.data, axis0, axis1)
+    data = a.data.swapaxes(axis0, axis1)
 
     def grad_fn(g: np.ndarray):
-        return (np.swapaxes(g, axis0, axis1),)
+        return (g.swapaxes(axis0, axis1),)
 
     return _make(data, (a,), grad_fn)
 
@@ -292,13 +296,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Stable softmax along the last axis; rows sum to 1."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
 
     def grad_fn(g: np.ndarray):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - inner) * out,)
+        ga = g - np.add.reduce(g * out, axis=-1, keepdims=True)
+        ga *= out
+        return (ga,)
 
     return _make(out, (a,), grad_fn)
 
@@ -312,21 +317,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         )
     # Means as sum / d on one centred array: numpy's mean/var arithmetic,
     # bit for bit, without their per-call overhead.
-    centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    var = (centred * centred).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centred * inv
-    out = xhat * gain.data + bias.data
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / d + LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def grad_fn(g: np.ndarray):
-        gxhat = g * gain.data
-        m1 = gxhat.sum(axis=-1, keepdims=True) / d
-        m2 = (gxhat * xhat).sum(axis=-1, keepdims=True) / d
-        gx = (gxhat - m1 - xhat * m2) * inv
+        gx = g * gain.data
+        tmp = gx * xhat
+        m2 = np.add.reduce(tmp, axis=-1, keepdims=True) / d
+        gx -= np.add.reduce(gx, axis=-1, keepdims=True) / d
+        gx -= np.multiply(xhat, m2, out=tmp)
+        gx *= inv
         axes = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=axes)
-        gbias = g.sum(axis=axes)
-        return gx, ggain, gbias
+        ggain = np.add.reduce(np.multiply(g, xhat, out=tmp), axis=axes)
+        return gx, ggain, np.add.reduce(g, axis=axes)
 
     return _make(out, (x, gain, bias), grad_fn)
 
@@ -362,8 +369,14 @@ def gelu(x: Tensor) -> Tensor:
     out = x.data * cdf
 
     def grad_fn(g: np.ndarray):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (cdf + x.data * pdf),)
+        gx = x.data * -0.5  # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi)
+        gx *= x.data
+        np.exp(gx, out=gx)
+        gx *= _INV_SQRT2PI
+        gx *= x.data
+        gx += cdf
+        gx *= g
+        return (gx,)
 
     return _make(out, (x,), grad_fn)
 
@@ -378,16 +391,20 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ShapeError(f"cross_entropy: {t.shape[0]} targets for {n} rows")
     if t.size and (t.min() < 0 or t.max() >= v):
         raise IndexError(f"cross_entropy: target out of range [0, {v})")
-    row_max = logits.data.max(axis=1, keepdims=True)
-    e = np.exp(logits.data - row_max)
-    lse = np.log(e.sum(axis=1)) + row_max[:, 0]
-    nll = lse - logits.data[np.arange(n), t]
-    out = np.asarray(nll.mean())
+    rows = np.arange(n)
+    row_max = np.maximum.reduce(logits.data, axis=1, keepdims=True)
+    e = logits.data - row_max
+    np.exp(e, out=e)
+    total = np.add.reduce(e, axis=1, keepdims=True)
+    nll = np.log(total[:, 0]) + row_max[:, 0] - logits.data[rows, t]
+    out = np.asarray(np.add.reduce(nll) / n)  # nll.mean(), bit for bit
 
     def grad_fn(g: np.ndarray):
-        p = e / e.sum(axis=1, keepdims=True)  # a fresh array: e is reused by every call
-        p[np.arange(n), t] -= 1.0
-        return (float(g) * p / n,)
+        p = e / total  # a fresh array: e is reused by every call
+        p[rows, t] -= 1.0
+        p *= float(g)
+        p /= n
+        return (p,)
 
     return _make(out, (logits,), grad_fn)
 
@@ -419,7 +436,7 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     cb = np.maximum(nb, eps)
     ah = a.data / ca
     bh = b.data / cb
-    out = ah @ np.swapaxes(bh, -1, -2)
+    out = ah @ bh.swapaxes(-1, -2)
 
     def grad_fn(g: np.ndarray):
         # d(a_i/||a_i||)/da_i = (I - ah ah^T)/||a_i||; the projection term
@@ -427,7 +444,7 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
         gah = g @ bh
         proj_a = (gah * ah).sum(axis=-1, keepdims=True) * (na > eps)
         ga = (gah - proj_a * ah) / ca
-        gbh = np.swapaxes(g, -1, -2) @ ah
+        gbh = g.swapaxes(-1, -2) @ ah
         proj_b = (gbh * bh).sum(axis=-1, keepdims=True) * (nb > eps)
         gb = (gbh - proj_b * bh) / cb
         return ga, gb

@@ -433,6 +433,15 @@ def run_stage1(docs: list[Document], pool: PhrasePool, state: TrainState,
     return _run_stage(1, [[doc] for doc in docs], pool, state, progress)
 
 
+def check_stage2_inputs(pair_set: EntityPairSet, config: TrainConfig) -> None:
+    """Raise ValueError if stage 2 cannot run on ``pair_set`` under ``config``,
+    so a caller can check before stage 1 trains."""
+    if len(pair_set) == 0:
+        raise ValueError("no pair has content for both entities")
+    if config.cea_variant == "attention" and config.cea_weight > 0 and len(pair_set.content) < 3:
+        raise ValueError("the attention variant needs a third entity with content")
+
+
 def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
                progress: Optional[Callable[[dict], None]] = None) -> TrainState:
     """Joint objective over entity pairs: hybrid masking + weighted alignment.
@@ -450,10 +459,7 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
     """
     cfg = state.config
     _check_pool(pool, state)
-    if len(pair_set) == 0:
-        raise ValueError("stage 2 requires a non-empty pair set")
-    if cfg.cea_variant == "attention" and cfg.cea_weight > 0 and len(pair_set.content) < 3:
-        raise ValueError("the attention variant needs a third entity with content")
+    check_stage2_inputs(pair_set, cfg)
     if cfg.reset_scheduler_for_stage2 and state.stage2_iters_done == 0:
         state.scheduler = _new_scheduler(cfg)
     groups = [[pair_set.content[a], pair_set.content[b]] for a, b in pair_set.pairs]

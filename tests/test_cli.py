@@ -166,16 +166,18 @@ class TestPretrain:
         assert iters and all(r["L_cea"] is not None for r in iters)
 
     def test_attention_with_two_entities_exits_2(self, workspace, tmp_path, capsys):
-        # no third entity to draw a negative from
+        # no third entity to draw a negative from: refused before stage 1 trains
         pw = workspace["pair_world"]
         (tmp_path / "pairs.tsv").write_text(pw.pair_lines[0] + "\n")
         (tmp_path / "content.tsv").write_text("\n".join(pw.content_lines[:2]) + "\n")
-        args = pretrain_args(workspace, tmp_path / "attn", stage1_epochs=0, stage2_epochs=1,
+        out = tmp_path / "attn"
+        args = pretrain_args(workspace, out, stage1_epochs=1, stage2_epochs=1,
                              cea_variant="attention")
         args += ["--pairs", str(tmp_path / "pairs.tsv"),
                  "--content", str(tmp_path / "content.tsv")]
         assert cli.main(args) == 2
         assert "third entity" in capsys.readouterr().err
+        assert not (out / "report.jsonl").exists() and not (out / "checkpoint.npz").exists()
 
     def test_config_file_flags_win(self, workspace, tmp_path):
         conf = tmp_path / "run.conf"

@@ -6,6 +6,7 @@ import pytest
 from domainlm import corpus as C
 from domainlm import masking as M
 from domainlm import phrases as P
+from synthetic import build_phrase_world, load_phrase_world
 
 
 def make_doc(length, start=4):
@@ -204,3 +205,94 @@ class TestCollate:
             for j in range(batch.input_ids.shape[1]):
                 if j not in masked:
                     assert batch.input_ids[i, j] == batch.gold_ids[i, j]
+
+
+class TestPinnedDraws:
+    """Every draw from the generator, pinned as recorded before masking's rewrite
+    that made it draw fill positions from ``len(doc)`` instead of an index array."""
+
+    def test_masks_and_final_state_are_the_recorded_ones(self, tmp_path):
+        vocab, docs, pool, *_ = load_phrase_world(
+            tmp_path, build_phrase_world(seed=0, n_sentences=160), max_seq_len=64)
+        # two sentences a document, so some phrases fall short of the budget and fill runs
+        docs = [C.Document(tokens=a.tokens + b.tokens) for a, b in zip(docs[::2], docs[1::2])]
+        rng = np.random.default_rng(0)
+        words = [M.mask_words(doc, len(vocab), rng) for doc in docs]
+        phrases = [M.mask_phrases(doc, pool, len(vocab), rng) for doc in docs]
+        assert rng.bit_generator.state == PINNED_FINAL_STATE
+        for examples, pinned in ((words, PINNED_WORD_DRAWS), (phrases, PINNED_PHRASE_DRAWS)):
+            for doc, ex, (positions, ids) in zip(docs, examples, pinned, strict=True):
+                assert ex.masked_positions == positions
+                assert all(type(pos) is int for pos in ex.masked_positions)
+                expected = list(doc.tokens)
+                for pos, tok in zip(positions, ids):
+                    expected[pos] = tok
+                assert ex.input_ids == expected
+
+
+# Per document: the masked positions, then the input ids at them.
+PINNED_WORD_DRAWS = [
+    [[9, 11, 14], [2, 9, 108]], [[7, 9, 15], [22, 77, 2]], [[5, 8, 12], [2, 103, 2]],
+    [[1, 5, 8], [2, 2, 2]], [[0, 4, 11], [29, 66, 2]], [[11, 15, 17], [2, 2, 2]],
+    [[5, 6, 16], [13, 2, 2]], [[3, 4, 11], [2, 2, 39]], [[3, 10, 11], [58, 2, 111]],
+    [[0, 1, 11], [2, 2, 2]], [[0, 1, 9], [2, 2, 2]], [[5, 14, 16], [60, 2, 2]],
+    [[2, 6, 8], [2, 8, 2]], [[0, 6, 16], [49, 2, 2]], [[7, 9, 16], [2, 2, 2]],
+    [[8, 9, 12], [2, 32, 41]], [[0, 1, 13], [36, 17, 2]], [[5, 7, 14], [2, 2, 115]],
+    [[1, 13, 15], [2, 14, 2]], [[8, 13, 17], [2, 2, 2]], [[1, 2, 11], [2, 130, 2]],
+    [[4, 6, 11], [2, 2, 2]], [[2, 11, 12], [2, 2, 2]], [[7, 10, 13], [2, 2, 80]],
+    [[8, 9, 13], [2, 2, 54]], [[2, 14, 15], [2, 127, 2]], [[2, 14, 17], [2, 2, 2]],
+    [[4, 9, 12], [2, 59, 2]], [[0, 6, 15], [29, 2, 2]], [[3, 7, 11], [2, 2, 7]],
+    [[4, 9, 10], [40, 2, 19]], [[7, 9, 12], [139, 2, 2]], [[0, 3, 12], [2, 21, 2]],
+    [[9, 11, 13], [2, 2, 27]], [[0, 6, 7], [2, 26, 2]], [[4, 12, 13], [2, 2, 2]],
+    [[8, 11, 13], [2, 2, 2]], [[5, 9, 14], [2, 2, 102]], [[3, 7, 9], [4, 2, 2]],
+    [[0, 1, 9], [2, 2, 2]], [[3, 5, 10], [2, 2, 2]], [[1, 3, 10], [2, 133, 11]],
+    [[2, 6, 7], [92, 69, 2]], [[7, 9, 10], [12, 2, 2]], [[5, 9, 14], [2, 70, 2]],
+    [[4, 10, 11], [2, 2, 2]], [[5, 9, 13], [2, 2, 2]], [[0, 2, 7], [2, 2, 119]],
+    [[0, 12, 13], [15, 88, 2]], [[5, 7, 12], [2, 22, 2]], [[4, 9, 12], [2, 2, 2]],
+    [[0, 7, 8], [2, 2, 31]], [[3, 5, 9], [90, 2, 2]], [[8, 9, 15], [2, 74, 2]],
+    [[3, 14, 16], [2, 2, 2]], [[1, 5, 10], [2, 42, 2]], [[3, 6, 8], [2, 2, 2]],
+    [[1, 12, 17], [2, 21, 2]], [[5, 9, 11], [26, 2, 2]], [[2, 8, 10], [2, 2, 2]],
+    [[0, 10, 11], [2, 2, 2]], [[7, 10, 12], [2, 2, 2]], [[2, 5, 16], [27, 2, 2]],
+    [[4, 10, 12], [2, 2, 2]], [[2, 5, 8], [24, 2, 2]], [[7, 8, 16], [2, 2, 2]],
+    [[3, 4, 8], [2, 2, 2]], [[1, 4, 12], [119, 2, 2]], [[2, 9, 12], [2, 2, 60]],
+    [[10, 15, 16], [2, 2, 2]], [[5, 11, 12], [2, 2, 2]], [[9, 15, 18], [71, 2, 38]],
+    [[2, 7, 10], [2, 50, 41]], [[1, 9, 12], [2, 2, 2]], [[3, 11, 15], [2, 2, 2]],
+    [[1, 9, 14], [2, 2, 2]], [[5, 10, 15], [2, 2, 2]], [[6, 9, 12], [2, 27, 2]],
+    [[1, 4, 8], [2, 2, 2]], [[5, 9, 12], [2, 2, 2]],
+]
+PINNED_PHRASE_DRAWS = [
+    [[4, 5, 13, 14, 15], [2, 2, 130, 2, 2]], [[4, 5, 14], [2, 2, 2]], [[4, 5, 15], [72, 2, 2]],
+    [[11, 12, 13, 14], [2, 2, 2, 112]], [[4, 5, 13, 14, 15], [2, 2, 2, 2, 2]],
+    [[4, 5, 6, 7], [2, 2, 2, 2]], [[11, 12, 13], [2, 2, 2]], [[4, 8, 13], [2, 54, 2]],
+    [[11, 12, 13], [2, 64, 2]], [[11, 12, 13], [2, 2, 78]], [[6, 11, 12], [2, 2, 33]],
+    [[4, 5, 13, 14], [2, 2, 2, 2]], [[4, 7, 11], [2, 2, 2]], [[11, 12, 13], [2, 2, 2]],
+    [[4, 5, 6], [129, 2, 82]], [[2, 3, 10], [2, 2, 2]], [[11, 12, 13], [32, 2, 2]],
+    [[4, 5, 6], [2, 2, 2]], [[11, 12, 15], [2, 2, 2]], [[4, 5, 13, 14], [2, 126, 2, 2]],
+    [[4, 5, 12], [89, 2, 2]], [[4, 5, 6], [2, 2, 2]], [[1, 3, 10], [2, 2, 2]],
+    [[3, 4, 5], [21, 2, 2]], [[4, 7, 8], [2, 2, 2]], [[11, 12, 13, 14], [2, 2, 2, 2]],
+    [[4, 5, 6, 14, 15], [93, 2, 2, 2, 2]], [[2, 3, 4], [2, 2, 2]], [[3, 11, 12], [2, 2, 2]],
+    [[8, 11, 13], [2, 2, 2]], [[1, 2, 5], [2, 2, 2]], [[0, 1, 8], [2, 2, 2]],
+    [[11, 12, 13], [2, 2, 2]], [[4, 5, 6, 7], [2, 2, 95, 2]], [[2, 8, 9], [2, 2, 2]],
+    [[6, 11, 12], [2, 2, 106]], [[3, 5, 9], [2, 2, 2]], [[8, 11, 12], [2, 2, 77]],
+    [[2, 4, 5], [134, 2, 2]], [[0, 5, 7], [2, 2, 2]], [[4, 5, 8], [2, 2, 2]],
+    [[4, 5, 6], [90, 2, 92]], [[4, 5, 7], [2, 2, 2]], [[5, 11, 12], [2, 2, 2]],
+    [[4, 5, 10], [2, 2, 2]], [[5, 11, 12], [121, 2, 2]], [[2, 4, 10], [2, 2, 2]],
+    [[4, 5, 13, 14], [2, 119, 2, 2]], [[3, 5, 11], [6, 2, 2]], [[2, 11, 12], [15, 67, 2]],
+    [[4, 5, 15], [61, 62, 101]], [[4, 5, 13, 14], [2, 2, 2, 2]], [[9, 12, 13], [2, 2, 2]],
+    [[1, 11, 12], [2, 2, 100]], [[4, 5, 13, 14, 15], [2, 2, 2, 2, 2]],
+    [[4, 5, 9], [2, 104, 31]], [[1, 4, 5], [2, 2, 2]], [[13, 14, 15], [2, 2, 2]],
+    [[4, 5, 6, 7], [2, 39, 2, 2]], [[2, 8, 12], [43, 2, 22]], [[11, 12, 13], [2, 2, 2]],
+    [[2, 4, 9], [2, 2, 2]], [[4, 5, 13, 14], [2, 2, 61, 2]], [[2, 3, 7], [9, 2, 2]],
+    [[0, 3, 6], [2, 2, 2]], [[4, 5, 6, 7], [2, 2, 2, 113]], [[4, 12, 13], [2, 2, 2]],
+    [[0, 2, 7], [2, 2, 2]], [[4, 11, 12], [51, 2, 2]],
+    [[4, 5, 13, 14, 15, 16], [26, 63, 2, 2, 2, 125]], [[2, 6, 7], [2, 55, 2]],
+    [[13, 14, 15], [42, 2, 2]], [[2, 4, 10], [2, 2, 2]], [[3, 6, 7], [2, 2, 43]],
+    [[8, 11, 12], [2, 106, 2]], [[4, 5, 13, 14], [2, 97, 2, 2]],
+    [[4, 5, 6, 14, 15], [2, 2, 2, 2, 4]], [[7, 11, 13], [2, 100, 50]],
+    [[11, 12, 13], [2, 2, 2]], [[9, 11, 12], [2, 2, 2]],
+]
+PINNED_FINAL_STATE = {
+    "bit_generator": "PCG64",
+    "state": {"state": 118246332976914622053704805518096474856,
+              "inc": 87136372517582989555478159403783844777},
+    "has_uint32": 0, "uinteger": 3693017010}

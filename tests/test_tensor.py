@@ -353,6 +353,54 @@ class TestBackward:
 # ----------------------------------------------------- finite-difference oracle
 
 
+# Each of the 14 primitives on operands of its own: (op, operand shapes).
+PRIMITIVE_CASES = {
+    "matmul-affine": (T.matmul, [(2, 3, 4), (4, 5), (5,)]),
+    "matmul-batched": (T.matmul, [(2, 3, 4), (2, 4, 5)]),
+    "add": (T.add, [(3, 4), (4,)]),
+    "mul": (T.mul, [(3, 4), (3, 4)]),
+    "scale": (lambda a: T.scale(a, 0.5), [(3, 4)]),
+    "transpose": (T.transpose, [(2, 3, 4)]),
+    "reshape": (lambda a: T.reshape(a, (4, 3)), [(3, 4)]),
+    "concat": (lambda a, b: T.concat([a, b]), [(3, 4), (3, 2)]),
+    "embedding": (lambda a: T.embedding(a, np.array([[0, 2], [2, 1]])), [(3, 4)]),
+    "softmax": (T.softmax, [(2, 3, 4)]),
+    "layer_norm": (T.layer_norm, [(2, 3, 4), (4,), (4,)]),
+    "gelu": (T.gelu, [(3, 4)]),  # scale 2: both erf branches
+    "cross_entropy": (lambda a: T.cross_entropy(a, [0, 3, 1]), [(3, 4)]),
+    "sum": (lambda a: T.tensor_sum(a, 1), [(3, 4)]),
+    "cosine_similarity": (T.cosine_similarity, [(2, 3, 4), (2, 5, 4)]),
+}
+
+
+class TestNoWritesIntoSharedArrays:
+    """The kernels write only into arrays they allocated: never into an operand's
+    data, the incoming gradient, or an array a backward closure keeps."""
+
+    @pytest.mark.parametrize("name", PRIMITIVE_CASES)
+    def test_read_only_inputs_and_a_repeated_backward(self, name):
+        op, shapes = PRIMITIVE_CASES[name]
+        rng = np.random.default_rng(70)
+        operands = [T.Tensor(rng.standard_normal(s) * 2.0, requires_grad=True) for s in shapes]
+        for t in operands:
+            t.data.flags.writeable = False  # numpy raises on any write
+        out = op(*operands)
+        g = rng.standard_normal(out.shape)
+        g.flags.writeable = False
+        forward = out.data.tobytes()
+        direct = [pg.tobytes() for pg in out._grad_fn(g)]
+        assert [pg.tobytes() for pg in out._grad_fn(g)] == direct
+        loss = T.tensor_sum(out * T.Tensor(g))
+        grads = []
+        for _ in range(2):
+            T.backward(loss)
+            grads.append([t.grad.tobytes() for t in operands])
+            for t in operands:
+                t.zero_grad()
+        assert grads[0] == grads[1]
+        assert out.data.tobytes() == forward
+
+
 class TestGradOracle:
     """Every differentiable op against central differences (rel err <= 1e-6)."""
 
