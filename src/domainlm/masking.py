@@ -121,11 +121,10 @@ def collate(examples: list[MaskedExample]) -> MaskedBatch:
         raise ValueError("mixed masking modes in one batch")
     if any(len(ex.input_ids) != len(ex.gold_ids) for ex in examples):
         raise ValueError("input and gold ids differ in length")
-    input_ids, pad_mask = pad([ex.input_ids for ex in examples])
+    b = len(examples)  # one pad: the input rows, then the gold rows
+    ids, pad_mask = pad([ex.input_ids for ex in examples] + [ex.gold_ids for ex in examples])
     return MaskedBatch(
-        input_ids=input_ids,
-        gold_ids=pad([ex.gold_ids for ex in examples])[0],
-        pad_mask=pad_mask,
+        input_ids=ids[:b], gold_ids=ids[b:], pad_mask=pad_mask[:b],
         masked_positions=[list(ex.masked_positions) for ex in examples],
         phrases=[list(ex.phrases) for ex in examples],
         mode=mode,

@@ -1,10 +1,10 @@
 """Optimal-transport alignment: cosine costs, IPOT solver, Wasserstein loss.
 
-Conventions: rows index the first token set (m tokens, marginal 1/m),
-columns the second (n tokens, marginal 1/n). The proximal-point solver
-alternates diagonal scalings of Q = A .* T, where A = exp(-C / beta)
-keeps the plan close to its previous iterate under a KL penalty; unlike
-entropic regularization the fixed point is the unregularized optimum.
+Conventions: rows index the first token set (m tokens, marginal μ = 1/m),
+columns the second (n tokens, marginal ν = 1/n). The proximal-point solver
+alternates diagonal scalings of Q = A .* T, δ = μ ⊘ Qσ and σ = ν ⊘ Qᵀδ, where
+A = exp(-C / beta) keeps the plan close to its previous iterate under a KL
+penalty; unlike entropic regularization the fixed point is the unregularized optimum.
 Each iteration is a deterministic map of the state (T, sigma), so once
 that state repeats bit for bit the solver skips the whole periods left
 and returns the plan the full loop would, bit for bit.
@@ -74,8 +74,8 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50) -> TransportPlan:
     """Proximal-point transport solver with uniform marginals.
 
     Per outer iteration: Q = A .* T, then one scaling round,
-    delta = 1 / (m Q sigma), sigma = 1 / (n Q^T delta), and finally
-    T = diag(delta) Q diag(sigma).
+    δ = μ ⊘ Qσ and σ = ν ⊘ Qᵀδ (⊘ divides elementwise), and finally
+    T = diag(δ) Q diag(σ).
 
     The loop reuses buffers made once per solve: each step writes in place,
     in the order the formulas above are written, and allocates nothing.
@@ -108,10 +108,10 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50) -> TransportPlan:
     t = np.ones((m, n))
     q = np.empty((m, n))
     delta = np.empty(m)
-    q_t, delta_col = q.T, delta[:, None]
-    # 0-d float64 operands: the same values as the Python scalars, with
-    # less per-call dispatch than those on arrays this small
-    rows, cols, one = np.array(float(m)), np.array(float(n)), np.array(1.0)
+    delta_col = delta[:, None]
+    # 0-d float64 marginals: the Python scalars' values, with less dispatch per call
+    mu, nu = np.array(1.0 / m), np.array(1.0 / n)
+    q_dot, q_t_dot, multiply, divide = q.dot, q.T.dot, np.multiply, np.divide
     left = outer_iters
     while left:
         # check a chunk only if a whole chunk would be left to skip after it;
@@ -121,15 +121,13 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50) -> TransportPlan:
             before = t.tobytes() + sigma.tobytes()
         chunk = PERIOD_CHECK if check else left
         for _ in range(chunk):
-            np.multiply(a, t, q)
-            q.dot(sigma, delta)
-            np.multiply(rows, delta, delta)
-            np.divide(one, delta, delta)
-            q_t.dot(delta, sigma)
-            np.multiply(cols, sigma, sigma)
-            np.divide(one, sigma, sigma)
-            np.multiply(delta_col, q, t)
-            np.multiply(t, sigma, t)
+            multiply(a, t, q)
+            q_dot(sigma, delta)
+            divide(mu, delta, delta)
+            q_t_dot(delta, sigma)
+            divide(nu, sigma, sigma)
+            multiply(delta_col, q, t)
+            t *= sigma
         left -= chunk
         if check and t.tobytes() + sigma.tobytes() == before:
             left %= PERIOD_CHECK
@@ -150,8 +148,9 @@ def cea_loss(x: Tensor, y: Tensor, lengths: Sequence[tuple[int, int]],
     if x.ndim != 3 or y.ndim != 3 or len(lengths) != x.shape[0]:
         raise ValueError(f"cea_loss: {len(lengths)} pair lengths for embeddings "
                          f"of shapes {x.shape}, {y.shape}")
-    _warn_on_zero_rows(*(x.data[k, :m] for k, (m, _) in enumerate(lengths)),
-                       *(y.data[k, :n] for k, (_, n) in enumerate(lengths)))
+    real = np.array(lengths).reshape(-1, 2)
+    _warn_on_zero_rows(x.data[np.arange(x.shape[1]) < real[:, :1]],
+                       y.data[np.arange(y.shape[1]) < real[:, 1:]])
     sim = T.cosine_similarity(x, y, eps=NORM_EPS)
     cost = Tensor(np.ones(sim.shape)) - sim
     plans = np.zeros(sim.shape)

@@ -307,3 +307,40 @@ class TestScheduledMode:
             H.update_alpha(s)
             modes.append(H.scheduled_mode(s))
         assert [m == "phrase" for m in modes] == [(i % 5 == 0) for i in range(1, 21)]
+
+
+class TestLockIn:
+    """Past warm-up a mode's history moves only on its own steps, so an idle mode
+    whose progress froze at 0 never gets picked again: the switch is absorbing.
+    These tests document that law as it stands; they do not endorse it."""
+
+    @staticmethod
+    def run_past_warm_up(word_history, phrase_history, steps=1000):
+        s = H.SchedulerState(warm_iters=1000)
+        s.iteration = s.warm_iters  # the next step is the first adaptive one
+        s.word_first, s.word_prev, s.word_curr = word_history
+        s.phrase_first, s.phrase_prev, s.phrase_curr = phrase_history
+        rng = np.random.default_rng(0)
+        modes, alphas = [], []
+        for _ in range(steps):  # the order of one training step
+            s.iteration += 1
+            alphas.append(H.update_alpha(s))
+            modes.append(H.scheduled_mode(s))
+            s.record(modes[-1], float(rng.uniform(1.0, 5.0)))  # the running mode's loss
+        return s, modes, alphas
+
+    def test_a_frozen_phrase_history_locks_word_mode(self):
+        frozen = (10.0, 6.0, 7.0)  # its last loss rose: progress 0
+        assert H.fitting_progress(*frozen) == 0.0
+        s, modes, alphas = self.run_past_warm_up((10.0, 6.0, 5.0), frozen)
+        assert set(modes) == {"word"}
+        assert min(alphas) > 0.5
+        assert (s.phrase_first, s.phrase_prev, s.phrase_curr) == frozen
+
+    def test_a_frozen_word_history_locks_phrase_mode(self):
+        frozen = (10.0, 6.0, 7.0)
+        assert H.fitting_progress(*frozen) == 0.0
+        s, modes, alphas = self.run_past_warm_up(frozen, (10.0, 6.0, 5.0))
+        assert set(modes) == {"phrase"}
+        assert set(alphas) == {0.0}
+        assert (s.word_first, s.word_prev, s.word_curr) == frozen

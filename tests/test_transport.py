@@ -1,4 +1,5 @@
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -36,21 +37,47 @@ class TestCostMatrix:
         assert np.isfinite(cm.values.data).all()
 
 
-def _ipot_reference(c, beta, outer_iters):
-    """ipot's plan and cost history in the expression loop it ran before its
-    loop became in place: a fresh array for every term of every iteration."""
+def _divide_marginal(size, qs):
+    """IPOT's scaling, the marginal 1/size over Q sigma (or Q^T delta)."""
+    return (1.0 / size) / qs
+
+
+def _reciprocal_of_product(size, qs):
+    """The scaling ipot used before it divided by the marginal: 1 / (size Q sigma)."""
+    return 1.0 / (size * qs)
+
+
+def _ipot_plans(c, beta, scale=_divide_marginal):
+    """ipot's plan after each iteration, in the expression loop it ran before
+    its loop became in place: a fresh array for every term of every iteration."""
     m, n = c.shape
     a = np.clip(np.exp(-c / beta), 1e-300, 1e300)
     sigma = np.full(n, 1.0 / n)
     t = np.ones((m, n))
-    history = []
-    for _ in range(outer_iters):
+    while True:
         q = a * t
-        delta = 1.0 / (m * (q @ sigma))
-        sigma = 1.0 / (n * (q.T @ delta))
+        delta = scale(m, q @ sigma)
+        sigma = scale(n, q.T @ delta)
         t = delta[:, None] * q * sigma[None, :]
+        yield t
+
+
+def _ipot_reference(c, beta, outer_iters, scale=_divide_marginal):
+    """The reference's plan after ``outer_iters`` iterations, and its cost history."""
+    history = []
+    for t in islice(_ipot_plans(c, beta, scale), outer_iters):
         history.append(float((t * c).sum()))
     return t, history
+
+
+SHAPES = [(1, 1), (1, 6), (5, 1), (7, 7), (20, 29), (64, 128)]
+OUTER_ITERS = [1, 50, 63, 64, 65, 128, 129, 2000, 2001, 47, 48, 49]
+
+
+def _period_after_1000(c):
+    """The least period, up to 6, of the reference's plans over iterations 1000-1012."""
+    plans = [t.tobytes() for t in islice(_ipot_plans(c, 0.5), 999, 1012)]
+    return next(p for p in range(1, 7) if plans[p:] == plans[:-p])
 
 
 class TestIpot:
@@ -95,7 +122,7 @@ class TestIpot:
         a = np.exp(-c / 0.5)
         sigma = np.full(n, 1.0 / n)
         q = a * np.ones((m, n))
-        delta = 1.0 / (m * (q @ sigma))
+        delta = (1.0 / m) / (q @ sigma)
         t_mid = delta[:, None] * q * sigma[None, :]
         assert np.abs(t_mid.sum(axis=1) - 1.0 / m).max() <= 1e-12
 
@@ -137,8 +164,8 @@ class TestIpot:
         with pytest.raises(ValueError, match="no cells"):
             OT.ipot(np.zeros(shape))
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (7, 7), (20, 29), (64, 128)])
-    @pytest.mark.parametrize("outer_iters", [1, 50, 63, 64, 65, 128, 129, 2000, 2001, 47, 48, 49])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("outer_iters", OUTER_ITERS)
     def test_bitwise_the_expression_loop(self, shape, outer_iters):
         c = np.random.default_rng(sum(shape)).uniform(0.0, 2.0, size=shape)
         plan = OT.ipot(c, beta=0.5, outer_iters=outer_iters)
@@ -146,16 +173,26 @@ class TestIpot:
         assert plan.values.tobytes() == want.tobytes()
         assert plan.cost == history[-1]
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("outer_iters", OUTER_ITERS)
+    def test_within_tolerance_of_the_reciprocal_scaling(self, shape, outer_iters):
+        # dividing the marginal by Q sigma rounds differently from taking the
+        # reciprocal of size * Q sigma; the plans stay within 1e-14 of the
+        # largest entry (6.0e-16 at most over these cases, at (20, 29))
+        c = np.random.default_rng(sum(shape)).uniform(0.0, 2.0, size=shape)
+        plan = OT.ipot(c, beta=0.5, outer_iters=outer_iters)
+        before, _ = _ipot_reference(c, 0.5, outer_iters, scale=_reciprocal_of_product)
+        assert np.abs(plan.values - before).max() <= 1e-14 * np.abs(before).max()
+
     @pytest.mark.parametrize("seed, shape, period", [(35, (2, 3), 1), (43, (2, 2), 2),
-                                                     (0, (2, 3), 3), (23, (2, 3), 6)])
+                                                     (13, (3, 2), 3), (570, (2, 3), 6)])
     @pytest.mark.parametrize("outer_iters", [63, 64, 65, 128, 129, 2001, 47, 48, 49])
     def test_bitwise_the_expression_loop_once_the_state_repeats(self, seed, shape, period,
                                                                 outer_iters):
         # these plans cycle with the given period within 1000 iterations, so a
         # long solve skips whole chunks of its loop
         c = np.random.default_rng(seed).uniform(0.0, 2.0, size=shape)
-        plans = [_ipot_reference(c, 0.5, 1000 + i)[0].tobytes() for i in range(7)]
-        assert [i for i in range(1, 7) if plans[i] == plans[0]][0] == period
+        assert _period_after_1000(c) == period
         plan = OT.ipot(c, beta=0.5, outer_iters=outer_iters)
         want, history = _ipot_reference(c, 0.5, outer_iters)
         assert plan.values.tobytes() == want.tobytes()
@@ -171,11 +208,12 @@ class TestIpot:
         assert plan.values.tobytes() == want.tobytes()
         assert plan.cost == history[-1]
 
-    @pytest.mark.parametrize("seed, period", [(0, 3), (23, 6)])
-    def test_a_periodic_solve_skips_the_rest_of_its_loop(self, seed, period):
-        # a 2 x 3 plan that cycles with period 3 or 6, which divide the chunk
+    @pytest.mark.parametrize("seed, shape, period", [(13, (3, 2), 3), (570, (2, 3), 6)])
+    def test_a_periodic_solve_skips_the_rest_of_its_loop(self, seed, shape, period):
+        # a plan that cycles with period 3 or 6, which divide the chunk
         # length: a million iterations cost about a thousand
-        c = np.random.default_rng(seed).uniform(0.0, 2.0, size=(2, 3))
+        c = np.random.default_rng(seed).uniform(0.0, 2.0, size=shape)
+        assert _period_after_1000(c) == period
         start = time.perf_counter()
         plan = OT.ipot(c, outer_iters=10**6)
         assert time.perf_counter() - start < 1.0
