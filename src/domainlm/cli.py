@@ -276,10 +276,6 @@ def cmd_pretrain(args) -> int:
 def cmd_align(args) -> int:
     # Every input is checked and every matrix computed before --out-dir is
     # created, so a rejected run leaves nothing behind.
-    if args.outer_iters < 1:
-        raise CorpusError(f"--outer-iters must be >= 1, got {args.outer_iters}")
-    if not 0 < args.beta < float("inf"):
-        raise CorpusError(f"--beta must be finite and positive, got {args.beta}")
     state = load_checkpoint(args.checkpoint)
     max_len = state.enc_config.max_seq_len
     jobs = []

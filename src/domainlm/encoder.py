@@ -7,7 +7,7 @@ name -> Tensor dict so optimizer traversal order is deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,22 +30,17 @@ class EncoderConfig:
     max_seq_len: int = 128
 
     def __post_init__(self):
-        for f in fields(self):
-            if not isinstance(value := getattr(self, f.name), int) or isinstance(value, bool):
-                raise ValueError(f"EncoderConfig.{f.name} must be an int, got {value!r}")
-        for name in ("vocab_size", "layers", "dim", "heads", "ffn_dim", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"EncoderConfig.{name} must be >= 1")
-        if self.phrase_vocab_size < 0:
-            raise ValueError("EncoderConfig.phrase_vocab_size must be >= 0")
+        _check_encoder_config(vars(self))
         if self.dim % self.heads != 0:
-            raise ValueError(
-                f"dim ({self.dim}) must be divisible by heads ({self.heads})"
-            )
+            raise ValueError(f"dim ({self.dim}) must be divisible by heads ({self.heads})")
 
     @property
     def head_dim(self) -> int:
         return self.dim // self.heads
+
+
+_check_encoder_config = T.field_check(EncoderConfig, {
+    ">= 1": "vocab_size layers dim heads ffn_dim max_seq_len", ">= 0": "phrase_vocab_size"})
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -94,8 +89,6 @@ def forward(input_ids: np.ndarray, pad_mask: np.ndarray, params: dict[str, Tenso
     b, length = input_ids.shape
     if length > config.max_seq_len:
         raise ValueError(f"sequence length {length} exceeds max_seq_len {config.max_seq_len}")
-    if input_ids.max() >= config.vocab_size or input_ids.min() < 0:
-        raise IndexError(f"token id out of range [0, {config.vocab_size})")
 
     h, dh = config.heads, config.head_dim
     additive = np.where(np.asarray(pad_mask, dtype=bool), 0.0, NEG_INF)

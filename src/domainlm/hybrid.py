@@ -122,14 +122,13 @@ class SchedulerState:
         values = {k: math.nan if v is None else v for k, v in d.items()}
         if values.keys() != (names := {f.name for f in fields(cls)} - settings.keys()):
             raise ValueError(f"scheduler fields must be {sorted(names)}, got {sorted(d)}")
-        if type(values["iteration"]) is not int or values["iteration"] < 0 or \
-                not all(type(v) in (int, float) for v in values.values()) or \
-                not 0.0 <= values["alpha"] <= 1.0:
-            raise ValueError("scheduler fields must be numbers or null, iteration an int >= 0 "
-                             f"and alpha in [0, 1]; got {d}")
+        _check_scheduler_state(values)
         state = cls(**settings, **{k: v for k, v in values.items() if k != "alpha"})
         state.alpha = values["alpha"]  # not an init field; restore it after __post_init__
         return state
+
+
+_check_scheduler_state = T.field_check(SchedulerState, {">= 0": "iteration", "[0, 1]": "alpha"})
 
 
 def fitting_progress(first: float, prev: float, curr: float) -> float:

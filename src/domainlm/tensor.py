@@ -11,13 +11,17 @@ reverse construction order.
 All storage is 64-bit; desk-scale sizes make the precision cheaper than
 debugging float32 gradient-check noise. GELU's erf is numpy code, bit
 for bit the compiled Cephes erf, so it needs no library beyond numpy.
+
+``field_check`` is the one check of the settings dataclasses' field values;
+it lives here because every module that defines such a record imports this one.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
-from typing import Callable, Optional, Sequence
+from dataclasses import fields
+from typing import Callable, Literal, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -450,3 +454,47 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
         return ga, gb
 
     return _make(out, (a, b), grad_fn)
+
+
+# ------------------------------------------------------------ settings records
+
+
+def field_check(cls: type, bounds: dict[str, str]) -> Callable[[dict], None]:
+    """The check of values of dataclass ``cls``'s fields, its annotations read here, once.
+
+    ``bounds`` maps ``">= n"``, ``"> n"`` or ``"[a, b]"`` to the names of the fields it
+    bounds. The check raises ValueError naming the first field whose value is not of its
+    annotated type or ``Literal`` (an int is a float, no number a bool), is a float that is
+    not finite (save NaN where the default is NaN, an unset marker) or breaks its bound.
+    """
+    def rule(hint, default, bound: str) -> Callable[[object], Optional[str]]:
+        if get_origin(hint) is Literal:
+            return lambda value: None if value in get_args(hint) else \
+                f"be one of {' or '.join(map(repr, get_args(hint)))}, got {value!r}"
+        kinds = [k for k in get_args(hint) or (hint,) if k in (int, float, bool, type(None))]
+        accepted = tuple((int, float) if k is float else k for k in kinds)
+        nan_ok = isinstance(default, float) and math.isnan(default)
+        low, high = map(float, bound[1:-1].split(",") if bound[0] == "["
+                        else (bound.split()[1], "inf"))
+        strict = bound.startswith("> ")
+
+        def fault(value) -> Optional[str]:  # the words after "must" that ``value`` breaks
+            if not isinstance(value, accepted) or isinstance(value, bool) != (bool in kinds):
+                return f"be of type {' or '.join(k.__name__ for k in kinds)}, got {value!r}"
+            if isinstance(value, float) and not math.isfinite(value):
+                return None if nan_ok and math.isnan(value) else f"be finite, got {value}"
+            if value is None or (value > low if strict else value >= low) and value <= high:
+                return None
+            return f"lie in {bound}" if bound[0] == "[" else f"be {bound}"
+        return fault
+
+    hints = get_type_hints(cls)
+    bound_of = {name: bound for bound, names in bounds.items() for name in names.split()}
+    rules = {f.name: rule(hints[f.name], f.default, bound_of.get(f.name, "[-inf, inf]"))
+             for f in fields(cls)}
+
+    def check(values: dict) -> None:
+        for name, value in values.items():
+            if broken := rules[name](value):
+                raise ValueError(f"{name} must {broken}")
+    return check

@@ -25,7 +25,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Literal, Optional, get_args, get_type_hints
+from typing import Callable, Literal, Optional
 
 import numpy as np
 
@@ -80,35 +80,13 @@ class TrainConfig:
     max_seq_len: int = 128
 
     def __post_init__(self):
-        for f in fields(self):
-            value, kinds = getattr(self, f.name), FIELD_KINDS[f.name]
-            if kinds and not any(isinstance(value, VALUE_TYPES[k])
-                                 and isinstance(value, bool) == (k is bool) for k in kinds):
-                raise ValueError(f"{f.name} must be of type "
-                                 f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        minimum = {"stage1_epochs": 0, "stage2_epochs": 0, "batch_size": 1,
-                   "learning_rate": 0, "cea_weight": 0, "bootstrap_every": 1,
-                   "ipot_outer_iters": 1, "warm_iters": 0, "eval_docs": 0, "seed": 0}
-        for key, low in minimum.items():
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be >= {low}")
-        if self.ipot_beta <= 0:
-            raise ValueError("ipot_beta must be > 0")
-        if self.cea_variant not in get_args(CeaVariant):
-            raise ValueError(f"unknown cea_variant {self.cea_variant!r}")
-        for key in ("warm_alpha", "ema_decay", "force_alpha"):
-            value = getattr(self, key)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{key} must lie in [0, 1]")
+        _check_train_config(vars(self))
 
 
-# The values a field of each annotated type takes: a float field takes an int, and no
-# number field a bool. A Literal field is checked against its values instead.
-VALUE_TYPES = {int: int, float: (int, float), bool: bool, type(None): type(None)}
-FIELD_KINDS = {name: [k for k in get_args(hint) or (hint,) if k in VALUE_TYPES]
-               for name, hint in get_type_hints(TrainConfig).items()}
+_check_train_config = T.field_check(TrainConfig, {
+    ">= 0": "stage1_epochs stage2_epochs learning_rate cea_weight seed warm_iters eval_docs",
+    ">= 1": "batch_size ipot_outer_iters bootstrap_every", "> 0": "ipot_beta",
+    "[0, 1]": "warm_alpha ema_decay force_alpha"})
 
 
 def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
@@ -486,9 +464,9 @@ def _doc_embeddings(state: TrainState, doc: Document) -> Tensor:
 def align_pairs(state: TrainState, doc_pairs: list[tuple[Document, Document]],
                 variant: CeaVariant, outer_iters: int, beta: float) -> list[np.ndarray]:
     """The (len_a, len_b) alignment matrix of each pair of non-empty documents,
-    one forward per document: row-normalised IPOT plan or cross-attention."""
-    if variant not in get_args(CeaVariant):
-        raise ValueError(f"unknown alignment variant {variant!r}")
+    one forward per document: row-normalised IPOT plan or cross-attention. The
+    settings obey the rules of cea_variant, ipot_outer_iters and ipot_beta."""
+    _check_train_config(dict(cea_variant=variant, ipot_outer_iters=outer_iters, ipot_beta=beta))
     matrices = []
     for doc_a, doc_b in doc_pairs:
         emb_a, emb_b = _doc_embeddings(state, doc_a), _doc_embeddings(state, doc_b)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,7 +198,8 @@ READABLE_DAMAGE = ("no-stage2_iters_done", "no-warm_iters", "no-heads", "version
                    "phrases-1-shorter", "stage1_iters_done-float",
                    *CONFIG_DAMAGE, "scheduler-iteration-string", "scheduler-iteration-null",
                    "scheduler-bootstrap_every-0", "scheduler-alpha-2",
-                   "scheduler-iteration-negative", *[f"phrases-0-{how}" for how in PHRASE_DAMAGE],
+                   "scheduler-iteration-negative", "scheduler-word_first-inf",
+                   *[f"phrases-0-{how}" for how in PHRASE_DAMAGE],
                    "phrases-1-repeated")
 CHECKPOINT_DAMAGE = ("truncated", "bytes-overwritten", *READABLE_DAMAGE)
 
@@ -251,6 +253,8 @@ def _damage(arrays: dict, damage: str) -> None:
         meta["scheduler"]["alpha"] = 2.0
     elif damage == "scheduler-iteration-negative":
         meta["scheduler"]["iteration"] = -5
+    elif damage == "scheduler-word_first-inf":  # JSON's Infinity: a history, but not finite
+        meta["scheduler"].update(word_first=math.inf, word_curr=-math.inf)
     elif damage.startswith("phrases-0-"):
         meta["phrases"][0] = PHRASE_DAMAGE[damage.removeprefix("phrases-0-")]
     elif damage == "phrases-1-repeated":

@@ -296,7 +296,11 @@ NAMED_SETTING = {"seed-negative": "seed must be >= 0",
                  "pretrain-pool-not-utf8": ":3: not valid UTF-8",
                  "align-file-name-too-long": f"--pair 'ea000,{LONG_ID}'",
                  "build-vocab-min-freq-0": "min_freq must be >= 1",
-                 "build-vocab-min-freq-negative": "min_freq must be >= 1"}
+                 "build-vocab-min-freq-negative": "min_freq must be >= 1",
+                 # align's --outer-iters and --beta obey ipot_outer_iters's and ipot_beta's rules
+                 "align-outer-iters-0": "ipot_outer_iters must be >= 1",
+                 "align-beta-inf": "ipot_beta must be finite, got inf",
+                 "align-attention-beta-nan": "ipot_beta must be finite, got nan"}
 
 # Cases also run through `python -m domainlm.cli`, whose stderr must show no traceback.
 ENTRY_POINT_CASES = {"seed-negative", "align-no-meta"}

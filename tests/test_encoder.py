@@ -1,3 +1,6 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,13 @@ from domainlm import encoder as E
 from domainlm import masking as M
 from domainlm import tensor as T
 
+from field_cases import as_params, bound_edges, refused, type_refusal
 from gradcheck import check_grads
+
+# Each EncoderConfig bound, as README states it, and sizes that satisfy them all.
+ENCODER_BOUNDS = {"vocab_size": ">= 1", "phrase_vocab_size": ">= 0", "layers": ">= 1",
+                  "dim": ">= 1", "heads": ">= 1", "ffn_dim": ">= 1", "max_seq_len": ">= 1"}
+SIZED = {"vocab_size": 10, "phrase_vocab_size": 1, "heads": 1}
 
 CFG = E.EncoderConfig(vocab_size=20, phrase_vocab_size=5, layers=2, dim=16,
                       heads=2, ffn_dim=32, max_seq_len=8)
@@ -35,11 +44,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             E.EncoderConfig(vocab_size=0, phrase_vocab_size=1)
 
-    @pytest.mark.parametrize("key, value", [("dim", 32.0), ("layers", True), ("heads", "2"),
-                                            ("vocab_size", 10.0), ("max_seq_len", None)])
-    def test_every_field_is_an_int(self, key, value):
-        with pytest.raises(ValueError, match=f"EncoderConfig.{key} must be an int"):
-            E.EncoderConfig(**{"vocab_size": 10, "phrase_vocab_size": 1, key: value})
+    @pytest.mark.parametrize("key, value, message", as_params([
+        *[(key, value, type_refusal(E.EncoderConfig, key, value)) for key, value in (
+            ("dim", 32.0), ("layers", True), ("heads", "2"), ("vocab_size", 10.0),
+            ("max_seq_len", None))],
+        *refused(E.EncoderConfig, ENCODER_BOUNDS)]))
+    def test_every_field_is_an_int(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            E.EncoderConfig(**{**SIZED, key: value})
+
+    @pytest.mark.parametrize("key, value", bound_edges(E.EncoderConfig, ENCODER_BOUNDS))
+    def test_each_bound_takes_its_edge(self, key, value):
+        assert getattr(E.EncoderConfig(**{**SIZED, key: value}), key) == value
+
+    def test_every_field_has_a_rule(self):
+        # refused raises KeyError on a field of an annotation that no rule covers
+        names = {f.name for f in fields(E.EncoderConfig)}
+        assert {key for key, _, _ in refused(E.EncoderConfig, {})} == names
+        assert ENCODER_BOUNDS.keys() == names
 
 
 def _init_params_reference(config, rng):

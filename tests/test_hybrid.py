@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,11 @@ from domainlm import masking as M
 from domainlm import phrases as P
 from domainlm import tensor as T
 
+from field_cases import as_params, refused
+
 ARTANH_HALF = 0.5 * math.log(3.0)  # artanh(0.5) ~ 0.5493
+# The bounds a loaded scheduler's own fields obey; its settings are TrainConfig's.
+SCHEDULER_BOUNDS = {"iteration": ">= 0", "alpha": "[0, 1]"}
 
 
 def zero_model(vocab_size=8, phrase_vocab_size=4, dim=6):
@@ -296,6 +301,16 @@ class TestHistory:
         assert s2.word_curr == s.word_curr
         assert math.isnan(s2.phrase_first)
         assert s2.iteration == 17
+
+    @pytest.mark.parametrize("key, value, message", as_params(
+        refused(H.SchedulerState, SCHEDULER_BOUNDS)))
+    def test_from_dict_refuses_each_value_its_rules_do_not_take(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            H.SchedulerState.from_dict({**H.SchedulerState().to_dict(), key: value})
+
+    def test_from_dict_takes_nan_for_an_unset_history(self):
+        s = H.SchedulerState.from_dict({**H.SchedulerState().to_dict(), "word_curr": math.nan})
+        assert math.isnan(s.word_curr)
 
 
 class TestScheduledMode:

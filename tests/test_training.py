@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -16,9 +17,18 @@ from domainlm import transport as OT
 from domainlm.masking import MaskedExample, collate, pad
 from domainlm.phrases import load_pool
 
+from field_cases import as_params, bound_edges, refused, type_refusal
 from synthetic import (ARENAS, CHECKPOINT_DAMAGE, build_pair_world, build_phrase_world,
                        corrupt_checkpoint, load_phrase_world, rewrite_checkpoint,
                        write_pair_world)
+
+# Each TrainConfig bound, as README states it; a field not listed takes any value of its type.
+TRAIN_BOUNDS = {
+    "stage1_epochs": ">= 0", "stage2_epochs": ">= 0", "batch_size": ">= 1",
+    "learning_rate": ">= 0", "cea_weight": ">= 0", "seed": ">= 0", "ipot_beta": "> 0",
+    "ipot_outer_iters": ">= 1", "warm_iters": ">= 0", "warm_alpha": "[0, 1]",
+    "ema_decay": "[0, 1]", "bootstrap_every": ">= 1", "force_alpha": "[0, 1]",
+    "eval_docs": ">= 0"}
 
 
 @pytest.fixture(scope="module")
@@ -190,13 +200,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             TR.TrainConfig(cea_variant="nope")
 
-    @pytest.mark.parametrize("key, value", [
-        ("batch_size", 8.0), ("seed", 0.5), ("eval_docs", 2.0), ("stage1_epochs", True),
-        ("learning_rate", True), ("learning_rate", "1e-3"), ("shuffle", 1),
-        ("force_alpha", "0.5"), ("force_alpha", False)])
-    def test_each_value_has_its_fields_type(self, key, value):
-        with pytest.raises(ValueError, match=f"{key} must be of type"):
+    @pytest.mark.parametrize("key, value, message", as_params([
+        *[(key, value, type_refusal(TR.TrainConfig, key, value)) for key, value in (
+            ("batch_size", 8.0), ("seed", 0.5), ("eval_docs", 2.0), ("stage1_epochs", True),
+            ("learning_rate", True), ("learning_rate", "1e-3"), ("shuffle", 1),
+            ("force_alpha", "0.5"), ("force_alpha", False))],
+        *refused(TR.TrainConfig, TRAIN_BOUNDS)]))
+    def test_each_value_has_its_fields_type(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TR.TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("key, value", bound_edges(TR.TrainConfig, TRAIN_BOUNDS))
+    def test_each_bound_takes_its_edge(self, key, value):
+        assert getattr(TR.TrainConfig(**{key: value}), key) == value
+
+    def test_every_field_has_a_rule(self):
+        # refused raises KeyError on a field of an annotation that no rule covers
+        assert {key for key, _, _ in refused(TR.TrainConfig, {})} == \
+            {f.name for f in fields(TR.TrainConfig)}
 
     def test_a_float_field_takes_an_int(self):
         TR.TrainConfig(learning_rate=1, warm_alpha=0, force_alpha=1)
@@ -1032,7 +1053,8 @@ class TestEvalReconstruction:
             TR.eval_reconstruction(state, docs, pool, eval_batch=eval_batch)
 
 
-# What the error names for a file that is readable but damaged.
+# What the error names for a file that is readable but damaged. An entry from
+# "checkpoint: " on is the whole message after the path.
 DAMAGE_NAMED = {
     "no-stage2_iters_done": "'stage2_iters_done'", "version-1": "version 1 checkpoints",
     "version-2": "version 2 checkpoints", "version-3.0": "version must be an int, got 3.0",
@@ -1048,7 +1070,7 @@ DAMAGE_NAMED = {
     "tok_emb-10-rows": "'arena' is float64",
     "vocab_size-changed": "multiple values for keyword argument 'vocab_size'",
     "shape-carries-max_seq_len": "multiple values for keyword argument 'max_seq_len'",
-    "dim-float": "EncoderConfig.dim must be an int, got 32.0",
+    "dim-float": "checkpoint: dim must be of type int, got 32.0",
     "vocab-3-longer": "'arena' is float64", "phrases-1-shorter": "'arena' is float64",
     "stage1_iters_done-float": "counters must be integers",
     "batch_size-string": "batch_size must be of type int, got '8'",
@@ -1058,11 +1080,12 @@ DAMAGE_NAMED = {
     "stage1_epochs-true": "stage1_epochs must be of type int, got True",
     "warm_alpha-2": "warm_alpha must lie in [0, 1]",
     "bootstrap_every-0": "bootstrap_every must be >= 1",
-    "scheduler-iteration-string": "scheduler fields must be numbers",
-    "scheduler-iteration-null": "iteration an int",
+    "scheduler-iteration-string": "checkpoint: iteration must be of type int, got '0'",
+    "scheduler-iteration-null": "checkpoint: iteration must be of type int, got nan",
     "scheduler-bootstrap_every-0": "scheduler fields must be ['alpha', 'iteration', ",
-    "scheduler-alpha-2": "alpha in [0, 1]; got {'alpha': 2.0",
-    "scheduler-iteration-negative": "iteration an int >= 0",
+    "scheduler-alpha-2": "checkpoint: alpha must lie in [0, 1]",
+    "scheduler-iteration-negative": "checkpoint: iteration must be >= 0",
+    "scheduler-word_first-inf": "checkpoint: word_first must be finite, got inf",
     "phrases-0-float-ids": "phrase 0 [1.5, 2.0] is no pool phrase (id)",
     "phrases-0-string-ids": "phrase 0 ['5', '6'] is no pool phrase (id)",
     "phrases-0-bool-ids": "phrase 0 [True, True] is no pool phrase (id)",
@@ -1217,4 +1240,7 @@ class TestCheckpoint:
         corrupt_checkpoint(path, path, damage)
         with pytest.raises(ValueError, match=str(path)) as exc:
             TR.load_checkpoint(path)
-        assert DAMAGE_NAMED.get(damage, "") in str(exc.value)
+        named = DAMAGE_NAMED.get(damage, "")
+        assert named in str(exc.value)
+        if named.startswith("checkpoint: "):
+            assert str(exc.value) == f"{path}: not a readable domainlm {named}"
