@@ -496,11 +496,12 @@ def eval_reconstruction(state: TrainState, docs: list[Document], pool: PhrasePoo
     Length 1 masks one random word per document (top-1 token accuracy);
     lengths >= 2 mask every detected pool phrase of exactly that length
     (exact match: all tokens correct). Masking uses the literal MASK
-    token. Lengths with no examples report accuracy None.
+    token. Lengths with no examples report accuracy None. ``seed`` obeys
+    TrainConfig.seed's rule.
     """
-    for name, value in (("seed", seed), ("max_docs", max_docs)):
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+    _check_train_config(dict(seed=seed))
+    if max_docs is not None and max_docs < 0:
+        raise ValueError(f"max_docs must be >= 0, got {max_docs}")
     if eval_batch < 1:
         raise ValueError(f"eval_batch must be >= 1, got {eval_batch}")
     rng = np.random.default_rng([seed, 0xE7A1])

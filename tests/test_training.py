@@ -1045,6 +1045,22 @@ class TestEvalReconstruction:
         r2 = TR.eval_reconstruction(state, docs, pool, seed=5)
         assert r1 == r2
 
+    @pytest.mark.parametrize("seed", [-1, 0.5, True, None])
+    def test_seed_obeys_the_configs_rule(self, small_world, seed):
+        # `eval --seed -1` words the rule as `pretrain --seed -1` does
+        vocab, docs, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config())
+        with pytest.raises(ValueError) as config_error:
+            TR.TrainConfig(seed=seed)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(config_error.value))}$"):
+            TR.eval_reconstruction(state, docs, pool, seed=seed)
+
+    def test_negative_max_docs_rejected(self, small_world):
+        vocab, docs, pool, _, _ = small_world
+        state = TR.init_train_state(vocab, pool, desk_config())
+        with pytest.raises(ValueError, match="^max_docs must be >= 0, got -1$"):
+            TR.eval_reconstruction(state, docs, pool, max_docs=-1)
+
     @pytest.mark.parametrize("eval_batch", [0, -1])
     def test_non_positive_eval_batch_rejected(self, small_world, eval_batch):
         vocab, docs, pool, _, _ = small_world

@@ -1,5 +1,6 @@
 import time
-from itertools import islice
+import warnings
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -57,31 +58,55 @@ def _scaled_rows_then_columns(delta, q, sigma):
     return delta[:, None] * q * sigma[None, :]
 
 
-def _ipot_plans(c, beta, scale=_divide_marginal, product=_q_times_outer):
+def _floor(c, beta):
+    """ipot's flush floor for cost ``c``: 2^-60 / (mn) (min A / max A)^20."""
+    a = np.clip(np.exp(-c / beta), 1e-300, 1e300)
+    return 2.0 ** -OT.FLUSH_BITS / c.size * (a.min() / a.max()) ** OT.FLUSH_SPREAD
+
+
+def _ipot_plans(c, beta, scale=_divide_marginal, product=_q_times_outer, last_flush=0):
     """ipot's plan after each iteration, in the expression loop it ran before
-    its loop became in place: a fresh array for every term of every iteration."""
+    its loop became in place: a fresh array for every term of every iteration.
+    After iterations 24, 48, ... up to ``last_flush``, cells below ipot's floor
+    become 0.0, where that floor is a normal float."""
     m, n = c.shape
     a = np.clip(np.exp(-c / beta), 1e-300, 1e300)
+    floor = _floor(c, beta)
     sigma = np.full(n, 1.0 / n)
     t = np.ones((m, n))
-    while True:
+    for done in count(1):
         q = a * t
         delta = scale(m, q @ sigma)
         sigma = scale(n, q.T @ delta)
         t = product(delta, q, sigma)
         yield t
+        if done % OT.PERIOD_CHECK == 0 and done <= last_flush and floor >= OT.TINY:
+            t = np.where(t < floor, 0.0, t)
 
 
-def _ipot_reference(c, beta, outer_iters, scale=_divide_marginal, product=_q_times_outer):
-    """The reference's plan after ``outer_iters`` iterations, and its cost history."""
+def _ipot_reference(c, beta, outer_iters, scale=_divide_marginal, product=_q_times_outer,
+                    flush=True):
+    """The reference's plan after ``outer_iters`` iterations, and its cost history.
+    With ``flush`` it flushes where ipot does, before each checked chunk but the
+    first: after iterations 24, 48, ... up to ``outer_iters - 48``."""
+    last_flush = outer_iters - 2 * OT.PERIOD_CHECK if flush else 0
     history = []
-    for t in islice(_ipot_plans(c, beta, scale, product), outer_iters):
+    for t in islice(_ipot_plans(c, beta, scale, product, last_flush), outer_iters):
         history.append(float((t * c).sum()))
     return t, history
 
 
 SHAPES = [(1, 1), (1, 6), (5, 1), (7, 7), (20, 29), (64, 128)]
 OUTER_ITERS = [1, 50, 63, 64, 65, 128, 129, 2000, 2001, 47, 48, 49]
+
+
+# cost families of the flush tests, U[0, 2] and two narrow ones whose kernels
+# spread little; all but the two largest shapes take every family
+FAMILIES = [(0.0, 2.0), (0.8, 1.0), (0.8, 0.82)]
+BETAS = [2.0, 1.0, 0.5, 0.1, 0.02]
+FLUSH_CASES = ([(family, shape) for family in FAMILIES
+                for shape in [(1, 1), (1, 6), (5, 1), (3, 5), (7, 7), (12, 20), (20, 29), (29, 29)]]
+               + [((0.0, 2.0), (64, 128)), ((0.0, 2.0), (128, 128))])
 
 
 def _period_after_1000(c):
@@ -141,7 +166,8 @@ class TestIpot:
         for _ in range(5):
             side = rng.integers(2, 7)
             c = rng.uniform(size=(side, side))
-            # a solve of k iterations is bit for bit the first k of a longer one
+            # each k is a solve of its own: from k = 72 on a solve zeroes vanishing
+            # cells, so it need not be bit for bit the first k of a longer one
             costs = [OT.ipot(c, outer_iters=k).cost for k in range(1, 301)]
             assert (np.diff(costs) <= 1e-9).all()
 
@@ -206,6 +232,57 @@ class TestIpot:
         before, _ = _ipot_reference(c, 0.5, outer_iters, product=_scaled_rows_then_columns)
         assert np.abs(plan.values - before).max() <= 1e-14 * np.abs(before).max()
 
+    @pytest.mark.parametrize("family, shape", FLUSH_CASES,
+                             ids=[f"U{lo}-{hi}-{m}x{n}" for (lo, hi), (m, n) in FLUSH_CASES])
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_within_tolerance_of_the_unflushed_loop(self, family, shape, beta):
+        # zeroing the cells below the floor moves the plan by at most 1e-14 of
+        # its largest entry (5.6e-16 measured over these cases), makes no NaN,
+        # and leaves every column sum exact
+        c = np.random.default_rng(sum(shape)).uniform(*family, size=shape)
+        plan = OT.ipot(c, beta=beta, outer_iters=2000)
+        want, _ = _ipot_reference(c, beta, 2000, flush=False)
+        assert np.isfinite(want).all() and np.isfinite(plan.values).all()
+        assert np.abs(plan.values - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(plan.values.sum(axis=0) - 1.0 / shape[1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=[f"U{lo}-{hi}" for lo, hi in FAMILIES])
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("outer_iters", [50, 71])
+    def test_a_solve_of_fewer_than_three_chunks_is_the_unflushed_loop(self, family, beta,
+                                                                       outer_iters):
+        # a training solve checks only its first chunk, and 71 iterations is
+        # the longest solve without a second checked chunk: neither flushes
+        c = np.random.default_rng(7).uniform(*family, size=(7, 7))
+        plan = OT.ipot(c, beta=beta, outer_iters=outer_iters)
+        want, history = _ipot_reference(c, beta, outer_iters, flush=False)
+        assert plan.values.tobytes() == want.tobytes()
+        assert plan.cost == history[-1]
+
+    @pytest.mark.parametrize("seed, shape, beta", [(14, (7, 7), 0.02), (49, (20, 29), 0.02),
+                                                   (192, (64, 128), 0.02), (10, (7, 7), 0.05)])
+    def test_a_floor_that_underflows_flushes_nothing(self, seed, shape, beta):
+        # a floor below the smallest normal float flushes nothing: at beta 0.02
+        # on costs in [0, 2] it underflows to 0; at seed 10 and beta 0.05 it is
+        # subnormal, and cells fall below it. The solve is the unflushed loop
+        c = np.random.default_rng(seed).uniform(0.0, 2.0, size=shape)
+        assert _floor(c, beta) < OT.TINY
+        plan = OT.ipot(c, beta=beta, outer_iters=2000)
+        want, history = _ipot_reference(c, beta, 2000, flush=False)
+        assert plan.values.tobytes() == want.tobytes()
+        assert plan.cost == history[-1]
+
+    def test_the_flush_zeroes_only_vanishing_cells(self):
+        # the cells a long solve zeroes are positive, and below the floor, in
+        # the unflushed loop's plan; every other cell is bit for bit its own
+        c = np.random.default_rng(7).uniform(0.0, 2.0, size=(7, 7))
+        plan = OT.ipot(c, beta=0.5, outer_iters=2000)
+        want, _ = _ipot_reference(c, 0.5, 2000, flush=False)
+        zeroed = (plan.values == 0.0) & (want != 0.0)
+        assert zeroed.any()
+        assert want[zeroed].max() < _floor(c, 0.5)
+        assert plan.values[~zeroed].tobytes() == want[~zeroed].tobytes()
+
     @pytest.mark.parametrize("seed, shape, period", [(35, (2, 3), 2), (43, (2, 2), 1),
                                                      (13, (3, 2), 1), (570, (2, 3), 1),
                                                      (395, (3, 2), 3), (104, (2, 3), 6)])
@@ -250,6 +327,18 @@ class TestIpot:
         with pytest.warns(OT.ConditioningWarning):
             plan = OT.ipot(c, beta=0.5, outer_iters=50)
         want, history = _ipot_reference(c, 0.5, 50)
+        assert plan.values.tobytes() == want.tobytes()
+        assert plan.cost == history[-1]
+
+    def test_a_kernel_clamped_everywhere_takes_its_floor_from_the_clamp(self):
+        # every cell of exp(-C / beta) underflows to 0 and is clamped to 1e-300;
+        # the floor is read from the clamped kernel, so no 0 / 0 is taken
+        c = np.array([[800.0, 900.0], [900.0, 800.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plan = OT.ipot(c, beta=0.5, outer_iters=2000)
+        assert [w.category for w in caught] == [OT.ConditioningWarning]
+        want, history = _ipot_reference(c, 0.5, 2000)
         assert plan.values.tobytes() == want.tobytes()
         assert plan.cost == history[-1]
 
