@@ -338,8 +338,7 @@ def cmd_eval(args) -> int:
     docs = load_corpus(args.eval_corpus, state.vocab,
                        max_seq_len=state.enc_config.max_seq_len)
     pool = load_pool(args.phrase_pool, state.vocab)
-    rows = eval_reconstruction(state, docs, pool, span_lengths=(1, 2, 3, 4),
-                               seed=args.seed, max_docs=args.max_docs)
+    rows = eval_reconstruction(state, docs, pool, seed=args.seed, max_docs=args.max_docs)
     cells = [("span_len", "n_examples", "accuracy")]
     cells += [(row["span_len"], row["n_examples"],
                "NA" if row["accuracy"] is None else f"{row['accuracy']:.4f}") for row in rows]

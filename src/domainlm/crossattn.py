@@ -8,8 +8,7 @@ alignment; it is not part of the default pre-training schedule.
 
 Each function takes one pair as (L, d) embeddings or a batch of pairs as
 (B, L, d), each side padded to its longest document, with (B, L) pad masks
-that are True on real tokens; a 2-D call is a batch of one. A training
-step runs all its pairs through one batched ``triplet_loss``.
+that are True on real tokens; a 2-D call is a batch of one.
 """
 from __future__ import annotations
 

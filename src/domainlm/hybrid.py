@@ -101,8 +101,7 @@ class SchedulerState:
             smoothed = raw_loss
             first = prev = smoothed
         else:
-            smoothed = self.ema_decay * curr + (1.0 - self.ema_decay) * raw_loss \
-                if self.ema_decay > 0 else raw_loss
+            smoothed = self.ema_decay * curr + (1.0 - self.ema_decay) * raw_loss
             prev = curr
         if mode == "word":
             self.word_first, self.word_prev, self.word_curr = first, prev, smoothed

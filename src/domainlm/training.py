@@ -1,15 +1,7 @@
 """Two-stage pre-training: hybrid masking alone, then jointly with alignment.
 
-Stage 1 iterates the corpus with the adaptive word/phrase objective.
-Stage 2 iterates associated entity pairs: the same hybrid objective on
-the pair documents plus a weighted alignment loss (transport-based by
-default, cross-attention triplet as the baseline variant) computed on the
-documents unmasked. For the transport loss one padded forward per step
-encodes them masked and unmasked; the triplet baseline runs its own padded
-unmasked pass with the same parameters, over the documents and their
-negatives, and one batched triplet loss reads it for all the step's pairs.
-That pass runs off the tape first, and again on the tape only when a
-hinge is active.
+Stage 1 iterates the corpus with the adaptive word/phrase objective; stage 2
+adds an alignment loss over entity pairs, run as ``run_stage2`` states.
 
 Determinism: parameter init, masking, data order and negative sampling
 draw from separate streams derived from the config seed. Data order and
@@ -24,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Literal, Optional
 
 import numpy as np
@@ -157,6 +149,7 @@ class TrainState:
     config: TrainConfig
     enc_config: EncoderConfig
     params: dict[str, Tensor]
+    frozen: dict[str, Tensor]  # the same arena views as leaves that record no tape
     adam: AdamState
     scheduler: SchedulerState
     mask_rng: np.random.Generator
@@ -192,7 +185,8 @@ def _assemble(config: TrainConfig, vocab: Vocab, phrases: list, shape: dict,
     encoder config from them, ``config``, ``vocab`` and ``shape``. A fresh run (``saved`` None)
     draws its arena with ``init_params`` and has zero moments, a new scheduler, the seeded
     masking stream and no steps done; a loaded run takes each of these from ``saved``.
-    Every parameter is a view into the arena, laid out by ``param_shapes``."""
+    Every parameter, and its no-tape twin in ``frozen``, is a view into the arena,
+    laid out by ``param_shapes``."""
     _check_phrases(phrases, len(vocab))  # as load_pool keeps them, sorted
     if (phrases := [tuple(ids) for ids in phrases]) != sorted(set(phrases)):
         raise ValueError("phrases must be distinct and in phrase-id order")
@@ -220,11 +214,12 @@ def _assemble(config: TrainConfig, vocab: Vocab, phrases: list, shape: dict,
         if (saved["adam_v"] < 0).any():  # a sum of squares
             raise ValueError("'adam_v' holds a negative value")
         mask_rng.bit_generator.state = saved["mask_rng"]
+    views = _views(saved["arena"], shapes)
     return TrainState(
         config=config,
         enc_config=enc_config,
-        params={name: Tensor(view, requires_grad=True)
-                for name, view in _views(saved["arena"], shapes).items()},
+        params={name: Tensor(view, requires_grad=True) for name, view in views.items()},
+        frozen={name: Tensor(view) for name, view in views.items()},
         adam=AdamState(saved["arena"], saved["adam_m"], saved["adam_v"],
                        np.empty(size), np.empty(size)),
         scheduler=_new_scheduler(config) if fresh else SchedulerState.from_dict(
@@ -334,7 +329,7 @@ def _alignment_loss(state: TrainState, docs: list[Document], negatives: list[Doc
         return crossattn.triplet_loss(*sides, *masks)
 
     # Decide on the unscaled sum: a positive hinge could underflow once scaled.
-    total = hinge_sum(_forward_only(state).params)
+    total = hinge_sum(state.frozen)
     if total.item() != 0.0:
         total = hinge_sum(state.params)
     return T.scale(total, 1.0 / pairs)
@@ -427,8 +422,9 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
     The masked pass covers both pair documents. For ``ot`` the same padded
     forward also encodes them unmasked, and the alignment term reads those
     rows: one encoder forward per step covers both passes. ``attention``
-    runs a second, unmasked pass with the negatives, off the tape; only a
-    step with an active hinge runs it again on the tape. One optimizer step per
+    runs a second, unmasked pass with the negatives, off the tape, and one
+    batched triplet loss reads it for all the step's pairs; only a step with
+    an active hinge runs the pass again on the tape. One optimizer step per
     iteration on the summed loss. With cea_weight = 0 the alignment pass
     is skipped entirely, reproducing stage-1 dynamics on the pair corpus.
     reset_scheduler_for_stage2 restarts the scheduler once, before the
@@ -448,16 +444,10 @@ def run_stage2(pair_set: EntityPairSet, pool: PhrasePool, state: TrainState,
 # ------------------------------------------------------------------- inference
 
 
-def _forward_only(state: TrainState) -> TrainState:
-    """``state`` with each weight as a leaf that needs no gradient, a view of
-    the same arena: forwards through it record no backward closures."""
-    return replace(state, params={k: Tensor(p.data) for k, p in state.params.items()})
-
-
 def _doc_embeddings(state: TrainState, doc: Document) -> Tensor:
     """Forward-only unmasked contextual embeddings of one document, (len, dim)."""
     ids, pad_mask = pad([doc.tokens])
-    hidden = forward(ids, pad_mask, _forward_only(state).params, state.enc_config)
+    hidden = forward(ids, pad_mask, state.frozen, state.enc_config)
     return gather_positions(hidden, 0, np.arange(len(doc)))
 
 
@@ -513,11 +503,10 @@ def eval_reconstruction(state: TrainState, docs: list[Document], pool: PhrasePoo
                   if m.end - m.start in span_lengths]
         examples += [MaskedExample([MASK_ID if i in span else t for i, t in enumerate(doc.tokens)],
                                    list(doc.tokens), span) for span in spans]
-    params = _forward_only(state).params
     correct = []
     for start in range(0, len(examples), eval_batch):
         chunk = examples[start:start + eval_batch]
-        preds = _predict_masked(params, state.enc_config, collate(chunk))
+        preds = _predict_masked(state.frozen, state.enc_config, collate(chunk))
         correct += [pred == [ex.gold_ids[p] for p in ex.masked_positions]
                     for ex, pred in zip(chunk, preds)]
     rows = []

@@ -1,16 +1,7 @@
 """Optimal-transport alignment: cosine costs, IPOT solver, Wasserstein loss.
 
 Conventions: rows index the first token set (m tokens, marginal μ = 1/m),
-columns the second (n tokens, marginal ν = 1/n). The proximal-point solver
-alternates diagonal scalings of Q = A .* T, δ = μ ⊘ Qσ and σ = ν ⊘ Qᵀδ, where
-A = exp(-C / beta) keeps the plan close to its previous iterate under a KL
-penalty; unlike entropic regularization the fixed point is the unregularized optimum.
-The plan is formed as Q ⊙ (δσᵀ), within 1e-14 of diag(δ) Q diag(σ)'s largest entry.
-Each iteration is a deterministic map of the state (T, sigma), so once
-that state repeats bit for bit the solver skips the whole periods left
-and returns the plan the full loop would, bit for bit. Cells on their way to
-underflow hold that state off its repeat, so a long solve zeroes the cells
-below 2^-60 / (mn) · (min A / max A)^20 before each repeat check but the first.
+columns the second (n tokens, marginal ν = 1/n). ``ipot`` states how the solver runs.
 """
 from __future__ import annotations
 
@@ -81,8 +72,10 @@ def cost_matrix(x: Tensor, y: Tensor) -> CostMatrix:
 def ipot(c, beta: float = 0.5, outer_iters: int = 50) -> TransportPlan:
     """Proximal-point transport solver with uniform marginals.
 
-    Per outer iteration: Q = A .* T, then one scaling round,
-    δ = μ ⊘ Qσ and σ = ν ⊘ Qᵀδ (⊘ divides elementwise), and finally
+    A = exp(-C / beta) keeps the plan close to its previous iterate under a
+    KL penalty; unlike entropic regularization the fixed point is the
+    unregularized optimum. Per outer iteration: Q = A .* T, then one scaling
+    round, δ = μ ⊘ Qσ and σ = ν ⊘ Qᵀδ (⊘ divides elementwise), and finally
     T = diag(δ) Q diag(σ), formed as Q ⊙ (δσᵀ). That rounds differently
     from scaling rows, then columns: within 1e-14 of the largest entry.
 
@@ -95,7 +88,8 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50) -> TransportPlan:
     would repeat it, so the solve skips each whole chunk left and runs only
     the remainder. Plan and cost are bit for bit the full loop's.
 
-    Before each checked chunk but the first, cells of T below
+    Cells on their way to underflow hold (T, sigma) off its repeat, so before
+    each checked chunk but the first, cells of T below
     ``2**-FLUSH_BITS / (m * n) * (min A / max A) ** FLUSH_SPREAD`` become
     0.0, which stays 0.0; a floor below the smallest normal float flushes
     nothing. Solves of under 72 iterations never flush, and longer ones stay
@@ -113,7 +107,8 @@ def ipot(c, beta: float = 0.5, outer_iters: int = 50) -> TransportPlan:
     if outer_iters < 1:
         raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
     m, n = cv.shape
-    a = np.exp(-cv / beta)
+    with np.errstate(over="ignore"):  # the clamp below handles overflow as underflow
+        a = np.exp(-cv / beta)
     low, high = a.min(), a.max()
     if low < 1e-300 or high > 1e300:
         warnings.warn("proximal kernel clamped to [1e-300, 1e300]; "

@@ -292,6 +292,9 @@ class TestHistory:
         s.record("phrase", 10.0)
         s.record("phrase", 4.0)
         assert s.phrase_curr == 4.0
+        for loss in (0.1, 1 / 3, 2.718281828459045):  # the raw loss, not a rounding of it
+            s.record("phrase", loss)
+            assert s.phrase_curr == loss
 
     def test_round_trip_serialization(self):
         s = H.SchedulerState()

@@ -178,6 +178,36 @@ def test_no_parameter_data_is_rebound(path):
     assert bindings == []
 
 
+# A run's weights are wrapped once, from plain views of its arena, in _assemble;
+# a forward reads those leaves rather than wrapping a tensor's data again.
+def data_wrappings(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each ``Tensor`` call, bare or as an attribute,
+    whose first argument, or ``data=``, is an attribute named ``data``."""
+    def wraps_data(node: ast.AST) -> bool:
+        if not (isinstance(node, ast.Call) and "Tensor" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None))):
+            return False
+        first = node.args[:1] + [k.value for k in node.keywords if k.arg == "data"]
+        return any(isinstance(a, ast.Attribute) and a.attr == "data" for a in first)
+
+    return found_in(source, wraps_data)
+
+
+def test_checker_sees_a_data_wrapping():
+    source = ("def frozen(params):\n    return {k: Tensor(p.data) for k, p in params.items()}\n"
+              "def other(p, view):\n    T.Tensor(p.data, requires_grad=True)\n"
+              "    Tensor(view), Tensor(p.data[0]), Tensor(p.grad), tensor(p.data)\n"
+              "    return Tensor(data=q.data)\n")
+    assert data_wrappings(source) == [("frozen", 2), ("other", 4), ("other", 6)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_weights_are_wrapped_in_one_place(path):
+    wrappings = [f"{where} (line {line})"
+                 for where, line in data_wrappings(path.read_text("utf-8"))]
+    assert wrappings == []
+
+
 # The checkpoint file is the only array file, written and read in one place each.
 ARRAY_FILE_FUNCTIONS = {"save", "savez", "savez_compressed", "load"}
 ARRAY_FILE_USERS = {("training.py", "save_checkpoint"), ("training.py", "load_checkpoint")}

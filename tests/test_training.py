@@ -162,11 +162,16 @@ class TestAdam:
 
 
 def assert_params_in_arena(state):
-    """Every parameter is a view into the arena, in parameter order, and each
-    moment arena is as long as the parameter arena."""
+    """Every parameter, and its no-tape twin, is a view into the arena, in
+    parameter order, and each moment arena is as long as the parameter arena."""
     adam = state.adam
+    assert state.frozen.keys() == state.params.keys()
     for name, p in state.params.items():
         assert np.shares_memory(p.data, adam.arena), name
+        frozen = state.frozen[name]
+        assert np.shares_memory(frozen.data, adam.arena), name
+        assert frozen.shape == p.shape and frozen.data.tobytes() == p.data.tobytes(), name
+        assert not frozen.requires_grad and frozen._grad_fn is None, name
     flat = np.concatenate([p.data.ravel() for p in state.params.values()])
     assert flat.tobytes() == adam.arena.tobytes()
     assert adam.arena_m.shape == adam.arena_v.shape == adam.arena.shape

@@ -357,6 +357,19 @@ class TestIpot:
             plan = OT.ipot(c, beta=0.5, outer_iters=10)
         assert np.isfinite(plan.values).all()
 
+    @pytest.mark.parametrize("c, beta", [
+        ([[-400.0, 0.0], [0.0, -400.0]], 0.5),   # exp(800) overflows
+        ([[-1000.0, 3.0], [2.0, 0.0], [5.0, -800.0]], 1.0),
+        ([[0.0, 1e6]], 0.5)])                    # exp(-2e6) underflows
+    def test_a_kernel_out_of_range_either_way_is_clamped_with_one_warning(self, c, beta):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plan = OT.ipot(c, beta=beta)
+        assert [w.category for w in caught] == [OT.ConditioningWarning]
+        assert np.isfinite(plan.values).all()
+        n = plan.values.shape[1]
+        assert np.allclose(plan.values.sum(axis=0), 1.0 / n, rtol=0, atol=1e-15)
+
 
 class TestOracle:
     def test_zero_cost_matrix(self):
